@@ -11,11 +11,24 @@
 #include <utility>
 #include <vector>
 
+#include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "crypto/cmac.h"
 #include "sim/acquisition.h"
 
 namespace medsen::bench {
+
+/// Enroll `device_id` on `server` the way a deployment does: the server
+/// installs `master` as epoch 0 on first use and records only the id.
+/// Returns the key the device holds, diversified from that master.
+inline std::vector<std::uint8_t> enroll_device(
+    cloud::CloudServer& server, std::uint64_t device_id,
+    const std::vector<std::uint8_t>& master) {
+  if (!server.devices().has_epoch(0)) server.rotate_master_key(0, master);
+  server.enroll_device(device_id);
+  return crypto::diversify_device_key(master, device_id, 0);
+}
 
 inline sim::ChannelConfig default_channel(bool losses = false) {
   sim::ChannelConfig channel;

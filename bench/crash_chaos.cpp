@@ -1,6 +1,6 @@
 // Restart-chaos harness for the crash-consistent durability layer
 // (ISSUE 10 tentpole). Drives a scripted mix of durable traffic —
-// provisioning, master rotation, diversified enrollment, user
+// diversified enrollment, master rotation, revocation, user
 // enrollment, stored records, session handshakes, compactions — against
 // a WAL-backed CloudServer, kills the "process" with a SimulatedCrash at
 // every registered crash point (exhaustive site sweep; --smoke runs
@@ -120,11 +120,11 @@ Options parse_options(int argc, char** argv) {
   return options;
 }
 
-// The cast of the scripted workload. The key bytes are distinctive
-// ascending runs so the on-disk secret scan (invariant 5) cannot
-// false-negative on them.
-constexpr std::uint64_t kLegacyA = 1;
-constexpr std::uint64_t kLegacyB = 2;
+// The cast of the scripted workload. The master key bytes are a
+// distinctive ascending run so the on-disk secret scan (invariant 5)
+// cannot false-negative on them.
+constexpr std::uint64_t kDeviceA = 1;
+constexpr std::uint64_t kDeviceB = 2;
 constexpr std::uint64_t kEnrolled = 7;
 constexpr std::uint32_t kEpoch = 1;
 constexpr std::uint64_t kCryptoSeed = 0x1234;
@@ -389,9 +389,9 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
   const auto code2 = code_of({1, 2});
   const auto ack_lsn = [&] { led.acked_lsn = rig.durable->last_lsn(); };
 
-  const auto provision = [&](std::uint64_t id, std::uint8_t base) {
+  const auto enroll_device = [&](std::uint64_t id) {
     led.allowed_devices.insert(id);
-    rig.server->provision_device(id, pattern_key(base));
+    rig.server->enroll_device(id);
     led.acked_devices.insert(id);
     ack_lsn();
   };
@@ -420,25 +420,22 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
     ack_lsn();
   };
 
-  provision(kLegacyA, 0xA0);
+  enroll_device(kDeviceA);
   led.allowed_epoch = true;
   rig.server->rotate_master_key(kEpoch, pattern_key(0xC0));
   led.acked_epoch = true;
   ack_lsn();
-  led.allowed_devices.insert(kEnrolled);
-  rig.server->enroll_device(kEnrolled);
-  led.acked_devices.insert(kEnrolled);
-  ack_lsn();
+  enroll_device(kEnrolled);
   enroll_user("alice", code1);
   handshake();  // 5th append: auto-compaction fires here
   store(code1, 11, 0x11);
-  provision(kLegacyB, 0xB0);
+  enroll_device(kDeviceB);
   handshake();
   store(code1, 12, 0x12);
   rig.durable->compact(*rig.server);
-  led.allowed_revoked.insert(kLegacyA);
-  if (rig.server->revoke_device(kLegacyA)) {
-    led.acked_revoked.insert(kLegacyA);
+  led.allowed_revoked.insert(kDeviceA);
+  if (rig.server->revoke_device(kDeviceA)) {
+    led.acked_revoked.insert(kDeviceA);
   }
   ack_lsn();
   enroll_user("bob", code2);
@@ -508,13 +505,13 @@ std::size_t verify(Rig& rig, Ledger& led, const std::string& dir,
     }
   }
 
-  // 1 + 2: registry.
+  // 1 + 2: registry. Enrollment is id-only, so presence is membership
+  // of the enrolled set (a device enrolled before the master rotation
+  // has no derivable key yet).
+  const auto registry = rig.server->devices().snapshot();
   for (const auto id : led.acked_devices) {
-    const bool present = id == kEnrolled
-                             ? rig.server->devices()
-                                   .lookup_epoch(id, kEpoch)
-                                   .has_value()
-                             : rig.server->devices().lookup(id).has_value();
+    const bool present = std::binary_search(registry.enrolled.begin(),
+                                            registry.enrolled.end(), id);
     // Revocation tombstones a device: a revoked id no longer resolves,
     // and is_revoked is the surviving acked fact. An *in-flight* revoke
     // (allowed, unacked) may also have committed its append.
@@ -561,11 +558,17 @@ std::size_t verify(Rig& rig, Ledger& led, const std::string& dir,
     }
   }
 
-  // 5: no plaintext key material in any state file (or torn .tmp).
-  for (const auto base : {0xA0, 0xB0, 0xC0}) {
-    if (on_disk(dir, pattern_key(static_cast<std::uint8_t>(base)))) {
+  // 5: no plaintext key material in any state file (or torn .tmp): the
+  // master key, and the keys the devices derive from it.
+  const auto master = pattern_key(0xC0);
+  if (on_disk(dir, master)) {
+    fail("plaintext secret on disk", "master key");
+    ++inv.secret_leaks;
+  }
+  for (const auto id : {kDeviceA, kDeviceB}) {
+    if (on_disk(dir, crypto::diversify_device_key(master, id, kEpoch))) {
       fail("plaintext secret on disk",
-           "key pattern base " + std::to_string(base));
+           "derived key of device " + std::to_string(id));
       ++inv.secret_leaks;
     }
   }

@@ -27,8 +27,9 @@ int main() {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  const std::vector<std::uint8_t> mac_key = {1, 2, 3};
-  server.provision_device(phone::RelayConfig{}.device_id, mac_key);
+  const auto mac_key = bench::enroll_device(
+      server, phone::RelayConfig{}.device_id,
+      std::vector<std::uint8_t>(16, 0x3E));
 
   std::printf(
       "run,usb_in_ms,compress_ms,uplink_ms,analysis_ms,downlink_ms,"

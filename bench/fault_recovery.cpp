@@ -62,8 +62,9 @@ Counters sweep(const FaultSetup& setup, std::size_t sessions) {
                                      auth::CytoAlphabet{},
                                      auth::ParticleClassifier::train({}));
     phone::PhoneRelay relay;
-    const std::vector<std::uint8_t> mac_key = {0xB0, 0x0B};
-    server.provision_device(relay.config().device_id, mac_key);
+    const auto mac_key = bench::enroll_device(
+        server, relay.config().device_id,
+        std::vector<std::uint8_t>(16, 0xB0));
 
     sim::SampleSpec sample;
     sample.components = {{sim::ParticleType::kBead780, 300.0}};

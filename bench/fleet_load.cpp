@@ -177,13 +177,20 @@ struct SplitMix {
   }
 };
 
-std::vector<std::uint8_t> device_key(std::uint64_t device_id,
-                                     std::uint64_t seed) {
-  SplitMix rng{device_id ^ seed};
+/// The fleet's epoch-0 master key: the only key material the server
+/// holds.
+std::vector<std::uint8_t> master_key(std::uint64_t seed) {
+  SplitMix rng{seed};
   std::vector<std::uint8_t> key(16);
   for (std::size_t i = 0; i < key.size(); ++i)
     key[i] = static_cast<std::uint8_t>(rng.next() & 0xFF);
   return key;
+}
+
+/// The key a device holds, diversified from the fleet master.
+std::vector<std::uint8_t> device_key(std::uint64_t device_id,
+                                     std::uint64_t seed) {
+  return crypto::diversify_device_key(master_key(seed), device_id, 0);
 }
 
 /// A small but analyzable acquisition: one carrier, ~2 s at 450 Hz, a
@@ -386,7 +393,7 @@ WorkerResult run_worker(cloud::CloudServer& server, const Options& options,
       }
     } else if (op < 0.95) {
       // Deliberate legacy-plane send: a counter-0 command on the
-      // provisioned static key. With allow_legacy_plane=false the server
+      // device's long-term key. With allow_legacy_plane=false the server
       // must refuse every one of these with kAuthRequired.
       legacy_attempt = true;
       ++result.legacy_attempts;
@@ -399,7 +406,7 @@ WorkerResult run_worker(cloud::CloudServer& server, const Options& options,
           net::MessageType::kSignalUpload, next_session++,
           static_cast<std::uint64_t>(options.devices) + 1 +
               (rng.next() % 1000),
-          upload_payload, stray_key);  // never provisioned
+          upload_payload, stray_key);  // never enrolled
     }
 
     const auto note_response = [&](const net::Envelope& arrived,
@@ -465,8 +472,8 @@ double replay_storm_rps(const Options& options, std::size_t shards,
   const std::size_t devices = options.scaling_devices;
   std::vector<net::Envelope> replays(devices);
   for (std::uint64_t device = 0; device < devices; ++device) {
-    const auto key = device_key(device, options.seed);
-    server.provision_device(device, key);
+    const auto key =
+        bench::enroll_device(server, device, master_key(options.seed));
     core::SessionCrypto crypto(device, key, /*key_epoch=*/0,
                                options.seed ^ device);
     if (!crypto.complete(server.handle(
@@ -709,15 +716,16 @@ int main(int argc, char** argv) {
 
   auto server = make_server(options, options.shards, options.cache_capacity);
 
-  // Phase 1: provision the fleet.
+  // Phase 1: enroll the fleet under one master key.
   const auto provision_start = std::chrono::steady_clock::now();
+  server.rotate_master_key(0, master_key(options.seed));
   for (std::uint64_t device = 0; device < options.devices; ++device)
-    server.provision_device(device, device_key(device, options.seed));
+    server.enroll_device(device);
   const double provision_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     provision_start)
           .count();
-  std::printf("provisioned %zu devices in %.2f s (%zu registry shards)\n",
+  std::printf("enrolled %zu devices in %.2f s (%zu registry shards)\n",
               options.devices, provision_s, server.devices().shard_count());
 
   // Phase 2: mixed closed-loop traffic.

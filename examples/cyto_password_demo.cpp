@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "enroll_device.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -68,8 +69,8 @@ int main() {
       sample, controller.session_key_schedule_for_testing(), duration_s, 55);
 
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {7, 7};
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0x07));
   controller.enable_session_crypto(relay.config().device_id, mac_key);
   if (!relay.establish_session(controller, 1, server)) {
     std::printf("session handshake failed\n");

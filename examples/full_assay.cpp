@@ -7,17 +7,21 @@
 //      peaks, controller decodes, result stored under the identifier
 //   5. practitioner access: unwrap the escrowed session key and decode
 //      the stored ciphertext report independently
+//   6. restart: a fresh server recovers the sealed, journaled state
 //
 // Every component is the production path — no test shortcuts.
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 
-#include "cloud/persistence.h"
+#include "cloud/durability.h"
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "core/escrow.h"
+#include "enroll_device.h"
 #include "phone/relay.h"
 #include "sim/capture.h"
 
@@ -38,15 +42,30 @@ int main() {
   // auth pass and the diagnostic pass ride one negotiated session.
   cloud::ServiceConfig service;
   service.allow_legacy_plane = false;
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train(
-                                       {acq.carriers_hz, 300, 0.06, 7}),
-                                   auth::VerifierConfig{}, nullptr, service);
+  const auto make_server = [&] {
+    return std::make_unique<cloud::CloudServer>(
+        cloud::AnalysisConfig{}, alphabet,
+        auth::ParticleClassifier::train({acq.carriers_hz, 300, 0.06, 7}),
+        auth::VerifierConfig{}, nullptr, service);
+  };
+  // The cloud's state lives in a sealed write-ahead journal: every
+  // mutation below is on disk before it is acknowledged.
+  const auto state_dir =
+      (std::filesystem::temp_directory_path() / "medsen_full_assay")
+          .string();
+  std::filesystem::remove_all(state_dir);
+  cloud::DurabilityConfig durability;
+  durability.dir = state_dir;
+  durability.storage_key = std::vector<std::uint8_t>(16, 0x5E);
+  auto durable = std::make_unique<cloud::DurableState>(durability);
+  auto server_process = make_server();
+  auto& server = *server_process;
+  server.attach_durability(*durable);
   core::Controller controller(key_params, design,
                               core::DiagnosticProfile::cd4_staging(), 404);
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0xAB};
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0xAB));
   controller.enable_session_crypto(relay.config().device_id, mac_key);
   if (!relay.establish_session(controller, 1, server)) {
     std::printf("session handshake failed\n");
@@ -56,8 +75,8 @@ int main() {
 
   // --- 0. Enrollment (done once at the clinic).
   crypto::ChaChaRng clinic_rng(1);
-  const auto code = server.enrollments().enroll_random("patient-007",
-                                                       clinic_rng);
+  const auto code = auth::random_code(alphabet, clinic_rng);
+  server.enroll_user("patient-007", code);
   std::printf("[clinic] issued pipette kit with cyto-code %s\n",
               code.to_string().c_str());
 
@@ -160,15 +179,22 @@ int main() {
               "(sensor decoded %.1f)\n",
               decoded.estimated_count, diagnosis.estimated_count);
 
-  // Persist the cloud state the way a real deployment would.
-  const std::string dir = "/tmp";
-  cloud::save_enrollments(server.enrollments(), dir + "/medsen_enroll.bin");
-  cloud::save_records(server.records(), dir + "/medsen_records.bin");
-  const auto reloaded = cloud::load_records(dir + "/medsen_records.bin");
-  std::printf("[cloud ] state persisted and reloaded: %zu record(s) on "
-              "disk\n",
-              reloaded.record_count());
-  std::remove((dir + "/medsen_enroll.bin").c_str());
-  std::remove((dir + "/medsen_records.bin").c_str());
+  // --- 6. Restart: a fresh server recovers the journaled state from
+  // the same directory. Negotiated sessions die with the process; the
+  // registry, enrollment and stored record survive.
+  server_process.reset();  // the server first: it points at its journal
+  durable.reset();
+  {
+    cloud::DurableState reopened(durability);
+    auto restarted = make_server();
+    restarted->attach_durability(reopened);
+    std::printf("[cloud ] state persisted and reloaded: %zu record(s) on "
+                "disk, patient %s, %zu device(s), %zu live session(s)\n",
+                restarted->records().record_count(),
+                restarted->enrollments().lookup(code).value_or("?").c_str(),
+                restarted->devices().size(),
+                restarted->sessions().active_sessions());
+  }
+  std::filesystem::remove_all(state_dir);
   return 0;
 }

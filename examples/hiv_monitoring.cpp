@@ -11,13 +11,14 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "enroll_device.h"
 #include "phone/relay.h"
 
 using namespace medsen;
 
 namespace {
 
-// One at-home test. The device is provisioned once (in main); each
+// One at-home test. The device is enrolled once (in main); each
 // controller arms session crypto with the shared long-term key and
 // handshakes on its first visit, so repeat visits ride the same
 // negotiated session with advancing command counters.
@@ -70,8 +71,8 @@ int main() {
                                    auth::ParticleClassifier::train({}),
                                    auth::VerifierConfig{}, nullptr, service);
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {1};
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0x01));
 
   std::printf("=== cross-sectional screening ===\n");
   struct PatientCase {

@@ -12,6 +12,7 @@
 
 #include "cloud/server.h"
 #include "core/controller.h"
+#include "enroll_device.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -57,14 +58,15 @@ phone::RelayConfig lossy_config(double drop_rate) {
 
 int main() {
   const auto series = three_cell_series();
-  const std::vector<std::uint8_t> mac_key = {0xA5, 0x5A, 0x3C};
   cloud::ServiceConfig service;
   service.allow_legacy_plane = false;
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}),
                                    auth::VerifierConfig{}, nullptr, service);
-  server.provision_device(phone::RelayConfig{}.device_id, mac_key);
+  const auto mac_key = examples::enroll_device(
+      server, phone::RelayConfig{}.device_id,
+      std::vector<std::uint8_t>(16, 0xA5));
 
   // The session crypto lives in the controller (the TCB); the handshake
   // runs over the clean link and the derived session keys then ride

@@ -1,7 +1,7 @@
 // medsen_cli — command-line driver for the MedSen pipeline.
 //
 //   medsen_cli diagnose [--cells N/uL] [--duration S] [--seed K]
-//                       [--electrodes 2|3|5|9|16] [--csv] [--per-cell-keys]
+//                       [--electrodes 2|3|5|9|16] [--per-cell-keys]
 //   medsen_cli auth --code L-L [--duration S] [--seed K]
 //   medsen_cli enroll-demo [--users N]
 //   medsen_cli keysize [--cells N] [--electrodes N] [--bits B]
@@ -20,6 +20,7 @@
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "core/percell.h"
+#include "enroll_device.h"
 #include "crypto/keymath.h"
 #include "phone/relay.h"
 
@@ -36,7 +37,6 @@ struct Args {
   int users = 5;
   std::uint64_t keysize_cells = 20000;
   unsigned bits = 4;
-  bool csv = false;
   bool per_cell_keys = false;
 };
 
@@ -58,7 +58,6 @@ Args parse(int argc, char** argv, int start) {
     else if (flag == "--code") args.code = next();
     else if (flag == "--users") args.users = std::atoi(next());
     else if (flag == "--bits") args.bits = static_cast<unsigned>(std::atoi(next()));
-    else if (flag == "--csv") args.csv = true;
     else if (flag == "--per-cell-keys") args.per_cell_keys = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
@@ -92,11 +91,9 @@ int cmd_diagnose(const Args& args) {
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}),
                                    auth::VerifierConfig{}, nullptr, service);
-  phone::RelayConfig relay_config;
-  relay_config.csv_format = args.csv;
-  phone::PhoneRelay relay(relay_config);
-  const std::vector<std::uint8_t> mac_key = {0x11};
-  server.provision_device(relay.config().device_id, mac_key);
+  phone::PhoneRelay relay;
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0x11));
   controller.enable_session_crypto(relay.config().device_id, mac_key);
   if (!relay.establish_session(controller, args.seed, server)) {
     std::fprintf(stderr, "session handshake failed\n");
@@ -195,8 +192,8 @@ int cmd_auth(const Args& args) {
       args.seed + 1);
 
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0x22};
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0x22));
   controller.enable_session_crypto(relay.config().device_id, mac_key);
   if (!relay.establish_session(controller, args.seed, server)) {
     std::fprintf(stderr, "session handshake failed\n");

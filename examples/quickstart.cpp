@@ -10,6 +10,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "enroll_device.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -45,11 +46,12 @@ int main() {
   phone::PhoneRelay relay;
   relay.set_progress_callback(
       [](const std::string& msg) { std::printf("  [app] %s\n", msg.c_str()); });
-  const std::vector<std::uint8_t> mac_key = {0x42, 0x42};
-  // Provision this dongle's MAC key with the service (out-of-band step),
-  // arm the controller's session crypto with the same long-term key, and
-  // negotiate derived session keys before any diagnostic traffic flows.
-  server.provision_device(relay.config().device_id, mac_key);
+  // Enroll this dongle with the service (the cloud stores only its id),
+  // arm the controller's session crypto with the key diversified from
+  // the service's master key at personalization, and negotiate derived
+  // session keys before any diagnostic traffic flows.
+  const auto mac_key = examples::enroll_device(
+      server, relay.config().device_id, std::vector<std::uint8_t>(16, 0x42));
   controller.enable_session_crypto(relay.config().device_id, mac_key);
   if (!relay.establish_session(controller, /*session=*/1, server)) {
     std::printf("session handshake failed\n");

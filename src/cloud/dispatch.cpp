@@ -7,23 +7,9 @@
 
 namespace medsen::cloud {
 
-DeviceRegistry::ProvisionResult DeviceRegistry::provision(
-    std::uint64_t device_id, std::vector<std::uint8_t> mac_key) {
-  return shards_.with(device_id, [&](DeviceShard& shard) {
-    const bool known = shard.legacy.find(device_id) != shard.legacy.end() ||
-                       shard.enrolled.find(device_id) != shard.enrolled.end();
-    // Adoption wipes the caller's vector; rotation wipes the old key
-    // inside the SecretBytes assignment.
-    shard.legacy[device_id] = util::SecretBytes(std::move(mac_key));
-    shard.revoked.erase(device_id);
-    return known ? ProvisionResult::kRotated : ProvisionResult::kNew;
-  });
-}
-
 bool DeviceRegistry::revoke(std::uint64_t device_id) {
   return shards_.with(device_id, [&](DeviceShard& shard) {
-    const bool known = shard.legacy.erase(device_id) > 0 ||
-                       shard.enrolled.erase(device_id) > 0;
+    const bool known = shard.enrolled.erase(device_id) > 0;
     if (known) shard.revoked.insert(device_id);
     return known;
   });
@@ -42,28 +28,8 @@ bool DeviceRegistry::is_revoked(std::uint64_t device_id) const {
   });
 }
 
-bool DeviceRegistry::has_legacy_key(std::uint64_t device_id) const {
-  return shards_.with(device_id, [&](const DeviceShard& shard) {
-    return shard.legacy.find(device_id) != shard.legacy.end();
-  });
-}
-
 std::optional<util::SecretBytes> DeviceRegistry::lookup(
     std::uint64_t device_id) const {
-  const auto direct = shards_.with(
-      device_id,
-      [&](const DeviceShard& shard)
-          -> std::optional<std::optional<util::SecretBytes>> {
-        if (shard.revoked.find(device_id) != shard.revoked.end())
-          return std::optional<util::SecretBytes>{};
-        const auto it = shard.legacy.find(device_id);
-        if (it != shard.legacy.end())
-          return std::optional<util::SecretBytes>{it->second};
-        if (shard.enrolled.find(device_id) == shard.enrolled.end())
-          return std::optional<util::SecretBytes>{};
-        return std::nullopt;  // enrolled: derive below, outside the lock
-      });
-  if (direct.has_value()) return *direct;
   return lookup_epoch(device_id, current_epoch());
 }
 
@@ -115,27 +81,14 @@ bool DeviceRegistry::has_epoch(std::uint32_t epoch) const {
 
 std::size_t DeviceRegistry::size() const {
   std::size_t total = 0;
-  shards_.for_each_shard([&](const DeviceShard& shard) {
-    total += shard.legacy.size();
-    for (const std::uint64_t id : shard.enrolled)
-      if (shard.legacy.find(id) == shard.legacy.end()) ++total;
-  });
-  return total;
-}
-
-std::size_t DeviceRegistry::stored_secret_count() const {
-  std::size_t total = 0;
   shards_.for_each_shard(
-      [&](const DeviceShard& shard) { total += shard.legacy.size(); });
+      [&](const DeviceShard& shard) { total += shard.enrolled.size(); });
   return total;
 }
 
 RegistrySnapshot DeviceRegistry::snapshot() const {
   RegistrySnapshot snap;
   shards_.for_each_shard([&](const DeviceShard& shard) {
-    for (const auto& [id, key] : shard.legacy)
-      snap.legacy_keys.emplace_back(
-          id, std::vector<std::uint8_t>(key.data(), key.data() + key.size()));
     snap.enrolled.insert(snap.enrolled.end(), shard.enrolled.begin(),
                          shard.enrolled.end());
     snap.revoked.insert(snap.revoked.end(), shard.revoked.begin(),
@@ -149,7 +102,6 @@ RegistrySnapshot DeviceRegistry::snapshot() const {
   });
   // Sort everything: snapshots feed serialization, which must be
   // byte-identical across runs regardless of hash-table iteration order.
-  std::sort(snap.legacy_keys.begin(), snap.legacy_keys.end());
   std::sort(snap.masters.begin(), snap.masters.end());
   std::sort(snap.enrolled.begin(), snap.enrolled.end());
   std::sort(snap.revoked.begin(), snap.revoked.end());
@@ -158,10 +110,6 @@ RegistrySnapshot DeviceRegistry::snapshot() const {
 
 void DeviceRegistry::restore(const RegistrySnapshot& snapshot) {
   shards_.for_each_shard([&](DeviceShard& shard) { shard = DeviceShard{}; });
-  for (const auto& [id, key] : snapshot.legacy_keys)
-    shards_.with(id, [&, id = id](DeviceShard& s) {
-      s.legacy[id] = util::SecretBytes(std::span<const std::uint8_t>(key));
-    });
   for (const std::uint64_t id : snapshot.enrolled)
     shards_.with(id, [&](DeviceShard& s) { s.enrolled.insert(id); });
   for (const std::uint64_t id : snapshot.revoked)

@@ -2,11 +2,11 @@
 // The cloud's service plumbing, independent of what the handlers do:
 //
 //  - DeviceRegistry: device_id -> per-device MAC key, so one server
-//    serves many provisioned sensors (multi-tenant; keys are shared out
-//    of band at provisioning, exactly like the single-key scheme the
-//    paper describes, just one per dongle). Sharded by device_id: a
-//    lookup only locks the key's shard, so a fleet of devices never
-//    serializes on one registry mutex.
+//    serves many sensors (multi-tenant). Each dongle's key is derived
+//    on demand from a per-epoch master key, so the registry holds no
+//    per-device secret. Sharded by device_id: a lookup only locks the
+//    key's shard, so a fleet of devices never serializes on one
+//    registry mutex.
 //  - AdmissionGate: a bounded in-flight counter, lock-free. Past the
 //    limit the server sheds requests with an `overloaded` error instead
 //    of queueing unboundedly on the shared analysis pool.
@@ -48,8 +48,6 @@ namespace medsen::cloud {
 /// secret-to-plaintext boundary: keys leave their SecretBytes holders
 /// here precisely so the persistence layer can seal them to disk.
 struct RegistrySnapshot {  // medsen: allow(secret-flow)
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
-      legacy_keys;  ///< sorted by device id
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
       masters;  ///< sorted by epoch
   std::uint32_t current_epoch = 0;
@@ -57,60 +55,39 @@ struct RegistrySnapshot {  // medsen: allow(secret-flow)
   std::vector<std::uint64_t> revoked;   ///< sorted device ids
 };
 
-/// Thread-safe, sharded device registry with two keying planes:
-///
-///  - Legacy: an explicit per-device MAC key stored at provision time
-///    (the original scheme; kept as a fallback mode so mixed fleets
-///    upgrade incrementally).
-///  - Diversified: the registry stores one 16-byte *master key per
-///    epoch* plus id-only enrollment and revocation sets, and derives a
-///    device's long-term key on demand as
-///    crypto::diversify_device_key(master[epoch], id, epoch). A
-///    million-device fleet holds zero per-device secrets
-///    (stored_secret_count() == 0), and rotating the master key — a new
-///    epoch — re-keys the whole fleet in one operation.
-///
-/// lookup() prefers the legacy key when both exist, so explicitly
-/// provisioned overrides win. Revoked devices resolve to nothing on
-/// either plane until re-provisioned/re-enrolled.
+/// Thread-safe, sharded device registry. It stores one 16-byte *master
+/// key per epoch* plus id-only enrollment and revocation sets, and
+/// derives a device's long-term key on demand as
+/// crypto::diversify_device_key(master[epoch], id, epoch). A
+/// million-device fleet holds zero per-device secrets, so a leaked
+/// registry leaks no device key, and rotating the master key — a new
+/// epoch — re-keys the whole fleet in one operation. Revoked devices
+/// resolve to nothing until re-enrolled.
 ///
 /// Routing is deterministic (util::Sharded FNV-1a): the same device
 /// always lands on the same shard for a given shard count.
 class DeviceRegistry {
  public:
-  /// Whether provision() installed a first key or rotated an existing
-  /// one. A rotation invalidates every session negotiated under the old
-  /// key — the server must drop the device's session state.
-  enum class ProvisionResult : std::uint8_t { kNew = 0, kRotated = 1 };
-
   /// `shards` 0 = hardware default; rounded up to a power of two.
   explicit DeviceRegistry(std::size_t shards = 0)
       : shards_(shards), masters_(1) {}
 
-  /// Install (or rotate) a device's legacy MAC key. Re-provisioning an
-  /// already-known device is an explicit rotation: the old key is
-  /// invalid from this call on, and the result tells the caller to tear
-  /// down any session negotiated under it. Clears revocation.
-  ProvisionResult provision(std::uint64_t device_id,
-                            std::vector<std::uint8_t> mac_key);
-  /// Remove a device from both planes and put it on the revocation
-  /// list; returns false when it was never provisioned/enrolled.
+  /// Remove a device from the enrollment set and put it on the
+  /// revocation list; returns false when it was never enrolled.
   bool revoke(std::uint64_t device_id);
   /// Diversified enrollment: record the id (no secret). Clears
   /// revocation. The device's key is derived on demand.
   void enroll(std::uint64_t device_id);
   [[nodiscard]] bool is_revoked(std::uint64_t device_id) const;
-  /// Whether the device has an explicit (epoch-less) legacy key.
-  [[nodiscard]] bool has_legacy_key(std::uint64_t device_id) const;
 
   /// The device's long-term key under the *current* epoch, or nullopt
-  /// when unknown or revoked. Legacy keys win over derivation.
+  /// when unknown or revoked.
   [[nodiscard]] std::optional<util::SecretBytes> lookup(
       std::uint64_t device_id) const;
   /// Like lookup(), but derives under a specific epoch — the rotation
   /// grace path for devices still personalized under an older master.
   /// nullopt when that epoch's master is gone (retired) or the device
-  /// is not enrolled. Legacy keys are epoch-less and never returned.
+  /// is not enrolled.
   [[nodiscard]] std::optional<util::SecretBytes> lookup_epoch(
       std::uint64_t device_id, std::uint32_t key_epoch) const;
 
@@ -123,11 +100,8 @@ class DeviceRegistry {
   [[nodiscard]] std::uint32_t current_epoch() const;
   [[nodiscard]] bool has_epoch(std::uint32_t epoch) const;
 
-  /// Devices known to either plane (revoked ones excluded).
+  /// Enrolled devices (revoked ones excluded).
   [[nodiscard]] std::size_t size() const;
-  /// Per-device secrets held server-side — the diversification pitch is
-  /// that this stays 0 for an enrolled-only fleet.
-  [[nodiscard]] std::size_t stored_secret_count() const;
 
   /// Deterministic full-state dump / restore for persistence.
   [[nodiscard]] RegistrySnapshot snapshot() const;
@@ -145,7 +119,6 @@ class DeviceRegistry {
  private:
   /// Per-device state, sharded by device id.
   struct DeviceShard {
-    std::unordered_map<std::uint64_t, util::SecretBytes> legacy;
     std::unordered_set<std::uint64_t> enrolled;
     std::unordered_set<std::uint64_t> revoked;
   };

@@ -18,13 +18,19 @@ namespace medsen::cloud {
 
 namespace {
 
-// Durable-snapshot magics, distinct from the legacy whole-file formats
-// (the bodies here carry an applied_lsn and a sealing flag).
+// Durable-snapshot magics (the bodies carry an applied_lsn and a sealed
+// payload).
 constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
 constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
 constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
 constexpr std::uint32_t kSnapSessionMagic = 0x4D445353;   // "MDSS"
 constexpr std::uint32_t kSealEpochMagic = 0x4D444550;     // "MDEP"
+
+DurabilityConfig require_storage_key(DurabilityConfig config) {
+  if (config.storage_key.empty())
+    throw PersistenceError("durability: a storage key is required");
+  return config;
+}
 
 std::string journal_file_for(const DurabilityConfig& config) {
   util::ensure_directory(config.dir);
@@ -77,7 +83,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> decode_sessions_body(
 }  // namespace
 
 DurableState::DurableState(DurabilityConfig config)
-    : config_(std::move(config)),
+    : config_(require_storage_key(std::move(config))),
       journal_(journal_file_for(config_),
                Journal::Config{config_.fsync}) {
   // A crash between write_file_atomic's tmp fsync and its rename
@@ -90,14 +96,12 @@ DurableState::DurableState(DurabilityConfig config)
         registry_snapshot_path(), sessions_snapshot_path()})
     removed_tmp |= util::remove_file(path + ".tmp");
   if (removed_tmp) util::sync_parent_dir(records_snapshot_path());
-  if (!config_.storage_key.empty()) {
-    auto normalized =
-        crypto::normalize_cmac_key(config_.storage_key);  // medsen: secret
-    seal_key_.adopt(crypto::kdf_cmac(normalized, "medsen-store", {},
-                                     crypto::Aes128::kKeySize));
-    util::secure_wipe(normalized);
-    bump_seal_epoch();
-  }
+  auto normalized =
+      crypto::normalize_cmac_key(config_.storage_key);  // medsen: secret
+  seal_key_.adopt(crypto::kdf_cmac(normalized, "medsen-store", {},
+                                   crypto::Aes128::kKeySize));
+  util::secure_wipe(normalized);
+  bump_seal_epoch();
 }
 
 void DurableState::bump_seal_epoch() {
@@ -149,12 +153,6 @@ std::string DurableState::seal_epoch_path() const {
 
 std::vector<std::uint8_t> DurableState::seal_payload(
     std::vector<std::uint8_t> payload) {
-  util::ByteWriter out;
-  if (seal_key_.empty()) {
-    out.u8(0);
-    out.bytes(payload);
-    return out.take();
-  }
   const std::uint64_t nonce =
       nonce_.fetch_add(1, std::memory_order_relaxed);
   // A nonce outside this boot's epoch partition could collide with one
@@ -169,6 +167,7 @@ std::vector<std::uint8_t> DurableState::seal_payload(
           seal_key_.data(), crypto::Aes128::kKeySize),
       nonce);
   ctr.apply(payload);
+  util::ByteWriter out;
   out.u8(1);
   out.u64(nonce);
   out.bytes(payload);
@@ -179,16 +178,8 @@ std::vector<std::uint8_t> DurableState::unseal_payload(
     std::span<const std::uint8_t> flagged) {
   return replay_guard("unseal_payload", [&]() -> std::vector<std::uint8_t> {
     util::ByteReader in(flagged);
-    const std::uint8_t sealed = in.u8();
-    if (sealed == 0) {
-      std::vector<std::uint8_t> plain(flagged.begin() + 1, flagged.end());
-      return plain;
-    }
-    if (sealed != 1)
-      throw PersistenceError("durability: unknown sealing flag");
-    if (seal_key_.empty())
-      throw PersistenceError(
-          "durability: sealed payload but no storage key configured");
+    if (in.u8() != 1)
+      throw PersistenceError("durability: payload is not sealed");
     const std::uint64_t nonce = in.u64();
     // Defense in depth: keep the counter ahead of every nonce actually
     // observed. The real reuse guarantee is the epoch partition (state
@@ -315,15 +306,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           ++stats.user_enrollments;
           break;
         }
-        case JournalRecordType::kDeviceProvisioned: {
-          const std::uint64_t id = in.u64();
-          auto key = in.blob();
-          in.expect_done("replay kDeviceProvisioned");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().provision(id, std::move(key));
-          ++stats.registry_events;
-          break;
-        }
         case JournalRecordType::kDeviceEnrolled: {
           const std::uint64_t id = in.u64();
           in.expect_done("replay kDeviceEnrolled");
@@ -427,16 +409,6 @@ void DurableState::log_user_enrolled(const std::string& user_id,
   payload.str(user_id);
   payload.blob(auth::serialize_code(code));
   append_and_apply(JournalRecordType::kUserEnrolled, payload.take(), validate,
-                   apply);
-}
-
-void DurableState::log_provision(std::uint64_t device_id,
-                                 std::span<const std::uint8_t> mac_key,
-                                 const std::function<void()>& apply) {
-  util::ByteWriter payload;
-  payload.u64(device_id);
-  payload.blob(mac_key);
-  append_and_apply(JournalRecordType::kDeviceProvisioned, payload.take(),
                    apply);
 }
 

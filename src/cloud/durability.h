@@ -13,9 +13,9 @@
 // idempotent across mixed-generation snapshots because each store is
 // gated on its own applied_lsn.
 //
-// Secrets at rest: when `storage_key` is set, every journal payload and
-// every snapshot body is sealed with AES-128-CTR under a key derived
-// once from the storage key. Nonces are epoch-partitioned: a boot
+// Secrets at rest: every journal payload and every snapshot body is
+// sealed with AES-128-CTR under a key derived once from the storage key,
+// which is required. Nonces are epoch-partitioned: a boot
 // counter persisted in seal.epoch is durably bumped at every open and
 // forms the high 32 bits of each nonce, so every process lifetime seals
 // in a disjoint nonce space. Counting only nonces *observed* during
@@ -62,8 +62,9 @@ struct DurabilityConfig {
   /// Compact (snapshot + truncate the journal) once this many records
   /// have been appended since the last compaction (0 = manual only).
   std::uint64_t compact_after_records = 4096;
-  /// When non-empty, seals journal payloads and snapshot bodies
-  /// (AES-128-CTR under a derived key). Empty = plaintext (tests only).
+  /// Seals journal payloads and snapshot bodies (AES-128-CTR under a
+  /// derived key). Required: DurableState refuses an empty key with
+  /// PersistenceError.
   std::vector<std::uint8_t> storage_key;
 };
 
@@ -84,7 +85,7 @@ struct RecoveryStats {
 class DurableState {
  public:
   /// Opens (or creates) the journal under config.dir. Throws
-  /// PersistenceError on corrupt on-disk state.
+  /// PersistenceError on an empty storage key or corrupt on-disk state.
   explicit DurableState(DurabilityConfig config);
 
   /// Load snapshots and replay the journal into the server's stores.
@@ -106,9 +107,6 @@ class DurableState {
                          const auth::CytoCode& code,
                          const std::function<void()>& validate,
                          const std::function<void()>& apply);
-  void log_provision(std::uint64_t device_id,
-                     std::span<const std::uint8_t> mac_key,
-                     const std::function<void()>& apply);
   void log_enroll_device(std::uint64_t device_id,
                          const std::function<void()>& apply);
   void log_revoke(std::uint64_t device_id,
@@ -139,8 +137,7 @@ class DurableState {
   /// Handshake-ordinal snapshot — without it, compaction would truncate
   /// kHandshake records and a restart could rewind RndB freshness.
   [[nodiscard]] std::string sessions_snapshot_path() const;
-  /// The persisted sealing-nonce boot epoch (present only when a
-  /// storage key is configured).
+  /// The persisted sealing-nonce boot epoch.
   [[nodiscard]] std::string seal_epoch_path() const;
 
  private:
@@ -158,10 +155,10 @@ class DurableState {
                         const std::function<void()>& validate,
                         const std::function<void()>& apply);
   /// Durably bump (and load) the seal.epoch boot counter; called once
-  /// at construction when sealing is enabled, before any seal_payload.
+  /// at construction, before any seal_payload.
   void bump_seal_epoch();
-  /// Flag-prefixed payload sealing: u8 0 | plaintext, or
-  /// u8 1 | u64 nonce | ciphertext when a storage key is configured.
+  /// Flag-prefixed payload sealing: u8 1 | u64 nonce | ciphertext. The
+  /// flag is always 1; unseal_payload refuses any other value.
   [[nodiscard]] std::vector<std::uint8_t> seal_payload(
       std::vector<std::uint8_t> payload);
   [[nodiscard]] std::vector<std::uint8_t> unseal_payload(
@@ -176,9 +173,9 @@ class DurableState {
 
   DurabilityConfig config_;
   Journal journal_;
-  util::SecretBytes seal_key_;  ///< derived once; empty = plaintext
+  util::SecretBytes seal_key_;  ///< derived once from the storage key
   /// This boot's sealing-nonce epoch (high 32 nonce bits), from
-  /// seal.epoch. 0 = sealing disabled.
+  /// seal.epoch.
   std::uint64_t seal_epoch_ = 0;
   /// Next sealing nonce: seal_epoch_ << 32 | in-boot counter. Disjoint
   /// per process lifetime — see the header comment.

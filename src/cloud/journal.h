@@ -36,13 +36,14 @@
 namespace medsen::cloud {
 
 /// What a journal record describes. Values are the wire encoding —
-/// append-only, never renumber.
+/// append-only, never renumber. 3 is retired (it carried an explicit
+/// per-device key) and never reused: recovery refuses it like any
+/// unknown type.
 enum class JournalRecordType : std::uint8_t {
   kRecordStored = 1,      ///< record store append
   kUserEnrolled = 2,      ///< enrollment database append
-  kDeviceProvisioned = 3, ///< legacy key installed/rotated
   kDeviceEnrolled = 4,    ///< diversified enrollment (id only)
-  kDeviceRevoked = 5,     ///< revocation on both planes
+  kDeviceRevoked = 5,     ///< device revoked
   kMasterRotated = 6,     ///< master-key epoch installed
   kEpochRetired = 7,      ///< master-key epoch dropped
   kHandshake = 8,         ///< handshake ordinal burned (nonce freshness)

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "compress/crc32.h"
-#include "util/fileio.h"
 #include "util/serialize.h"
 
 namespace medsen::cloud {
@@ -146,11 +145,6 @@ std::vector<std::uint8_t> encode_registry_body(
   // byte-identical across runs whatever the hash tables did.
   const RegistrySnapshot snap = registry.snapshot();
   util::ByteWriter body;
-  body.u32(static_cast<std::uint32_t>(snap.legacy_keys.size()));
-  for (const auto& [id, key] : snap.legacy_keys) {
-    body.u64(id);
-    body.blob(key);
-  }
   body.u32(static_cast<std::uint32_t>(snap.masters.size()));
   for (const auto& [epoch, key] : snap.masters) {
     body.u32(epoch);
@@ -168,11 +162,6 @@ RegistrySnapshot decode_registry_body(std::span<const std::uint8_t> body) {
   return decode_guard("decode_registry_body", [&] {
     util::ByteReader in(body);
     RegistrySnapshot snap;
-    const std::uint32_t legacy = in.count_u32(8 + 4);
-    for (std::uint32_t i = 0; i < legacy; ++i) {
-      const std::uint64_t id = in.u64();
-      snap.legacy_keys.emplace_back(id, in.blob());
-    }
     const std::uint32_t masters = in.count_u32(4 + 4);
     for (std::uint32_t i = 0; i < masters; ++i) {
       const std::uint32_t epoch = in.u32();
@@ -188,38 +177,6 @@ RegistrySnapshot decode_registry_body(std::span<const std::uint8_t> body) {
     in.expect_done("decode_registry_body");
     return snap;
   });
-}
-
-void save_enrollments(const auth::EnrollmentDatabase& db,
-                      const std::string& path) {
-  // Temp-then-rename: a crash mid-save must not tear the live database.
-  util::write_file_atomic(path,
-                          seal_blob(kEnrollMagic, encode_enrollments_body(db)));
-}
-
-auth::EnrollmentDatabase load_enrollments(const std::string& path) {
-  return decode_enrollments_body(
-      unseal_blob(kEnrollMagic, util::read_file(path)));
-}
-
-void save_records(const RecordStore& store, const std::string& path) {
-  util::write_file_atomic(path,
-                          seal_blob(kRecordMagic, encode_records_body(store)));
-}
-
-RecordStore load_records(const std::string& path) {
-  return RecordStore(
-      decode_records_body(unseal_blob(kRecordMagic, util::read_file(path))));
-}
-
-void save_registry(const DeviceRegistry& registry, const std::string& path) {
-  util::write_file_atomic(
-      path, seal_blob(kRegistryMagic, encode_registry_body(registry)));
-}
-
-void load_registry(DeviceRegistry& registry, const std::string& path) {
-  registry.restore(
-      decode_registry_body(unseal_blob(kRegistryMagic, util::read_file(path))));
 }
 
 }  // namespace medsen::cloud

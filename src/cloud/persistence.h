@@ -1,14 +1,12 @@
 #pragma once
-// File persistence for the cloud's state: the enrollment database (user
-// -> cyto-code), the record store (cyto-code -> encrypted results) and
-// the device registry's keying state. Files carry a magic, a version and
-// a CRC-32 so partial writes and corruption are rejected on load — all
-// load failures surface as the typed PersistenceError, never as UB or a
-// silent partial load.
-//
-// The body codecs are exposed separately from the whole-file save/load
-// pairs because the durability layer (cloud/durability.h) reuses them
-// for its LSN-stamped, optionally sealed compaction snapshots.
+// Persistence codecs for the cloud's state: the enrollment database
+// (user -> cyto-code), the record store (cyto-code -> encrypted results)
+// and the device registry's keying state. The durability layer
+// (cloud/durability.h) frames these bodies in LSN-stamped, sealed
+// compaction snapshots. Containers carry a magic, a version and a
+// CRC-32 so partial writes and corruption are rejected on load — all
+// decode failures surface as the typed PersistenceError, never as UB or
+// a silent partial load.
 
 #include <cstdint>
 #include <map>
@@ -22,10 +20,6 @@
 #include "cloud/storage.h"
 
 namespace medsen::cloud {
-
-inline constexpr std::uint32_t kEnrollMagic = 0x4D53454E;    // "MSEN"
-inline constexpr std::uint32_t kRecordMagic = 0x4D535243;    // "MSRC"
-inline constexpr std::uint32_t kRegistryMagic = 0x4D535247;  // "MSRG"
 
 /// Container framing: u32 magic | u32 version | u32 crc32(body) |
 /// blob(body). unseal_blob verifies all three and throws
@@ -46,22 +40,5 @@ std::map<std::string, std::vector<StoredRecord>> decode_records_body(
     std::span<const std::uint8_t> body);
 std::vector<std::uint8_t> encode_registry_body(const DeviceRegistry& registry);
 RegistrySnapshot decode_registry_body(std::span<const std::uint8_t> body);
-
-/// Save / load the enrollment database. The alphabet travels with the
-/// file so a mismatched deployment is detected at load.
-void save_enrollments(const auth::EnrollmentDatabase& db,
-                      const std::string& path);
-auth::EnrollmentDatabase load_enrollments(const std::string& path);
-
-/// Save / load the record store.
-void save_records(const RecordStore& store, const std::string& path);
-RecordStore load_records(const std::string& path);
-
-/// Save / load the device registry's keying state: legacy keys,
-/// master-key epochs, enrollment and revocation lists. Negotiated
-/// sessions are deliberately NOT persisted — a restarted server answers
-/// in-session traffic with kAuthRequired and devices re-handshake.
-void save_registry(const DeviceRegistry& registry, const std::string& path);
-void load_registry(DeviceRegistry& registry, const std::string& path);
 
 }  // namespace medsen::cloud

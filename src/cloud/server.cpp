@@ -7,7 +7,6 @@
 #include "cloud/durability.h"
 #include "compress/codec.h"
 #include "crypto/cmac.h"
-#include "util/csv.h"
 #include "util/secure_zero.h"
 #include "util/serialize.h"
 
@@ -49,25 +48,6 @@ RecoveryStats CloudServer::attach_durability(DurableState& durable) {
   const RecoveryStats stats = durable.recover_into(*this);
   durable_ = &durable;  // mutations journal from here on
   return stats;
-}
-
-DeviceRegistry::ProvisionResult CloudServer::provision_device(
-    std::uint64_t device_id, std::vector<std::uint8_t> mac_key) {
-  DeviceRegistry::ProvisionResult result{};
-  const auto apply = [&] {
-    result = devices_.provision(device_id, std::move(mac_key));
-    if (result == DeviceRegistry::ProvisionResult::kRotated)
-      sessions_.drop(device_id);
-  };
-  if (durable_) {
-    // log_provision copies the key bytes into the journal payload before
-    // apply() moves them into the registry.
-    durable_->log_provision(device_id, mac_key, apply);
-    durable_->maybe_compact(*this);
-  } else {
-    apply();
-  }
-  return result;
 }
 
 void CloudServer::enroll_device(std::uint64_t device_id) {
@@ -151,13 +131,9 @@ void CloudServer::store_result(const auth::CytoCode& code,
 
 util::MultiChannelSeries CloudServer::decode_series(
     const net::SignalUploadPayload& payload) const {
-  const std::vector<std::uint8_t> raw =
-      payload.compressed ? compress::decompress(payload.data) : payload.data;
-  if (payload.format == net::UploadFormat::kCsv) {
-    return util::from_csv(std::string(raw.begin(), raw.end()),
-                          payload.sample_rate_hz);
-  }
-  return net::deserialize_series(raw);
+  if (payload.compressed)
+    return net::deserialize_series(compress::decompress(payload.data));
+  return net::deserialize_series(payload.data);
 }
 
 net::Envelope CloudServer::error_response(
@@ -211,18 +187,13 @@ CloudServer::ResolvedKey CloudServer::resolve_mac_key(
           error_response(request, {}, net::ErrorCode::kMalformed, 0, e.what());
       return resolved;
     }
-    std::optional<util::SecretBytes> key;
-    if (devices_.has_legacy_key(request.device_id)) {
-      key = devices_.lookup(request.device_id);  // legacy keys are epoch-less
-    } else {
-      key = devices_.lookup_epoch(request.device_id, epoch);
-      if (!key && devices_.lookup(request.device_id).has_value()) {
-        // Enrolled, but the named epoch's master is retired/unknown.
-        resolved.error = error_response(
-            request, {}, net::ErrorCode::kBadEpoch, 0,
-            "key epoch " + std::to_string(epoch) + " is not derivable");
-        return resolved;
-      }
+    auto key = devices_.lookup_epoch(request.device_id, epoch);
+    if (!key && devices_.lookup(request.device_id).has_value()) {
+      // Enrolled, but the named epoch's master is retired/unknown.
+      resolved.error = error_response(
+          request, {}, net::ErrorCode::kBadEpoch, 0,
+          "key epoch " + std::to_string(epoch) + " is not derivable");
+      return resolved;
     }
     if (!key) {
       resolved.error = error_response(
@@ -255,8 +226,8 @@ CloudServer::ResolvedKey CloudServer::resolve_mac_key(
     return resolved;
   }
 
-  // Legacy static-key plane (counter 0): the original scheme, kept as
-  // the incremental-upgrade fallback and closable per deployment.
+  // Counter-0 command plane: MAC'd with the device's long-term key, kept
+  // as the incremental-upgrade fallback and closable per deployment.
   if (!allow_legacy_plane_) {
     const auto longterm = devices_.lookup(request.device_id);
     resolved.error = error_response(
@@ -298,8 +269,8 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
         net::ErrorCode::kOverloaded, 0, "admission limit reached");
   }
 
-  // 2. Key resolution: the MAC key comes from the registry (legacy or
-  // epoch-derived) or the negotiated-session table — never from the
+  // 2. Key resolution: the MAC key comes from the registry (derived
+  // under a master-key epoch) or the negotiated-session table — never from the
   // caller. Errors to unknown devices are unsigned (empty key) — the
   // server has no credential to speak for them.
   auto resolved = resolve_mac_key(request);
@@ -396,7 +367,7 @@ ServiceResult CloudServer::serve_upload(const net::Envelope& request,
                                         RequestContext& context) {
   const auto payload = net::SignalUploadPayload::deserialize(request.payload);
   const auto series = decode_series(payload);
-  if (quality_gate_.load(std::memory_order_relaxed)) {
+  if (quality_gate_) {
     context.quality = assess_quality(series);
     if (!context.quality.acceptable) {
       return ServiceResult::failure(

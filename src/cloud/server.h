@@ -1,5 +1,5 @@
 #pragma once
-// The cloud service endpoint. One CloudServer serves many provisioned
+// The cloud service endpoint. One CloudServer serves many enrolled
 // MedSen dongles: `handle()` is the single request/response entrypoint —
 // it admits (or sheds) the request, resolves the sender's MAC key from
 // the device registry, verifies the envelope, consults the idempotent
@@ -15,7 +15,6 @@
 // request never takes a process-wide lock and never touches a shard
 // another device's request is using.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -87,24 +86,19 @@ class CloudServer {
 
   /// Attach a durability layer: first recovers the journal + snapshots
   /// under `durable` into this server's stores, then journals every
-  /// subsequent mutation (provision/enroll/revoke/rotate/retire, user
+  /// subsequent mutation (enroll/revoke/rotate/retire, user
   /// enrollment, stored record, handshake ordinal) before it is applied
   /// — the ack ⇒ durable contract. Call once, on a freshly constructed
   /// server, before serving traffic. Returns what recovery found.
   RecoveryStats attach_durability(DurableState& durable);
 
-  /// The device registry: provision each dongle's MAC key before it may
-  /// talk to this server.
+  /// The device registry: enroll each dongle before it may talk to
+  /// this server.
   [[nodiscard]] DeviceRegistry& devices() { return devices_; }
-  /// Provision (or rotate) a device's legacy key. A rotation tears down
-  /// the device's negotiated session: envelopes MAC'd under keys derived
-  /// from the old long-term key are rejected from this call on.
-  DeviceRegistry::ProvisionResult provision_device(
-      std::uint64_t device_id, std::vector<std::uint8_t> mac_key);
   /// Diversified enrollment: the registry records only the id; the
   /// device's key is derived on demand from the epoch master.
   void enroll_device(std::uint64_t device_id);
-  /// Revoke a device on both keying planes and kill its live session.
+  /// Revoke a device and kill its live session.
   bool revoke_device(std::uint64_t device_id);
   /// Install a new master-key epoch and re-key the fleet: every live
   /// session is dropped, forcing fresh handshakes under the new epoch
@@ -123,8 +117,6 @@ class CloudServer {
   /// The admission gate (exposed so tests and load shedders can hold
   /// slots directly).
   [[nodiscard]] AdmissionGate& admission() { return admission_; }
-
-  void set_quality_gate(bool enabled) { quality_gate_ = enabled; }
 
   /// Store an encrypted result under an identifier (journaled when a
   /// durability layer is attached — the record is on disk when this
@@ -191,7 +183,7 @@ class CloudServer {
   DeviceRegistry devices_;
   AdmissionGate admission_;
   Dispatcher dispatch_;
-  std::atomic<bool> quality_gate_{true};
+  const bool quality_gate_;
   SessionCache cache_;
   SessionAuthTable sessions_;
   ServiceCounters counters_;

@@ -77,9 +77,9 @@ class SessionAuthTable {
   void commit(std::uint64_t device_id, std::uint64_t session_id,
               std::uint32_t counter);
 
-  /// Tear down the device's session (revocation, key rotation,
-  /// re-provisioning). Subsequent session-plane envelopes get
-  /// kAuthRequired until a new handshake.
+  /// Tear down the device's session (revocation, key rotation).
+  /// Subsequent session-plane envelopes get kAuthRequired until a new
+  /// handshake.
   void drop(std::uint64_t device_id);
 
   /// Tear down every session (master-key rotation re-keys the fleet).

@@ -4,14 +4,6 @@
 
 namespace medsen::cloud {
 
-RecordStore::RecordStore(
-    std::map<std::string, std::vector<StoredRecord>> entries,
-    std::size_t shards)
-    : shards_(shards) {
-  for (auto& [key, records] : entries)
-    restore(key, std::move(records));
-}
-
 void RecordStore::store(const auth::CytoCode& code, StoredRecord record) {
   const std::string key = code.to_string();
   shards_.with(route(key), [&](Entries& entries) {
@@ -63,14 +55,6 @@ std::map<std::string, std::vector<StoredRecord>> RecordStore::snapshot()
     for (const auto& [key, records] : entries) merged[key] = records;
   });
   return merged;
-}
-
-void RecordStore::visit(
-    const std::function<void(const std::string&,
-                             const std::vector<StoredRecord>&)>& visitor)
-    const {
-  const auto merged = snapshot();
-  for (const auto& [key, records] : merged) visitor(key, records);
 }
 
 void RecordStore::append(std::string key, StoredRecord record) {

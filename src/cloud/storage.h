@@ -8,12 +8,11 @@
 // N independently-locked shards (util::Sharded, FNV-1a over the code's
 // text form), so concurrent stores for different patients never contend.
 // Readers only ever see snapshots — the internal maps are never leaked
-// by reference. Cross-shard reads (snapshot, counts, visit) lock one
+// by reference. Cross-shard reads (snapshot, counts) lock one
 // shard at a time: each shard's view is consistent, the whole is
 // eventually consistent while writers are active.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,9 +32,6 @@ class RecordStore {
  public:
   /// `shards` 0 = hardware default; rounded up to a power of two.
   explicit RecordStore(std::size_t shards = 0) : shards_(shards) {}
-  /// Build a store from pre-keyed entries (persistence layer).
-  explicit RecordStore(std::map<std::string, std::vector<StoredRecord>> entries,
-                       std::size_t shards = 0);
 
   /// Append a record under an identifier.
   void store(const auth::CytoCode& code, StoredRecord record);
@@ -56,11 +52,6 @@ class RecordStore {
   /// by-reference entries()).
   [[nodiscard]] std::map<std::string, std::vector<StoredRecord>> snapshot()
       const;
-  /// Visit every (key, records) pair of a snapshot, in key order. The
-  /// callback sees a copy, so it may reenter the store.
-  void visit(const std::function<void(const std::string&,
-                                      const std::vector<StoredRecord>&)>&
-                 visitor) const;
   /// Reinstall one identifier's record list (persistence layer).
   void restore(std::string key, std::vector<StoredRecord> records);
   /// Append one record under a pre-keyed identifier (journal replay —

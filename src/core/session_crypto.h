@@ -31,9 +31,9 @@ namespace medsen::core {
 class SessionCrypto {
  public:
   /// `device_key` is the long-term transport key burned in at
-  /// personalization (16 bytes when diversified; any length in legacy
-  /// deployments); `key_epoch` names the master-key epoch it was derived
-  /// under. `entropy_seed` feeds the challenge RNG — same seed, same
+  /// personalization: crypto::diversify_device_key(master, id,
+  /// key_epoch), 16 bytes. `key_epoch` names the master-key epoch it was
+  /// derived under. `entropy_seed` feeds the challenge RNG — same seed, same
   /// handshake, by design.
   SessionCrypto(std::uint64_t device_id, std::vector<std::uint8_t> device_key,
                 std::uint32_t key_epoch, std::uint64_t entropy_seed);

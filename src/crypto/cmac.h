@@ -51,10 +51,10 @@ std::vector<std::uint8_t> kdf_cmac(
     const std::string& label, std::span<const std::uint8_t> context,
     std::size_t length);
 
-/// A CMAC-ready 16-byte key from an arbitrary-length transport key:
-/// identity for 16-byte keys, SHA-256-truncate otherwise. Diversified
-/// keys are born 16 bytes; legacy provisioned keys are free-form, and
-/// the handshake must still be able to run over them.
+/// A CMAC-ready 16-byte key from an arbitrary-length key: identity for
+/// 16-byte keys, SHA-256-truncate otherwise. Diversified device keys are
+/// born 16 bytes and pass through unchanged; keys of other lengths, such
+/// as a 32-byte storage key, still yield a CMAC key.
 std::vector<std::uint8_t> normalize_cmac_key(
     std::span<const std::uint8_t> key);
 

@@ -78,7 +78,6 @@ bool verify_envelope(const Envelope& envelope,
 std::vector<std::uint8_t> SignalUploadPayload::serialize() const {
   util::ByteWriter out;
   out.u8(compressed ? 1 : 0);
-  out.u8(static_cast<std::uint8_t>(format));
   out.f64(sample_rate_hz);
   out.blob(data);
   return out.take();
@@ -89,7 +88,6 @@ SignalUploadPayload SignalUploadPayload::deserialize(
   util::ByteReader in(bytes);
   SignalUploadPayload p;
   p.compressed = in.u8() != 0;
-  p.format = static_cast<UploadFormat>(in.u8());
   p.sample_rate_hz = in.f64();
   p.data = in.blob();
   in.expect_done("SignalUploadPayload");

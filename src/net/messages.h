@@ -63,14 +63,10 @@ Envelope make_envelope(MessageType type, std::uint64_t session_id,
 bool verify_envelope(const Envelope& envelope,
                      std::span<const std::uint8_t> mac_key);
 
-/// Serialization format of an uploaded acquisition. The prototype
-/// records CSV files; binary is the compact default.
-enum class UploadFormat : std::uint8_t { kBinary = 0, kCsv = 1 };
-
-/// SignalUpload payload: the acquisition, optionally compressed.
+/// SignalUpload payload: the binary-serialized acquisition, optionally
+/// compressed.
 struct SignalUploadPayload {
   bool compressed = false;
-  UploadFormat format = UploadFormat::kBinary;
   double sample_rate_hz = 450.0;
   std::vector<std::uint8_t> data;  ///< serialized (maybe compressed) series
 

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "compress/codec.h"
-#include "util/csv.h"
 
 namespace medsen::phone {
 
@@ -30,18 +29,10 @@ net::SignalUploadPayload PhoneRelay::build_payload(
     const util::MultiChannelSeries& series) {
   timing_ = RelayTiming{};
   report("receiving measurement from sensor");
-  std::vector<std::uint8_t> raw;
-  if (config_.csv_format) {
-    const std::string csv = util::to_csv(series);
-    raw.assign(csv.begin(), csv.end());
-  } else {
-    raw = net::serialize_series(series);
-  }
+  auto raw = net::serialize_series(series);
   timing_.usb_in_s = config_.usb.transfer_time_s(raw.size());
 
   net::SignalUploadPayload payload;
-  payload.format = config_.csv_format ? net::UploadFormat::kCsv
-                                      : net::UploadFormat::kBinary;
   payload.sample_rate_hz = series.channels.empty()
                                ? 450.0
                                : series.channels.front().sample_rate();
@@ -129,11 +120,11 @@ core::PeakReport PhoneRelay::run_local_analysis(
   return report_out;
 }
 
-net::Envelope PhoneRelay::relay_analysis(
-    const util::MultiChannelSeries& series, std::uint64_t session_id,
-    cloud::CloudServer& server, std::span<const std::uint8_t> mac_key,
-    core::SessionCrypto* crypto) {
-  const auto payload = build_payload(series);
+std::optional<net::Envelope> PhoneRelay::exchange(
+    net::MessageType type, std::vector<std::uint8_t> payload,
+    const std::string& uploading, std::uint64_t& session_id,
+    std::span<const std::uint8_t>& mac_key, core::SessionCrypto* crypto,
+    cloud::CloudServer& server) {
   std::uint32_t counter = 0;
   if (crypto != nullptr && crypto->active()) {
     session_id = crypto->session_id();
@@ -142,26 +133,15 @@ net::Envelope PhoneRelay::relay_analysis(
     // wipe; the SessionCrypto outlives this call.
     mac_key = crypto->session_mac_key();
   }
-  const auto upload = net::make_envelope(
-      net::MessageType::kSignalUpload, session_id, config_.device_id,
-      payload.serialize(), mac_key, counter);
-  report("uploading to cloud");
+  const auto upload = net::make_envelope(type, session_id, config_.device_id,
+                                         std::move(payload), mac_key, counter);
+  report(uploading);
 
   net::Envelope response;
   if (config_.reliable_transport) {
     auto exchanged = reliable_exchange(
         upload, [&](const net::Envelope& req) { return server.handle(req); });
-    if (!exchanged.has_value()) {
-      // Retry budget exhausted: the cloud is unreachable. Degrade
-      // gracefully to the on-phone analysis path (paper Fig. 14
-      // discussion) instead of failing the test session.
-      report("cloud unreachable; analyzing locally on phone");
-      timing_.local_fallback = true;
-      const auto local = run_local_analysis(series, config_.local_analysis);
-      report("local analysis complete");
-      return net::make_envelope(net::MessageType::kAnalysisResult, session_id,
-                                config_.device_id, local.serialize(), mac_key);
-    }
+    if (!exchanged.has_value()) return std::nullopt;
     response = std::move(*exchanged);
   } else {
     timing_.uplink_s =
@@ -171,11 +151,32 @@ net::Envelope PhoneRelay::relay_analysis(
     timing_.downlink_s =
         config_.downlink.transfer_time_s(response.payload.size());
   }
-
-  report("downloading analysis result");
   timing_.usb_out_s = config_.usb.transfer_time_s(response.payload.size());
-  report("analysis complete");
   return response;
+}
+
+net::Envelope PhoneRelay::relay_analysis(
+    const util::MultiChannelSeries& series, std::uint64_t session_id,
+    cloud::CloudServer& server, std::span<const std::uint8_t> mac_key,
+    core::SessionCrypto* crypto) {
+  auto response =
+      exchange(net::MessageType::kSignalUpload,
+               build_payload(series).serialize(), "uploading to cloud",
+               session_id, mac_key, crypto, server);
+  if (!response.has_value()) {
+    // Retry budget exhausted: the cloud is unreachable. Degrade
+    // gracefully to the on-phone analysis path (paper Fig. 14
+    // discussion) instead of failing the test session.
+    report("cloud unreachable; analyzing locally on phone");
+    timing_.local_fallback = true;
+    const auto local = run_local_analysis(series, config_.local_analysis);
+    report("local analysis complete");
+    return net::make_envelope(net::MessageType::kAnalysisResult, session_id,
+                              config_.device_id, local.serialize(), mac_key);
+  }
+  report("downloading analysis result");
+  report("analysis complete");
+  return *std::move(response);
 }
 
 net::Envelope PhoneRelay::relay_auth(const util::MultiChannelSeries& series,
@@ -189,42 +190,17 @@ net::Envelope PhoneRelay::relay_auth(const util::MultiChannelSeries& series,
   pass.upload = build_payload(series);
   pass.volume_ul = volume_ul;
   pass.duration_s = duration_s;
-  std::uint32_t counter = 0;
-  if (crypto != nullptr && crypto->active()) {
-    session_id = crypto->session_id();
-    counter = crypto->next_counter();
-    // Borrow the session key in place — a local copy would outlive its
-    // wipe; the SessionCrypto outlives this call.
-    mac_key = crypto->session_mac_key();
-  }
-  const auto upload =
-      net::make_envelope(net::MessageType::kAuthPass, session_id,
-                         config_.device_id, pass.serialize(), mac_key, counter);
-  report("uploading authentication pass");
-
-  net::Envelope response;
-  if (config_.reliable_transport) {
-    auto exchanged = reliable_exchange(
-        upload, [&](const net::Envelope& req) { return server.handle(req); });
-    if (!exchanged.has_value())
-      // Unlike diagnostics, authentication cannot fall back to the
-      // phone: the enrollment database lives in the cloud.
-      throw net::TransportError(
-          "PhoneRelay: auth upload failed, retry budget exhausted");
-    response = std::move(*exchanged);
-  } else {
-    timing_.uplink_s =
-        config_.uplink.transfer_time_s(upload.payload.size());
-    const double t = measure([&] { response = server.handle(upload); });
-    timing_.analysis_s = t;
-    timing_.downlink_s =
-        config_.downlink.transfer_time_s(response.payload.size());
-  }
-
+  auto response = exchange(net::MessageType::kAuthPass, pass.serialize(),
+                           "uploading authentication pass", session_id,
+                           mac_key, crypto, server);
+  if (!response.has_value())
+    // Unlike diagnostics, authentication cannot fall back to the
+    // phone: the enrollment database lives in the cloud.
+    throw net::TransportError(
+        "PhoneRelay: auth upload failed, retry budget exhausted");
   report("downloading auth decision");
-  timing_.usb_out_s = config_.usb.transfer_time_s(response.payload.size());
   report("authentication complete");
-  return response;
+  return *std::move(response);
 }
 
 SessionOutcome PhoneRelay::run_diagnostic_session(

@@ -44,12 +44,9 @@ struct RelayTiming {
 
 struct RelayConfig {
   /// Tenant identity stamped on every envelope; the server only accepts
-  /// devices provisioned in its DeviceRegistry under this id.
+  /// devices enrolled in its DeviceRegistry under this id.
   std::uint64_t device_id = 1;
   bool compress_uploads = true;
-  /// Upload in the prototype's CSV format instead of compact binary
-  /// (larger, but matches the recorded-file workflow of the paper).
-  bool csv_format = false;
   /// Uploads smaller than this skip compression (not worth the cycles).
   std::size_t compression_threshold_bytes = 4096;
   ExecutionProfile profile = nexus5_profile();
@@ -173,6 +170,16 @@ class PhoneRelay {
   /// the USB/compression timing fields.
   net::SignalUploadPayload build_payload(
       const util::MultiChannelSeries& series);
+  /// The exchange relay_analysis() and relay_auth() share: stamp the
+  /// session plane when `crypto` is active (overwriting `session_id` and
+  /// `mac_key`), send one `type` envelope over the reliable or the
+  /// direct link, and fill the link, analysis and USB timing fields.
+  /// Returns nullopt when the retry budget ran out in either direction.
+  std::optional<net::Envelope> exchange(
+      net::MessageType type, std::vector<std::uint8_t> payload,
+      const std::string& uploading, std::uint64_t& session_id,
+      std::span<const std::uint8_t>& mac_key, core::SessionCrypto* crypto,
+      cloud::CloudServer& server);
   /// Run one request/response exchange over the lossy reliable links.
   /// Returns the response envelope, or nullopt when the retry budget was
   /// exhausted in either direction; fills the transport timing fields.

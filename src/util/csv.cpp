@@ -1,9 +1,6 @@
 #include "util/csv.h"
 
-#include <charconv>
 #include <cstdio>
-#include <sstream>
-#include <stdexcept>
 
 namespace medsen::util {
 
@@ -34,79 +31,6 @@ std::string to_csv(const MultiChannelSeries& series) {
     for (const auto& ch : series.channels) {
       out += ',';
       append_double(out, i < ch.size() ? ch[i] : 0.0);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-MultiChannelSeries from_csv(const std::string& text, double sample_rate_hz) {
-  MultiChannelSeries series;
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line))
-    throw std::runtime_error("from_csv: empty input");
-
-  // Header: "time,ch<freq>,..."
-  {
-    std::istringstream hdr(line);
-    std::string field;
-    bool first = true;
-    while (std::getline(hdr, field, ',')) {
-      if (first) {
-        first = false;
-        continue;
-      }
-      if (field.rfind("ch", 0) != 0)
-        throw std::runtime_error("from_csv: bad header field: " + field);
-      series.carrier_frequencies_hz.push_back(std::stod(field.substr(2)));
-    }
-  }
-  series.channels.assign(series.carrier_frequencies_hz.size(),
-                         TimeSeries(sample_rate_hz));
-
-  bool first_row = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::size_t pos = 0;
-    std::size_t col = 0;
-    while (pos <= line.size()) {
-      std::size_t comma = line.find(',', pos);
-      if (comma == std::string::npos) comma = line.size();
-      const std::string field = line.substr(pos, comma - pos);
-      const double v = std::stod(field);
-      if (col == 0) {
-        if (first_row) {
-          for (auto& ch : series.channels)
-            ch = TimeSeries(sample_rate_hz, v);
-          first_row = false;
-        }
-      } else {
-        if (col - 1 >= series.channels.size())
-          throw std::runtime_error("from_csv: too many columns");
-        series.channels[col - 1].push_back(v);
-      }
-      ++col;
-      pos = comma + 1;
-      if (comma == line.size()) break;
-    }
-    if (col != series.channels.size() + 1)
-      throw std::runtime_error("from_csv: ragged row");
-  }
-  return series;
-}
-
-std::string table_to_csv(const CsvTable& table) {
-  std::string out;
-  for (std::size_t i = 0; i < table.header.size(); ++i) {
-    if (i) out += ',';
-    out += table.header[i];
-  }
-  out += '\n';
-  for (const auto& row : table.rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out += ',';
-      append_double(out, row[i]);
     }
     out += '\n';
   }

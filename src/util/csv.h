@@ -1,11 +1,10 @@
 #pragma once
-// Minimal CSV writer/reader. The paper's prototype captures bio-sensor
+// Minimal CSV writer. The paper's prototype captures bio-sensor
 // measurements in CSV files before compressing them on the phone; the
 // compression benchmark (600 MB -> 240 MB experiment) reproduces that
 // data layout.
 
 #include <string>
-#include <vector>
 
 #include "util/time_series.h"
 
@@ -14,18 +13,5 @@ namespace medsen::util {
 /// Serialize a multi-channel acquisition to CSV text:
 /// header "time,ch<f0>,ch<f1>,..." then one row per sample instant.
 std::string to_csv(const MultiChannelSeries& series);
-
-/// Parse CSV text produced by to_csv back into a MultiChannelSeries.
-/// Throws std::runtime_error on malformed input.
-MultiChannelSeries from_csv(const std::string& text, double sample_rate_hz);
-
-/// Generic row-oriented CSV table.
-struct CsvTable {
-  std::vector<std::string> header;
-  std::vector<std::vector<double>> rows;
-};
-
-/// Render a numeric table (used by the bench harness for figure data).
-std::string table_to_csv(const CsvTable& table);
 
 }  // namespace medsen::util

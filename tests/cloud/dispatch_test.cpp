@@ -1,5 +1,7 @@
 #include "cloud/dispatch.h"
 
+#include "crypto/cmac.h"
+
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -8,19 +10,23 @@
 namespace medsen::cloud {
 namespace {
 
+const std::vector<std::uint8_t> kMaster(16, 0x11);
+
 TEST(DeviceRegistry, ProvisionLookupRevoke) {
   DeviceRegistry registry;
+  registry.set_master_key(0, kMaster);
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_FALSE(registry.lookup(7).has_value());
 
-  registry.provision(7, {1, 2, 3});
+  registry.enroll(7);
   ASSERT_TRUE(registry.lookup(7).has_value());
-  EXPECT_EQ(*registry.lookup(7), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(*registry.lookup(7), crypto::diversify_device_key(kMaster, 7, 0));
   EXPECT_EQ(registry.size(), 1u);
 
-  // Re-provisioning rotates the key in place.
-  registry.provision(7, {9});
-  EXPECT_EQ(*registry.lookup(7), (std::vector<std::uint8_t>{9}));
+  // A new master epoch re-keys the device without re-enrolling it.
+  const std::vector<std::uint8_t> next(16, 0x22);
+  registry.set_master_key(1, next);
+  EXPECT_EQ(*registry.lookup(7), crypto::diversify_device_key(next, 7, 1));
   EXPECT_EQ(registry.size(), 1u);
 
   EXPECT_TRUE(registry.revoke(7));
@@ -30,13 +36,14 @@ TEST(DeviceRegistry, ProvisionLookupRevoke) {
 
 TEST(DeviceRegistry, ConcurrentProvisionAndLookup) {
   DeviceRegistry registry;
+  registry.set_master_key(0, kMaster);
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&registry, t] {
       for (int i = 0; i < 50; ++i) {
         const auto id = static_cast<std::uint64_t>(t * 50 + i);
-        registry.provision(id, {static_cast<std::uint8_t>(t)});
-        (void)registry.lookup(id);
+        registry.enroll(id);
+        EXPECT_TRUE(registry.lookup(id).has_value());
       }
     });
   }

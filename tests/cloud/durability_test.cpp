@@ -26,6 +26,7 @@
 #include "net/messages.h"
 #include "util/crash_point.h"
 #include "util/fileio.h"
+#include "util/serialize.h"
 
 namespace medsen::cloud {
 namespace {
@@ -54,6 +55,7 @@ std::vector<std::uint8_t> master_key(std::uint8_t fill) {
 DurabilityConfig config_for(const std::string& dir) {
   DurabilityConfig config;
   config.dir = dir;
+  config.storage_key = std::vector<std::uint8_t>(32, 0x5C);
   return config;
 }
 
@@ -150,7 +152,7 @@ TEST(Durability, StateSurvivesRestartViaJournalReplay) {
   {
     Rig rig(config_for(dir));
     EXPECT_EQ(rig.recovery.records_replayed, 0u);
-    rig.server->provision_device(3, master_key(0x31));
+    rig.server->enroll_device(3);
     rig.server->rotate_master_key(1, master_key(0x5A));
     rig.server->enroll_device(kDevice);
     rig.server->enroll_user("alice", code);
@@ -274,52 +276,118 @@ TEST(Durability, HandshakeOrdinalsNeverRewindAcrossRestart) {
 }
 
 TEST(Durability, StorageKeySealsSecretsOnDisk) {
-  const auto plain_dir = temp_dir("plain");
+  const auto control_dir = temp_dir("control");
   const auto sealed_dir = temp_dir("sealed");
-  remove_state(plain_dir);
+  remove_state(control_dir);
   remove_state(sealed_dir);
 
-  // Distinctive byte patterns to scan for.
-  std::vector<std::uint8_t> legacy_key(16);
-  for (std::size_t i = 0; i < legacy_key.size(); ++i)
-    legacy_key[i] = static_cast<std::uint8_t>(0xA0 + i);
+  // Distinctive byte patterns to scan for: the master key, and the key
+  // a device derives from it (which the server never stores at all).
   std::vector<std::uint8_t> master(16);
   for (std::size_t i = 0; i < master.size(); ++i)
     master[i] = static_cast<std::uint8_t>(0xC0 + i);
+  const auto device_key = crypto::diversify_device_key(master, kDevice, 1);
 
-  const auto run = [&](const std::string& dir,
-                       std::vector<std::uint8_t> storage_key) {
-    DurabilityConfig config = config_for(dir);
-    config.storage_key = std::move(storage_key);
-    Rig rig(config);
-    rig.server->provision_device(3, legacy_key);
+  // Control: a needle planted in a scratch state file IS found — proving
+  // the scan itself works.
+  util::ensure_directory(control_dir);
+  std::vector<std::uint8_t> planted(64, 0x00);
+  planted.insert(planted.begin() + 24, master.begin(), master.end());
+  util::write_file(control_dir + "/journal.wal", planted);
+  EXPECT_TRUE(on_disk(control_dir, master));
+
+  {
+    Rig rig(config_for(sealed_dir));
     rig.server->rotate_master_key(1, master);
     rig.server->enroll_device(kDevice);
     rig.durable->compact(*rig.server);
-    rig.server->provision_device(4, legacy_key);  // journal after compact
-  };
-
-  // Control: without a storage key the scan DOES find the key bytes —
-  // proving the scan itself works.
-  run(plain_dir, {});
-  EXPECT_TRUE(on_disk(plain_dir, legacy_key));
-  EXPECT_TRUE(on_disk(plain_dir, master));
-
-  run(sealed_dir, std::vector<std::uint8_t>(32, 0x7E));
-  EXPECT_FALSE(on_disk(sealed_dir, legacy_key));
+    // Journal after compact: the master travels in a kMasterRotated
+    // record as well as in registry.snap.
+    rig.server->rotate_master_key(2, master);
+    rig.server->enroll_device(4);
+  }
   EXPECT_FALSE(on_disk(sealed_dir, master));
+  EXPECT_FALSE(on_disk(sealed_dir, device_key));
 
   // And the sealed state still recovers.
-  DurabilityConfig config = config_for(sealed_dir);
-  config.storage_key = std::vector<std::uint8_t>(32, 0x7E);
-  Rig rig(config);
-  EXPECT_TRUE(rig.server->devices().lookup(4).has_value());
-  EXPECT_TRUE(rig.server->devices().lookup_epoch(kDevice, 1).has_value());
+  {
+    Rig rig(config_for(sealed_dir));
+    EXPECT_TRUE(rig.server->devices().lookup(4).has_value());
+    EXPECT_TRUE(rig.server->devices().lookup_epoch(kDevice, 1).has_value());
+  }
 
-  // A sealed store without its key is unreadable, with the typed error.
-  EXPECT_THROW(Rig{config_for(sealed_dir)}, PersistenceError);
-  remove_state(plain_dir);
+  // A sealed store opened under another key is unreadable, with the
+  // typed error.
+  DurabilityConfig wrong = config_for(sealed_dir);
+  wrong.storage_key = std::vector<std::uint8_t>(32, 0x7E);
+  EXPECT_THROW(Rig{wrong}, PersistenceError);
+  remove_state(control_dir);
   remove_state(sealed_dir);
+}
+
+TEST(Durability, EmptyStorageKeyRefused) {
+  const auto dir = temp_dir("nokey");
+  remove_state(dir);
+  DurabilityConfig config = config_for(dir);
+  config.storage_key.clear();
+  EXPECT_THROW(DurableState{config}, PersistenceError);
+  // Refused before the journal is opened: nothing was written.
+  EXPECT_FALSE(util::file_exists(dir + "/journal.wal"));
+  remove_state(dir);
+}
+
+TEST(Durability, UnsealedJournalPayloadRefused) {
+  // The sealing flag is always 1. A CRC-valid record whose payload
+  // carries flag 0 and a well-formed plaintext record is refused, not
+  // applied as plaintext.
+  const auto dir = temp_dir("flagzero");
+  remove_state(dir);
+  util::ensure_directory(dir);
+  {
+    util::ByteWriter payload;
+    payload.u8(0);
+    payload.str(code_of({2, 1}).to_string());
+    payload.u64(51);
+    payload.blob(std::vector<std::uint8_t>{0x51});
+    Journal journal(dir + "/journal.wal");
+    journal.append(JournalRecordType::kRecordStored, payload.take());
+  }
+  EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);
+  remove_state(dir);
+}
+
+/// Rewrite the type byte of the journal's first record and recompute
+/// its CRC, so the record stays CRC-valid and sealed.
+void retype_first_record(const std::string& path, std::uint8_t type) {
+  auto bytes = util::read_file(path);
+  ASSERT_GT(bytes.size(), Journal::kHeaderSize + 8 + 9);
+  const std::size_t body = Journal::kHeaderSize + 8;
+  const std::uint32_t len = le32(bytes.data() + Journal::kHeaderSize);
+  bytes[body + 8] = type;  // body = u64 lsn | u8 type | payload
+  const std::uint32_t crc = compress::crc32(
+      std::span<const std::uint8_t>(bytes.data() + body, len));
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[Journal::kHeaderSize + 4 + i] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  util::write_file(path, bytes);
+}
+
+TEST(Durability, RetiredAndUnknownRecordTypesRefused) {
+  // Type 3 (the retired explicit-key record) and values never assigned
+  // are refused outright: recovery must neither apply nor skip them.
+  for (const std::uint8_t type : {std::uint8_t{0}, std::uint8_t{3},
+                                  std::uint8_t{9}, std::uint8_t{0xFF}}) {
+    const auto dir = temp_dir("retype");
+    remove_state(dir);
+    {
+      Rig rig(config_for(dir));
+      rig.server->enroll_device(kDevice);  // kDeviceEnrolled, sealed
+    }
+    retype_first_record(dir + "/journal.wal", type);
+    EXPECT_THROW(Rig{config_for(dir)}, PersistenceError)
+        << "type " << static_cast<unsigned>(type);
+    remove_state(dir);
+  }
 }
 
 TEST(Durability, LsnSequenceSurvivesCrashRightAfterCompaction) {

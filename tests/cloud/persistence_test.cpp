@@ -9,20 +9,12 @@
 namespace medsen::cloud {
 namespace {
 
-class PersistenceTest : public ::testing::Test {
- protected:
-  std::string temp_path(const char* name) {
-    return std::string(::testing::TempDir()) + "/medsen_" + name;
-  }
-  void TearDown() override {
-    for (const auto& path : created_) std::remove(path.c_str());
-  }
-  std::string track(std::string path) {
-    created_.push_back(path);
-    return path;
-  }
-  std::vector<std::string> created_;
-};
+/// The body codecs DurableState frames in its snapshots, plus the
+/// magic | version | CRC container around them.
+class PersistenceTest : public ::testing::Test {};
+
+constexpr std::uint32_t kEnrollMagic = 0x54454E52;  // test-only magics
+constexpr std::uint32_t kRecordMagic = 0x54524543;
 
 auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   auth::CytoCode code;
@@ -30,14 +22,19 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   return code;
 }
 
+RecordStore rebuild(std::span<const std::uint8_t> body) {
+  RecordStore store;
+  for (auto& [key, records] : decode_records_body(body))
+    store.restore(key, std::move(records));
+  return store;
+}
+
 TEST_F(PersistenceTest, EnrollmentsRoundTrip) {
   auth::EnrollmentDatabase db{auth::CytoAlphabet{}};
   db.enroll("alice", code_of({1, 2}));
   db.enroll("bob", code_of({3, 0}));
-  const auto path = track(temp_path("enroll.bin"));
-  save_enrollments(db, path);
 
-  const auto loaded = load_enrollments(path);
+  const auto loaded = decode_enrollments_body(encode_enrollments_body(db));
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.lookup(code_of({1, 2})), "alice");
   EXPECT_EQ(loaded.lookup(code_of({3, 0})), "bob");
@@ -49,9 +46,7 @@ TEST_F(PersistenceTest, CustomAlphabetSurvives) {
   alphabet.concentration_levels_per_ul = {0.0, 200.0, 600.0};
   auth::EnrollmentDatabase db{alphabet};
   db.enroll("carol", code_of({2, 1}));
-  const auto path = track(temp_path("enroll2.bin"));
-  save_enrollments(db, path);
-  const auto loaded = load_enrollments(path);
+  const auto loaded = decode_enrollments_body(encode_enrollments_body(db));
   EXPECT_EQ(loaded.alphabet().levels(), 3u);
   EXPECT_DOUBLE_EQ(loaded.alphabet().concentration_levels_per_ul[2], 600.0);
 }
@@ -61,10 +56,8 @@ TEST_F(PersistenceTest, RecordsRoundTrip) {
   store.store(code_of({1, 1}), {10, {1, 2, 3}});
   store.store(code_of({1, 1}), {11, {4}});
   store.store(code_of({0, 2}), {12, {}});
-  const auto path = track(temp_path("records.bin"));
-  save_records(store, path);
 
-  const auto loaded = load_records(path);
+  const auto loaded = rebuild(encode_records_body(store));
   EXPECT_EQ(loaded.record_count(), 3u);
   EXPECT_EQ(loaded.fetch(code_of({1, 1})).size(), 2u);
   EXPECT_EQ(loaded.latest(code_of({1, 1}))->session_id, 11u);
@@ -73,38 +66,27 @@ TEST_F(PersistenceTest, RecordsRoundTrip) {
 }
 
 TEST_F(PersistenceTest, EmptyStoresRoundTrip) {
-  const auto epath = track(temp_path("empty_enroll.bin"));
-  save_enrollments(auth::EnrollmentDatabase{auth::CytoAlphabet{}}, epath);
-  EXPECT_EQ(load_enrollments(epath).size(), 0u);
-
-  const auto rpath = track(temp_path("empty_records.bin"));
-  save_records(RecordStore{}, rpath);
-  EXPECT_EQ(load_records(rpath).record_count(), 0u);
+  EXPECT_EQ(decode_enrollments_body(encode_enrollments_body(
+                auth::EnrollmentDatabase{auth::CytoAlphabet{}}))
+                .size(),
+            0u);
+  EXPECT_EQ(rebuild(encode_records_body(RecordStore{})).record_count(), 0u);
 }
 
 TEST_F(PersistenceTest, CorruptedFileRejected) {
   auth::EnrollmentDatabase db{auth::CytoAlphabet{}};
   db.enroll("alice", code_of({1, 2}));
-  const auto path = track(temp_path("corrupt.bin"));
-  save_enrollments(db, path);
-  auto bytes = util::read_file(path);
+  auto bytes = seal_blob(kEnrollMagic, encode_enrollments_body(db));
   bytes[bytes.size() / 2] ^= 0xFF;
-  util::write_file(path, bytes);
-  EXPECT_THROW((void)load_enrollments(path), std::runtime_error);
+  EXPECT_THROW((void)unseal_blob(kEnrollMagic, bytes), std::runtime_error);
 }
 
 TEST_F(PersistenceTest, WrongMagicRejected) {
   RecordStore store;
   store.store(code_of({1, 1}), {1, {9}});
-  const auto path = track(temp_path("wrongmagic.bin"));
-  save_records(store, path);
-  // Records file loaded as enrollments must be refused.
-  EXPECT_THROW((void)load_enrollments(path), std::runtime_error);
-}
-
-TEST_F(PersistenceTest, MissingFileThrows) {
-  EXPECT_THROW((void)load_records(temp_path("does_not_exist.bin")),
-               std::runtime_error);
+  const auto bytes = seal_blob(kRecordMagic, encode_records_body(store));
+  // A records container opened as enrollments must be refused.
+  EXPECT_THROW((void)unseal_blob(kEnrollMagic, bytes), std::runtime_error);
 }
 
 TEST(FileIo, RoundTripAndExists) {

@@ -1,6 +1,7 @@
 #include "cloud/server.h"
 
 #include "compress/codec.h"
+#include "test_devices.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 namespace medsen::cloud {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {1, 2, 3, 4};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 constexpr std::uint64_t kDevice = 1;
 
 CloudServer make_server(ServiceConfig service = {}) {
@@ -108,7 +109,7 @@ net::ErrorPayload expect_error(const net::Envelope& response,
 
 TEST(CloudServer, HandleUploadReturnsReport) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto response = server.handle(upload_of(dip_series(3), 5));
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response.session_id, 5u);
@@ -132,7 +133,7 @@ TEST(CloudServer, UnknownDeviceGetsError) {
 
 TEST(CloudServer, BadMacGetsError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   auto upload = upload_of(dip_series(1), 1);
   upload.payload[0] ^= 0xFF;
   const auto response = server.handle(upload);
@@ -142,8 +143,8 @@ TEST(CloudServer, BadMacGetsError) {
 
 TEST(CloudServer, WrongDeviceKeyGetsBadMacError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  server.provision_device(2, {9, 9, 9});
+  testkit::enroll(server, kDevice);
+  testkit::enroll(server, 2);
   // Device 2 signing with device 1's key: the registry key wins.
   const auto response =
       server.handle(upload_of(dip_series(1), 1, 2, kMacKey));
@@ -152,7 +153,7 @@ TEST(CloudServer, WrongDeviceKeyGetsBadMacError) {
 
 TEST(CloudServer, UnroutableTypeGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto envelope = net::make_envelope(net::MessageType::kProgress, 1,
                                            kDevice, {}, kMacKey);
   expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
@@ -160,7 +161,7 @@ TEST(CloudServer, UnroutableTypeGetsMalformedError) {
 
 TEST(CloudServer, UndecodablePayloadGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   // A correctly MAC'd envelope whose payload is garbage: the decoder
   // throw must be converted at the dispatch boundary, not escape.
   const auto envelope = net::make_envelope(
@@ -170,7 +171,7 @@ TEST(CloudServer, UndecodablePayloadGetsMalformedError) {
 
 TEST(CloudServer, TruncatedPayloadGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = net::serialize_series(dip_series(1));
   auto bytes = payload.serialize();
@@ -182,7 +183,7 @@ TEST(CloudServer, TruncatedPayloadGetsMalformedError) {
 
 TEST(CloudServer, TrailingPayloadBytesGetMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = net::serialize_series(dip_series(1));
   auto bytes = payload.serialize();
@@ -197,7 +198,7 @@ TEST(CloudServer, BitFlippedPayloadNeverEscapesAsException) {
   // a stolen key): whatever the decoder makes of it, the service
   // boundary must answer with an envelope, not throw.
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   net::SignalUploadPayload payload;
   payload.sample_rate_hz = 450.0;
   payload.data = net::serialize_series(dip_series(1));
@@ -218,7 +219,7 @@ TEST(CloudServer, HostileSeriesCountGetsMalformedError) {
   // A payload declaring 2^32-1 channels must be shot down by the decoder
   // bounds check and surface as kMalformed — not as an OOM.
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = {0xFF, 0xFF, 0xFF, 0xFF};
   const auto envelope =
@@ -229,7 +230,7 @@ TEST(CloudServer, HostileSeriesCountGetsMalformedError) {
 
 TEST(CloudServer, CompressedUploadAccepted) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto series = dip_series(2);
   net::SignalUploadPayload payload;
   payload.compressed = true;
@@ -245,7 +246,7 @@ TEST(CloudServer, CompressedUploadAccepted) {
 
 TEST(CloudServer, QualityRejectionsCarryDistinctReasons) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto saturated =
       expect_error(server.handle(upload_of(saturated_series(), 1)),
                    net::ErrorCode::kQualityRejected);
@@ -268,18 +269,21 @@ TEST(CloudServer, QualityRejectionsCarryDistinctReasons) {
 }
 
 TEST(CloudServer, QualityGateTogglable) {
-  auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  expect_error(server.handle(upload_of(saturated_series(), 1)),
+  auto gated = make_server();
+  testkit::enroll(gated, kDevice);
+  expect_error(gated.handle(upload_of(saturated_series(), 1)),
                net::ErrorCode::kQualityRejected);
-  server.set_quality_gate(false);
-  const auto response = server.handle(upload_of(saturated_series(), 2));
+  ServiceConfig ungated_config;
+  ungated_config.quality_gate = false;
+  auto ungated = make_server(ungated_config);
+  testkit::enroll(ungated, kDevice);
+  const auto response = ungated.handle(upload_of(saturated_series(), 2));
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
 }
 
 TEST(CloudServer, DuplicateUploadServedFromCacheNotReanalyzed) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto upload = upload_of(dip_series(3), 5);
   const auto first = server.handle(upload);
   EXPECT_EQ(server.requests_processed(), 1u);
@@ -295,7 +299,7 @@ TEST(CloudServer, DuplicateUploadServedFromCacheNotReanalyzed) {
 
 TEST(CloudServer, SessionReplayWithDifferentPayloadRejected) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   (void)server.handle(upload_of(dip_series(3), 5));
   // Same session_id, different acquisition: a protocol violation, not a
   // transport retry.
@@ -306,7 +310,7 @@ TEST(CloudServer, SessionReplayWithDifferentPayloadRejected) {
 
 TEST(CloudServer, DuplicateAuthServedFromCache) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto upload = auth_of(dip_series(2), 3, 1.0);
   const auto first = server.handle(upload);
   const auto second = server.handle(upload);
@@ -318,14 +322,17 @@ TEST(CloudServer, DuplicateAuthServedFromCache) {
 
 TEST(CloudServer, RejectedUploadIsNotCached) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   const auto upload = upload_of(saturated_series(), 8);
   expect_error(server.handle(upload), net::ErrorCode::kQualityRejected);
   EXPECT_EQ(server.requests_processed(), 0u);
-  // A retry after the gate is lifted reprocesses instead of replaying
-  // the failure.
-  server.set_quality_gate(false);
-  const auto response = server.handle(upload);
+  // A retransmit of the rejected upload runs the gate again instead of
+  // replaying the failure...
+  expect_error(server.handle(upload), net::ErrorCode::kQualityRejected);
+  EXPECT_EQ(server.replays_served(), 0u);
+  // ...and a clean re-acquisition under the same session is processed,
+  // not refused as a replay with a different payload.
+  const auto response = server.handle(upload_of(dip_series(1), 8));
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(server.requests_processed(), 1u);
   EXPECT_EQ(server.replays_served(), 0u);
@@ -333,7 +340,7 @@ TEST(CloudServer, RejectedUploadIsNotCached) {
 
 TEST(CloudServer, AdmissionLimitShedsWithOverloadedError) {
   auto server = make_server({/*quality_gate=*/true, /*max_inflight=*/2});
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   // Fill the admission gate from the outside so the shed is
   // deterministic, no timing games needed.
   auto slot1 = server.admission().try_enter();
@@ -353,10 +360,8 @@ TEST(CloudServer, AdmissionLimitShedsWithOverloadedError) {
 
 TEST(CloudServer, MultiTenantSessionsAreIsolated) {
   auto server = make_server();
-  const std::vector<std::uint8_t> key_a = {0xA};
-  const std::vector<std::uint8_t> key_b = {0xB};
-  server.provision_device(1, key_a);
-  server.provision_device(2, key_b);
+  const auto key_a = testkit::enroll(server, 1);
+  const auto key_b = testkit::enroll(server, 2);
   // The same session_id on two devices must not collide in the cache.
   const auto a = server.handle(upload_of(dip_series(1), 7, 1, key_a));
   const auto b = server.handle(upload_of(dip_series(2), 7, 2, key_b));
@@ -372,7 +377,7 @@ TEST(CloudServer, MultiTenantSessionsAreIsolated) {
 
 TEST(CloudServer, DeviceRevocationTakesEffect) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   EXPECT_EQ(server.handle(upload_of(dip_series(1), 1)).type,
             net::MessageType::kAnalysisResult);
   server.devices().revoke(kDevice);
@@ -386,7 +391,7 @@ TEST(CloudServer, DeviceRevocationTakesEffect) {
 // written to an unsynchronized member on every upload.
 TEST(CloudServer, ConcurrentMixedUploadsAreRaceFree) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3;
   std::vector<std::thread> workers;
@@ -427,7 +432,7 @@ TEST(CloudServer, RecordStoreAccessible) {
 
 TEST(CloudServer, AuthDecisionForUnknownUserRejected) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   // No enrollments: any census must fail authentication.
   const auto response = server.handle(auth_of(dip_series(2), 3, 1.0));
   EXPECT_EQ(response.type, net::MessageType::kAuthDecision);
@@ -438,7 +443,7 @@ TEST(CloudServer, AuthDecisionForUnknownUserRejected) {
 
 TEST(CloudServer, StatsAccumulateProcessingTime) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  testkit::enroll(server, kDevice);
   (void)server.handle(upload_of(dip_series(1), 1));
   (void)server.handle(upload_of(dip_series(2), 2));
   const auto stats = server.stats();

@@ -1,7 +1,7 @@
 // End-to-end tests of the EV2-style session plane across the service
 // boundary: AuthChallenge/AuthResponse handshakes, command counters,
 // diversified keys (zero stored per-device secrets), rotation /
-// revocation, and the registry's persistence round trip.
+// revocation, and the registry body codec's round trip.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "cloud/server.h"
 #include "core/session_crypto.h"
 #include "crypto/cmac.h"
-#include "util/fileio.h"
 
 namespace medsen::cloud {
 namespace {
@@ -130,8 +129,11 @@ TEST(SessionService, ZeroStoredPerDeviceSecretsPinned) {
   server.rotate_master_key(1, master_key(0x5a));
   for (std::uint64_t id = 1; id <= 32; ++id) server.enroll_device(id);
 
+  // The registry's whole keying state is the one epoch master plus ids.
+  const auto before = server.devices().snapshot();
   EXPECT_EQ(server.devices().size(), 32u);
-  ASSERT_EQ(server.devices().stored_secret_count(), 0u);
+  EXPECT_EQ(before.enrolled.size(), 32u);
+  ASSERT_EQ(before.masters.size(), 1u);
 
   for (std::uint64_t id : {std::uint64_t{1}, std::uint64_t{17}}) {
     core::SessionCrypto crypto(
@@ -140,7 +142,7 @@ TEST(SessionService, ZeroStoredPerDeviceSecretsPinned) {
     EXPECT_TRUE(handshake(crypto, 1000 + id, server));
   }
   // Handshakes created sessions, not stored long-term secrets.
-  EXPECT_EQ(server.devices().stored_secret_count(), 0u);
+  EXPECT_EQ(server.devices().snapshot().masters, before.masters);
 }
 
 TEST(SessionService, SessionEnvelopeWithWrongKeyRejected) {
@@ -169,7 +171,7 @@ TEST(SessionService, ReplayRejectedAfterCacheEvictionPinned) {
   service.shards = 1;  // one cache shard so the flood evicts the victim
   service.session_cache_capacity = 4;
   DiversifiedRig rig(service);
-  rig.server.provision_device(2, {9, 9, 9});  // the cache-flooding tenant
+  rig.server.enroll_device(2);  // the cache-flooding tenant
 
   ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
   const auto& session_key = rig.crypto.session_mac_key();
@@ -186,7 +188,7 @@ TEST(SessionService, ReplayRejectedAfterCacheEvictionPinned) {
   // Flood the 4-slot cache from another device until the exchange is
   // evicted...
   const auto series = dip_series(1);
-  const std::vector<std::uint8_t> other_key = {9, 9, 9};
+  const auto other_key = crypto::diversify_device_key(master_key(0x5a), 2, 1);
   for (std::uint64_t s = 1; s <= 8; ++s)
     rig.server.handle(upload_of(series, 500 + s, 2, other_key));
 
@@ -214,35 +216,6 @@ TEST(SessionService, StaleCounterBelowWindowRejected) {
   expect_error(response, net::ErrorCode::kStaleCounter);
 }
 
-// Satellite pin: re-provisioning is an explicit rotation. The old key —
-// and any session negotiated under it — dies at the provision call.
-TEST(SessionService, ReprovisionRotatesAndKillsSessionsPinned) {
-  auto server = make_server();
-  const std::vector<std::uint8_t> old_key = {1, 2, 3, 4};
-  const std::vector<std::uint8_t> new_key = {5, 6, 7, 8};
-  ASSERT_EQ(server.provision_device(kDevice, old_key),
-            DeviceRegistry::ProvisionResult::kNew);
-
-  // Handshake on the legacy long-term key.
-  core::SessionCrypto crypto(kDevice, old_key, 0, kSeed);
-  ASSERT_TRUE(handshake(crypto, 100, server));
-  const auto session_key = crypto.session_mac_key();
-
-  ASSERT_EQ(server.provision_device(kDevice, new_key),
-            DeviceRegistry::ProvisionResult::kRotated);
-
-  // The old legacy plane is dead...
-  expect_error(server.handle(upload_of(dip_series(1), 200, kDevice, old_key)),
-               net::ErrorCode::kBadMac);
-  // ...and so is the session negotiated under the old key.
-  expect_error(
-      server.handle(upload_of(dip_series(1), 100, kDevice, session_key, 1)),
-      net::ErrorCode::kAuthRequired);
-  // The new key works immediately.
-  EXPECT_EQ(server.handle(upload_of(dip_series(1), 300, kDevice, new_key)).type,
-            net::MessageType::kAnalysisResult);
-}
-
 TEST(SessionService, RevokedDeviceRefusedOnEveryPlane) {
   DiversifiedRig rig;
   ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
@@ -250,10 +223,15 @@ TEST(SessionService, RevokedDeviceRefusedOnEveryPlane) {
 
   ASSERT_TRUE(rig.server.revoke_device(kDevice));
 
-  // Session commands, fresh handshakes and (were one provisioned) legacy
-  // traffic all come back kRevoked.
+  // Session commands, counter-0 commands under the long-term key and
+  // fresh handshakes all come back kRevoked.
   expect_error(
       rig.server.handle(upload_of(dip_series(1), 100, kDevice, session_key, 1)),
+      net::ErrorCode::kRevoked);
+  const auto longterm =
+      crypto::diversify_device_key(master_key(0x5a), kDevice, 1);
+  expect_error(
+      rig.server.handle(upload_of(dip_series(1), 200, kDevice, longterm)),
       net::ErrorCode::kRevoked);
   rig.crypto.invalidate();
   expect_error(rig.server.handle(rig.crypto.make_challenge(101)),
@@ -297,12 +275,14 @@ TEST(SessionService, LegacyPlaneCanBeDisabled) {
   ServiceConfig service;
   service.allow_legacy_plane = false;
   DiversifiedRig rig(service);
-  rig.server.provision_device(3, {1, 2, 3});
 
-  // Counter-0 command traffic is refused even with a valid legacy key...
-  const std::vector<std::uint8_t> legacy_key = {1, 2, 3};
-  expect_error(rig.server.handle(upload_of(dip_series(1), 50, 3, legacy_key)),
-               net::ErrorCode::kAuthRequired);
+  // Counter-0 command traffic is refused even under the device's valid
+  // long-term key...
+  const auto longterm =
+      crypto::diversify_device_key(master_key(0x5a), kDevice, 1);
+  expect_error(
+      rig.server.handle(upload_of(dip_series(1), 50, kDevice, longterm)),
+      net::ErrorCode::kAuthRequired);
 
   // ...but the handshake still rides counter 0, and session commands
   // flow afterwards.
@@ -331,20 +311,18 @@ TEST(SessionService, HandshakeRetransmitServedFromCache) {
 
 TEST(RegistryPersistence, RoundTripsAllKeyingState) {
   DeviceRegistry registry(4);
-  registry.provision(1, {1, 2, 3});
-  registry.provision(2, {4, 5, 6});
   registry.set_master_key(1, master_key(0x5a));
   registry.set_master_key(2, master_key(0xc3));
+  registry.enroll(1);
+  registry.enroll(2);
   registry.enroll(10);
   registry.enroll(11);
   registry.revoke(2);
   registry.revoke(11);
 
-  const std::string path = testing::TempDir() + "/registry_roundtrip.bin";
-  save_registry(registry, path);
-
+  const auto body = encode_registry_body(registry);
   DeviceRegistry loaded(8);  // shard count is a process detail, not state
-  load_registry(loaded, path);
+  loaded.restore(decode_registry_body(body));
 
   EXPECT_EQ(loaded.current_epoch(), 2u);
   EXPECT_TRUE(loaded.has_epoch(1));
@@ -353,26 +331,20 @@ TEST(RegistryPersistence, RoundTripsAllKeyingState) {
   EXPECT_EQ(loaded.lookup_epoch(10, 1), registry.lookup_epoch(10, 1));
   EXPECT_TRUE(loaded.is_revoked(2));
   EXPECT_TRUE(loaded.is_revoked(11));
-  EXPECT_EQ(loaded.stored_secret_count(), registry.stored_secret_count());
+  EXPECT_EQ(loaded.size(), registry.size());
 
-  // Deterministic serialization: a second save is byte-identical.
-  const std::string again = testing::TempDir() + "/registry_again.bin";
-  save_registry(loaded, again);
-  EXPECT_EQ(util::read_file(path), util::read_file(again));
+  // Deterministic serialization: a second encode is byte-identical.
+  EXPECT_EQ(encode_registry_body(loaded), body);
 }
 
 TEST(RegistryPersistence, RejectsCorruptFile) {
   DeviceRegistry registry(2);
-  registry.provision(1, {1, 2, 3});
-  const std::string path = testing::TempDir() + "/registry_corrupt.bin";
-  save_registry(registry, path);
-
-  auto bytes = util::read_file(path);
+  registry.set_master_key(1, master_key(0x5a));
+  registry.enroll(1);
+  constexpr std::uint32_t kMagic = 0x54455354;  // "TEST"
+  auto bytes = seal_blob(kMagic, encode_registry_body(registry));
   bytes[bytes.size() / 2] ^= 0xff;
-  util::write_file_atomic(path, bytes);
-
-  DeviceRegistry loaded(2);
-  EXPECT_THROW(load_registry(loaded, path), std::runtime_error);
+  EXPECT_THROW((void)unseal_blob(kMagic, bytes), std::runtime_error);
 }
 
 }  // namespace

@@ -15,12 +15,13 @@
 
 #include "cloud/server.h"
 #include "cloud/session_cache.h"
+#include "test_devices.h"
 #include "util/sharded.h"
 
 namespace medsen::cloud {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {1, 2, 3, 4};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 CloudServer make_server(ServiceConfig service = {}) {
   return CloudServer(AnalysisConfig{}, auth::CytoAlphabet{},
@@ -101,10 +102,8 @@ TEST(ShardedService, DevicesOnDifferentShardsAreIsolated) {
   while (server.devices().shard_of(device_b) ==
          server.devices().shard_of(device_a))
     ++device_b;
-  const std::vector<std::uint8_t> key_a = {0xA0, 0xA1};
-  const std::vector<std::uint8_t> key_b = {0xB0, 0xB1};
-  server.provision_device(device_a, key_a);
-  server.provision_device(device_b, key_b);
+  const auto key_a = testkit::enroll(server, device_a);
+  const auto key_b = testkit::enroll(server, device_b);
 
   const auto series = dip_series(2);
   const auto response_a = server.handle(upload_of(series, 1, device_a, key_a));
@@ -132,9 +131,8 @@ TEST(ShardedService, SessionIdsAreScopedPerDevice) {
   ServiceConfig service;
   service.shards = 4;
   auto server = make_server(service);
-  const std::vector<std::uint8_t> key_b = {0xB0, 0xB1};
-  server.provision_device(1, kMacKey);
-  server.provision_device(2, key_b);
+  testkit::enroll(server, 1);
+  const auto key_b = testkit::enroll(server, 2);
 
   const auto first = server.handle(upload_of(dip_series(2), 7, 1, kMacKey));
   ASSERT_EQ(first.type, net::MessageType::kAnalysisResult);
@@ -227,7 +225,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   service.shards = 1;
   service.session_cache_capacity = 2;
   auto server = make_server(service);
-  server.provision_device(1, kMacKey);
+  testkit::enroll(server, 1);
 
   const auto small = upload_of(dip_series(1), 100, 1, kMacKey);
   const auto first = server.handle(small);
@@ -255,7 +253,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
 
 // --- Many-thread hammer (the TSan target) --------------------------------
 
-// Concurrent provision / revoke / upload / stats / snapshot traffic over
+// Concurrent enroll / revoke / upload / stats / snapshot traffic over
 // a sharded server. Assertions are deliberately loose — the point is
 // that TSan observes the full mixed workload with no data races and the
 // aggregate counters stay coherent.
@@ -267,8 +265,9 @@ TEST(ShardedService, ManyThreadHammer) {
   const auto series = dip_series(1);
 
   constexpr std::uint64_t kStableDevices = 4;
+  std::vector<std::vector<std::uint8_t>> keys;
   for (std::uint64_t device = 0; device < kStableDevices; ++device)
-    server.provision_device(device, kMacKey);
+    keys.push_back(testkit::enroll(server, device));
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> uploads_ok{0};
@@ -280,17 +279,17 @@ TEST(ShardedService, ManyThreadHammer) {
       for (std::uint64_t i = 0; i < 40; ++i) {
         const std::uint64_t device = i % kStableDevices;
         const auto response = server.handle(upload_of(
-            series, (worker + 1) * 1000 + i, device, kMacKey));
+            series, (worker + 1) * 1000 + i, device, keys[device]));
         if (response.type == net::MessageType::kAnalysisResult)
           uploads_ok.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  // Churner: provisions and revokes a disjoint device range.
+  // Churner: enrolls and revokes a disjoint device range.
   threads.emplace_back([&] {
     for (std::uint64_t i = 0; i < 200; ++i) {
       const std::uint64_t device = 100 + (i % 16);
-      server.provision_device(device, kMacKey);
+      server.enroll_device(device);
       (void)server.devices().revoke(device);
     }
   });

@@ -67,26 +67,12 @@ TEST(RecordStore, SnapshotIsAConsistentCopy) {
   EXPECT_EQ(store.fetch(code_of({1, 2})).back().session_id, 11u);
 }
 
-TEST(RecordStore, VisitSeesEveryEntryInKeyOrder) {
-  RecordStore store;
-  store.store(code_of({2, 1}), {1, {}});
-  store.store(code_of({0, 1}), {2, {}});
-  std::vector<std::string> keys;
-  std::size_t records = 0;
-  store.visit([&](const std::string& key,
-                  const std::vector<StoredRecord>& list) {
-    keys.push_back(key);
-    records += list.size();
-  });
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_LT(keys[0], keys[1]);
-  EXPECT_EQ(records, 2u);
-}
-
-TEST(RecordStore, EntriesConstructorRestoresState) {
+TEST(RecordStore, RestoreRebuildsStateFromSnapshot) {
   RecordStore original;
   original.store(code_of({1, 1}), {5, {0xCC}});
-  RecordStore rebuilt(original.snapshot());
+  RecordStore rebuilt;
+  for (auto& [key, records] : original.snapshot())
+    rebuilt.restore(key, std::move(records));
   EXPECT_EQ(rebuilt.record_count(), 1u);
   EXPECT_EQ(rebuilt.latest(code_of({1, 1}))->session_id, 5u);
 }

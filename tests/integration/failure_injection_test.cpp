@@ -12,11 +12,12 @@
 #include "crypto/chacha20.h"
 #include "net/frame.h"
 #include "net/messages.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {9, 9, 9};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 TEST(FailureInjection, RandomBytesNeverDecodeAsFrame) {
   crypto::ChaChaRng rng(404);
@@ -68,7 +69,7 @@ TEST(FailureInjection, GarbageUploadPayloadRejected) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  testkit::enroll(server, 1);
   crypto::ChaChaRng rng(407);
   std::vector<std::uint8_t> junk(300);
   rng.fill(junk);
@@ -86,7 +87,7 @@ TEST(FailureInjection, CompressedFlagOnUncompressedDataRejected) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  testkit::enroll(server, 1);
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
   series.channels.emplace_back(450.0, std::vector<double>(100, 1.0));

@@ -18,11 +18,12 @@
 #include "core/controller.h"
 #include "phone/relay.h"
 #include "sim/acquisition.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {0x5E, 0x55, 0x10};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 using FaultSetup = std::function<void(sim::FaultConfig&)>;
 
@@ -133,7 +134,7 @@ phone::SessionOutcome run_session(const FaultSetup& setup,
   auto server = cloud::CloudServer(analysis, auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
 
   sim::SampleSpec sample;
   sample.components = {{sim::ParticleType::kBead780, 300.0}};
@@ -289,7 +290,7 @@ TEST(FaultRecovery, StuckOnMuxWalksIntoQuarantine) {
   auto server = cloud::CloudServer(analysis, auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   sim::SampleSpec sample;
   sample.components = {{sim::ParticleType::kBead780, 300.0}};
 

@@ -1,6 +1,6 @@
 // The allow_legacy_plane=false posture end to end: with the legacy
 // static-key plane disabled, counter-0 command traffic — even correctly
-// MAC'd under the device's provisioned key — must be refused with
+// MAC'd under the device's long-term key — must be refused with
 // kAuthRequired, while the handshake itself (the one message that
 // legitimately rides counter 0) and all session-plane traffic work
 // unchanged through the production PhoneRelay path.
@@ -14,6 +14,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "phone/relay.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
@@ -51,12 +52,11 @@ cloud::CloudServer make_locked_server() {
                             auth::VerifierConfig{}, nullptr, service);
 }
 
-// A correctly MAC'd counter-0 command on the provisioned static key is
+// A correctly MAC'd counter-0 command under the long-term key is
 // refused: possession of the long-term key alone no longer moves data.
 TEST(LegacyPlaneOff, CounterZeroCommandRefused) {
   auto server = make_locked_server();
-  const std::vector<std::uint8_t> mac_key = {0x13, 0x37};
-  server.provision_device(7, mac_key);
+  const auto mac_key = testkit::enroll(server, 7);
 
   const auto payload = upload_payload(one_cell_series());
   const auto upload = net::make_envelope(net::MessageType::kSignalUpload,
@@ -87,15 +87,13 @@ TEST(LegacyPlaneOff, CounterZeroCommandRefused) {
 // legacy envelope keeps bouncing off the closed plane.
 TEST(LegacyPlaneOff, SessionTrafficSucceedsEndToEnd) {
   auto server = make_locked_server();
-  const std::vector<std::uint8_t> mac_key = {0x44, 0x55, 0x66};
-
   const auto design = sim::standard_design(9);
   core::KeyParams params;
   params.num_electrodes = 9;
   core::Controller controller(params, design,
                               core::DiagnosticProfile::cd4_staging(), 11);
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, mac_key);
 
   // The handshake is the one exchange that legitimately rides counter 0.
@@ -135,8 +133,7 @@ TEST(LegacyPlaneOff, DefaultConfigStillServesLegacyTraffic) {
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}),
                                    auth::VerifierConfig{}, nullptr, service);
-  const std::vector<std::uint8_t> mac_key = {0x01};
-  server.provision_device(3, mac_key);
+  const auto mac_key = testkit::enroll(server, 3);
   const auto response = server.handle(net::make_envelope(
       net::MessageType::kSignalUpload, /*session=*/1, /*device=*/3,
       upload_payload(one_cell_series()), mac_key));

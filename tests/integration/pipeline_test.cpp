@@ -12,11 +12,12 @@
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "phone/relay.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {0xAA, 0xBB, 0xCC};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 struct Testbed {
   sim::ElectrodeArrayDesign design = sim::standard_design(9);
@@ -46,7 +47,7 @@ TEST(Pipeline, EncryptedDiagnosisEndToEnd) {
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
 
   const double duration = 60.0;
   (void)controller.begin_session(duration);
@@ -108,7 +109,7 @@ TEST(Pipeline, AuthenticationPassIdentifiesUser) {
       sample, controller.session_key_schedule_for_testing(), duration, 9);
 
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   const double volume = controller.session_volume_ul();
   const auto response =
       relay.relay_auth(enc.signals, 2, volume, server, kMacKey, duration);
@@ -139,7 +140,7 @@ TEST(Pipeline, WrongBeadMixtureRejected) {
       blank, controller.session_key_schedule_for_testing(), 60.0, 10);
 
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   const auto response = relay.relay_auth(
       enc.signals, 3, controller.session_volume_ul(), server, kMacKey,
       60.0);

@@ -1,55 +1,67 @@
-// Cloud restart survivability: enrollments and stored records written to
-// disk by one server instance must be fully usable by a fresh instance —
-// including authenticating a real sensor pass against the reloaded
-// database.
+// Cloud restart survivability: enrollments and stored records journaled
+// by one server instance must be fully usable by a fresh instance that
+// attaches durability to the same state directory — including
+// authenticating a real sensor pass against the recovered database.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
+#include <memory>
 
-#include "cloud/persistence.h"
+#include "cloud/durability.h"
 #include "cloud/server.h"
 #include "util/fileio.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "phone/relay.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
 
+std::string state_dir(const char* name) {
+  const auto dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// One server lifetime on `dir`: a DurableState and a CloudServer that
+/// recovered from it. Destroying it and building another on the same
+/// directory is a process restart.
+struct Lifetime {
+  std::unique_ptr<cloud::DurableState> durable;  // outlives the server
+  std::unique_ptr<cloud::CloudServer> server;
+
+  Lifetime(const std::string& dir, const auth::CytoAlphabet& alphabet) {
+    cloud::DurabilityConfig config;
+    config.dir = dir;
+    config.storage_key = std::vector<std::uint8_t>(16, 0x3C);
+    durable = std::make_unique<cloud::DurableState>(std::move(config));
+    server = std::make_unique<cloud::CloudServer>(
+        cloud::AnalysisConfig{}, alphabet,
+        auth::ParticleClassifier::train({}));
+    server->attach_durability(*durable);
+  }
+  ~Lifetime() { server.reset(); }  // server first: it points at durable
+};
+
 TEST(Restart, AuthenticationSurvivesServerRestart) {
-  const std::string enroll_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_enroll.bin";
-  const std::string records_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_records.bin";
+  const auto dir = state_dir("medsen_restart_auth");
 
   auth::CytoAlphabet alphabet;
   auth::CytoCode code;
   code.levels = {2, 1};
 
-  // --- First server lifetime: enroll and persist.
+  // --- First server lifetime: enroll and store, journaled.
   {
-    auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                     auth::ParticleClassifier::train({}));
-    server.enrollments().enroll("alice", code);
-    server.store_result(code, {1, {0xAA, 0xBB}});
-    cloud::save_enrollments(server.enrollments(), enroll_path);
-    cloud::save_records(server.records(), records_path);
+    Lifetime first(dir, alphabet);
+    first.server->enroll_user("alice", code);
+    first.server->store_result(code, {1, {0xAA, 0xBB}});
   }
 
-  // --- Second lifetime: fresh process state, reload from disk.
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train({}));
-  {
-    const auto db = cloud::load_enrollments(enroll_path);
-    for (const auto& record : db.records())
-      server.enrollments().enroll(record.user_id, record.code);
-    const auto store = cloud::load_records(records_path);
-    store.visit([&](const std::string& key,
-                    const std::vector<cloud::StoredRecord>& records) {
-      server.records().restore(key, records);
-    });
-  }
+  // --- Second lifetime: fresh process state, recovered from disk.
+  Lifetime second(dir, alphabet);
+  auto& server = *second.server;
   EXPECT_EQ(server.enrollments().lookup(code), "alice");
   EXPECT_EQ(server.records().latest(code)->session_id, 1u);
 
@@ -75,8 +87,7 @@ TEST(Restart, AuthenticationSurvivesServerRestart) {
       sample, controller.session_key_schedule_for_testing(), duration, 7);
 
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0x33};
-  server.provision_device(relay.config().device_id, mac_key);
+  const auto mac_key = testkit::enroll(server, relay.config().device_id);
   const auto response =
       relay.relay_auth(enc.signals, 5, controller.session_volume_ul(),
                        server, mac_key, duration);
@@ -85,27 +96,26 @@ TEST(Restart, AuthenticationSurvivesServerRestart) {
   EXPECT_TRUE(decision.authenticated);
   EXPECT_EQ(decision.user_id, "alice");
 
-  std::remove(enroll_path.c_str());
-  std::remove(records_path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
-// The keying plane across a restart: the device registry (legacy keys,
-// master epochs, enrollment/revocation) persists and reloads, but
+// The keying plane across a restart: the device registry (master
+// epochs, enrollment/revocation) persists and recovers, but
 // negotiated sessions deliberately do NOT — the restarted server answers
 // in-session traffic with kAuthRequired and the device re-handshakes,
 // with counter state starting fresh under the new session key.
 TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
-  const std::string registry_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_registry.bin";
+  const auto dir = state_dir("medsen_restart_registry");
 
-  const std::vector<std::uint8_t> mac_key = {0x44, 0x55};
   const auto design = sim::standard_design(9);
   core::KeyParams params;
   params.num_electrodes = 9;
   core::Controller controller(params, design,
                               core::DiagnosticProfile::cd4_staging(), 3);
   phone::PhoneRelay relay;
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  controller.enable_session_crypto(
+      relay.config().device_id,
+      testkit::device_key(relay.config().device_id));
 
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
@@ -119,13 +129,13 @@ TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
   }
   series.channels.push_back(std::move(ts));
 
-  // --- First lifetime: provision, handshake, run session commands,
-  // persist the registry (sessions are not persisted by design).
+  // --- First lifetime: enroll, rotate to epoch 1 (the device, still
+  // personalized under epoch 0, handshakes through the grace window),
+  // run session commands. Sessions are not persisted by design.
   {
-    auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                     auth::CytoAlphabet{},
-                                     auth::ParticleClassifier::train({}));
-    server.provision_device(relay.config().device_id, mac_key);
+    Lifetime first(dir, auth::CytoAlphabet{});
+    auto& server = *first.server;
+    testkit::enroll(server, relay.config().device_id);
     server.rotate_master_key(1, std::vector<std::uint8_t>(16, 0x5a));
     server.enroll_device(99);
 
@@ -134,15 +144,11 @@ TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
                                                controller.session_crypto());
     ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
     EXPECT_EQ(response.counter, 1u);
-
-    cloud::save_registry(server.devices(), registry_path);
   }
 
-  // --- Second lifetime: reload the registry into a fresh server.
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                   auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}));
-  cloud::load_registry(server.devices(), registry_path);
+  // --- Second lifetime: a fresh server recovers the registry.
+  Lifetime second(dir, auth::CytoAlphabet{});
+  auto& server = *second.server;
   EXPECT_EQ(server.devices().current_epoch(), 1u);
   EXPECT_TRUE(server.devices().lookup(99).has_value());
 
@@ -163,48 +169,56 @@ TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
   EXPECT_EQ(fresh.counter, 1u);
   EXPECT_TRUE(net::verify_envelope(fresh, crypto->session_mac_key()));
 
-  std::remove(registry_path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // A crash between opening the output file and finishing the write must
-// not destroy the previous good database. save_enrollments/save_records
-// write a sibling .tmp and rename it into place, so the worst a crash
-// can leave behind is a truncated .tmp next to an intact live file.
+// not destroy the previous good database. Compaction writes each
+// snapshot to a sibling .tmp and renames it into place, so the worst a
+// crash can leave behind is a truncated .tmp next to an intact live
+// snapshot.
 TEST(Restart, TornWriteLeavesPreviousDatabaseLoadable) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/medsen_torn_enroll.bin";
+  const auto dir = state_dir("medsen_torn_enroll");
 
   auth::CytoAlphabet alphabet;
   auth::CytoCode code;
   code.levels = {1, 2};
-  auth::EnrollmentDatabase db(alphabet);
-  db.enroll("bob", code);
-  cloud::save_enrollments(db, path);
-
-  // Simulate a crash mid-save: a later save got as far as writing a
-  // truncated temp file and died before the rename.
+  std::string snapshot;
   {
-    const auto good = util::read_file(path);
-    std::vector<std::uint8_t> torn(good.begin(),
-                                   good.begin() + good.size() / 2);
-    util::write_file(path + ".tmp", torn);
+    Lifetime first(dir, alphabet);
+    first.server->enroll_user("bob", code);
+    first.durable->compact(*first.server);
+    snapshot = first.durable->enroll_snapshot_path();
   }
 
-  // The live file is untouched and still loads.
-  const auto reloaded = cloud::load_enrollments(path);
-  EXPECT_EQ(reloaded.lookup(code), "bob");
-  // The torn temp file itself is rejected by the sealed-format check.
-  EXPECT_THROW((void)cloud::load_enrollments(path + ".tmp"),
-               std::exception);
+  // Simulate a crash mid-compaction: a later snapshot got as far as
+  // writing a truncated temp file and died before the rename.
+  {
+    const auto good = util::read_file(snapshot);
+    std::vector<std::uint8_t> torn(good.begin(),
+                                   good.begin() + good.size() / 2);
+    util::write_file(snapshot + ".tmp", torn);
+  }
 
-  // A subsequent successful save replaces the target and reuses the
-  // temp path, leaving no stale .tmp behind.
-  db.enroll("carol", auth::CytoCode{{2, 2}});
-  cloud::save_enrollments(db, path);
-  EXPECT_FALSE(util::file_exists(path + ".tmp"));
-  EXPECT_EQ(cloud::load_enrollments(path).lookup(code), "bob");
+  // The live snapshot is untouched and still recovers; the torn temp
+  // file is dropped at open, leaving no stale .tmp behind.
+  Lifetime second(dir, alphabet);
+  EXPECT_EQ(second.server->enrollments().lookup(code), "bob");
+  EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
 
-  std::remove(path.c_str());
+  // A subsequent compaction replaces the snapshot; the state still
+  // recovers with both users.
+  second.server->enroll_user("carol", auth::CytoCode{{2, 2}});
+  second.durable->compact(*second.server);
+  EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
+  second.server.reset();
+  second.durable.reset();
+  Lifetime third(dir, alphabet);
+  EXPECT_EQ(third.server->enrollments().lookup(code), "bob");
+  EXPECT_EQ(third.server->enrollments().lookup(auth::CytoCode{{2, 2}}),
+            "carol");
+
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

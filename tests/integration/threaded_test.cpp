@@ -13,11 +13,12 @@
 #include "core/encryptor.h"
 #include "net/channel.h"
 #include "net/frame.h"
+#include "test_devices.h"
 
 namespace medsen {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {0x01, 0x02};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 TEST(Threaded, FullProtocolOverMessageQueues) {
   net::DuplexChannel sensor_phone;  // a = sensor, b = phone
@@ -84,7 +85,7 @@ TEST(Threaded, FullProtocolOverMessageQueues) {
     auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                      auth::CytoAlphabet{},
                                      auth::ParticleClassifier::train({}));
-    server.provision_device(1, kMacKey);
+    testkit::enroll(server, 1);
     const auto frame = phone_cloud.a_to_b.receive();
     ASSERT_TRUE(frame.has_value());
     const auto request =
@@ -108,7 +109,7 @@ TEST(Threaded, PhoneCannotForgeWithoutKey) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  testkit::enroll(server, 1);
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
   series.channels.emplace_back(450.0, std::vector<double>(1000, 1.0));

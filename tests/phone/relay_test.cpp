@@ -1,4 +1,5 @@
 #include "phone/relay.h"
+#include "test_devices.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,7 @@
 namespace medsen::phone {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {5, 6, 7, 8};
+const std::vector<std::uint8_t> kMacKey = testkit::device_key(1);
 
 util::MultiChannelSeries dip_series(std::size_t dips, std::size_t n = 9000) {
   util::MultiChannelSeries series;
@@ -37,7 +38,7 @@ cloud::CloudServer make_server() {
 
 TEST(PhoneRelay, RelaysAndReturnsReport) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay;
   const auto response =
       relay.relay_analysis(dip_series(3), 11, server, kMacKey);
@@ -48,7 +49,7 @@ TEST(PhoneRelay, RelaysAndReturnsReport) {
 
 TEST(PhoneRelay, TimingBreakdownPopulated) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay;
   (void)relay.relay_analysis(dip_series(2), 1, server, kMacKey);
   const RelayTiming& timing = relay.timing();
@@ -64,7 +65,7 @@ TEST(PhoneRelay, TimingBreakdownPopulated) {
 
 TEST(PhoneRelay, CompressionShrinksUpload) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   RelayConfig with;
   with.compress_uploads = true;
   RelayConfig without;
@@ -78,7 +79,7 @@ TEST(PhoneRelay, CompressionShrinksUpload) {
 
 TEST(PhoneRelay, SmallUploadSkipsCompression) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay;
   (void)relay.relay_analysis(dip_series(0, 100), 1, server, kMacKey);
   EXPECT_DOUBLE_EQ(relay.timing().compression_s, 0.0);
@@ -86,7 +87,7 @@ TEST(PhoneRelay, SmallUploadSkipsCompression) {
 
 TEST(PhoneRelay, ProgressEventsEmitted) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay;
   std::vector<std::string> events;
   relay.set_progress_callback(
@@ -104,47 +105,6 @@ TEST(PhoneRelay, LocalAnalysisScaledByProfile) {
       relay.analyze_locally(dip_series(2), cloud::AnalysisConfig{});
   EXPECT_EQ(report.reference_peak_count(), 2u);
   EXPECT_GT(relay.timing().analysis_s, 0.0);
-}
-
-TEST(PhoneRelay, CsvFormatRoundTrips) {
-  auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
-  RelayConfig config;
-  config.csv_format = true;
-  PhoneRelay relay(config);
-  const auto response =
-      relay.relay_analysis(dip_series(3), 21, server, kMacKey);
-  const auto report = core::PeakReport::deserialize(response.payload);
-  EXPECT_EQ(report.reference_peak_count(), 3u);
-}
-
-TEST(PhoneRelay, CsvUploadLargerThanBinary) {
-  auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
-  RelayConfig csv;
-  csv.csv_format = true;
-  csv.compress_uploads = false;
-  RelayConfig binary;
-  binary.compress_uploads = false;
-  PhoneRelay csv_relay(csv), binary_relay(binary);
-  const auto series = dip_series(1);
-  (void)csv_relay.relay_analysis(series, 1, server, kMacKey);
-  (void)binary_relay.relay_analysis(series, 2, server, kMacKey);
-  EXPECT_GT(csv_relay.last_upload_bytes(), binary_relay.last_upload_bytes());
-}
-
-TEST(PhoneRelay, CompressedCsvRoundTrips) {
-  auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
-  RelayConfig config;
-  config.csv_format = true;
-  config.compress_uploads = true;
-  PhoneRelay relay(config);
-  const auto response =
-      relay.relay_analysis(dip_series(2), 22, server, kMacKey);
-  const auto report = core::PeakReport::deserialize(response.payload);
-  EXPECT_EQ(report.reference_peak_count(), 2u);
-  EXPECT_GT(relay.timing().compression_s, 0.0);
 }
 
 RelayConfig lossy_config(double drop_rate) {
@@ -165,13 +125,13 @@ TEST(PhoneRelay, LossyLinkRoundTripBitIdenticalToLossless) {
   const auto series = dip_series(3);
 
   auto lossless_server = make_server();
-  lossless_server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(lossless_server, RelayConfig{}.device_id);
   PhoneRelay lossless;
   const auto clean =
       lossless.relay_analysis(series, 31, lossless_server, kMacKey);
 
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay(lossy_config(0.10));
   const auto response = relay.relay_analysis(series, 31, server, kMacKey);
 
@@ -189,7 +149,7 @@ TEST(PhoneRelay, LossyLinkRoundTripBitIdenticalToLossless) {
 
 TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   auto config = lossy_config(1.0);  // black hole
   config.reliable.retry_budget = 4;
   PhoneRelay relay(config);
@@ -217,7 +177,7 @@ TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
 
 TEST(PhoneRelay, LossyAuthThrowsWhenBudgetExhausted) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   auto config = lossy_config(1.0);
   config.reliable.retry_budget = 2;
   PhoneRelay relay(config);
@@ -227,7 +187,7 @@ TEST(PhoneRelay, LossyAuthThrowsWhenBudgetExhausted) {
 
 TEST(PhoneRelay, AuthProgressReportsDownload) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   PhoneRelay relay;
   std::vector<std::string> events;
   relay.set_progress_callback(
@@ -242,7 +202,7 @@ TEST(PhoneRelay, AuthProgressReportsDownload) {
 
 TEST(PhoneRelay, QualityRejectionArrivesAsStructuredError) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   // A clipped acquisition: the relay still completes the round trip, and
   // the client can read the machine-readable reason from the envelope.
   util::MultiChannelSeries series;
@@ -259,7 +219,7 @@ TEST(PhoneRelay, QualityRejectionArrivesAsStructuredError) {
 
 TEST(PhoneRelay, UnprovisionedDeviceArrivesAsError) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  testkit::enroll(server, RelayConfig{}.device_id);
   RelayConfig config;
   config.device_id = 99;  // never provisioned
   PhoneRelay relay(config);
@@ -291,7 +251,7 @@ TEST(PhoneRelay, EstablishSessionDerivesMatchingKeys) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
 
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
@@ -308,7 +268,7 @@ TEST(PhoneRelay, EstablishSessionFailsWithoutArmedCrypto) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   EXPECT_FALSE(relay.establish_session(controller, 100, server));
 }
 
@@ -316,7 +276,7 @@ TEST(PhoneRelay, SessionPlaneRelayStampsCounters) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
@@ -336,7 +296,7 @@ TEST(PhoneRelay, SessionLossSurfacesAuthRequired) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
@@ -361,7 +321,7 @@ TEST(PhoneRelay, DiagnosticSessionRidesSessionPlane) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
 
   const auto outcome = relay.run_diagnostic_session(
@@ -387,7 +347,7 @@ TEST(PhoneRelay, DiagnosticSessionRekeysAfterServerSessionLoss) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
 
   bool dropped = false;
@@ -421,7 +381,7 @@ TEST(PhoneRelay, SessionPlaneSurvivesLossyTransport) {
   auto config = lossy_config(0.08);
   config.reliable.retry_budget = 400;
   PhoneRelay relay(config);
-  server.provision_device(relay.config().device_id, kMacKey);
+  testkit::enroll(server, relay.config().device_id);
   controller.enable_session_crypto(relay.config().device_id, kMacKey);
 
   ASSERT_TRUE(relay.establish_session(controller, 100, server));

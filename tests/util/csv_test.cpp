@@ -18,37 +18,6 @@ TEST(Csv, HeaderNamesCarriers) {
   EXPECT_EQ(text.substr(0, text.find('\n')), "time,ch500000,ch2000000");
 }
 
-TEST(Csv, RoundTripPreservesData) {
-  const auto original = make_series();
-  const auto parsed = from_csv(to_csv(original), 450.0);
-  ASSERT_EQ(parsed.channels.size(), 2u);
-  ASSERT_EQ(parsed.channels[0].size(), 3u);
-  for (std::size_t c = 0; c < 2; ++c)
-    for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_NEAR(parsed.channels[c][i], original.channels[c][i], 1e-9);
-  EXPECT_NEAR(parsed.carrier_frequencies_hz[1], 2e6, 1.0);
-}
-
-TEST(Csv, EmptyInputThrows) {
-  EXPECT_THROW(from_csv("", 450.0), std::runtime_error);
-}
-
-TEST(Csv, BadHeaderThrows) {
-  EXPECT_THROW(from_csv("time,bogus\n0,1\n", 450.0), std::runtime_error);
-}
-
-TEST(Csv, RaggedRowThrows) {
-  EXPECT_THROW(from_csv("time,ch500000\n0,1,2\n", 450.0),
-               std::runtime_error);
-}
-
-TEST(Csv, TableRendering) {
-  CsvTable table;
-  table.header = {"x", "y"};
-  table.rows = {{1.0, 2.0}, {3.0, 4.5}};
-  EXPECT_EQ(table_to_csv(table), "x,y\n1,2\n3,4.5\n");
-}
-
 TEST(Csv, RowSizeScalesWithSamples) {
   // The compression benchmark relies on CSV size growing linearly.
   auto mcs = make_series();

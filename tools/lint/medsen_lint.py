@@ -66,8 +66,7 @@ Enforces project-specific correctness contracts that generic tooling
                     oscillator's block-cadence resync (every 256 samples)
                     is the sanctioned exception and carries an allow
                     comment. Trig-heavy modules that are not sample
-                    kernels (fft.cpp twiddles, noise.cpp) are out of
-                    scope.
+                    kernels (noise.cpp) are out of scope.
 
   durable-write     No direct file writes (std::ofstream, std::fstream,
                     fopen/FILE*) in `src/cloud`. Every byte the service
