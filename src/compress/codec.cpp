@@ -14,6 +14,7 @@ namespace medsen::compress {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4D535A31;  // "MSZ1"
+constexpr std::size_t kHeaderBytes = 16;       // magic, size, CRC-32
 
 // Deflate-style length slots for codes 257..285.
 constexpr std::uint16_t kLenBase[29] = {
@@ -36,21 +37,40 @@ constexpr std::size_t kLitLenSymbols = 286;  // 0..255 lit, 256 EOB, 257..285
 constexpr std::size_t kDistSymbols = 30;
 constexpr std::uint16_t kEndOfBlock = 256;
 
-unsigned length_slot(unsigned len) {
-  for (unsigned s = 28;; --s) {
-    if (len >= kLenBase[s]) return s;
-    if (s == 0) break;
+// Slot lookup tables: a value's slot is the last one whose base does not
+// exceed it. Lengths index kLengthSlot directly.
+constexpr auto kLengthSlot = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> t{};
+  std::uint8_t s = 0;
+  for (std::size_t len = kMinMatch; len <= kMaxMatch; ++len) {
+    while (s + 1 < 29 && kLenBase[s + 1] <= len) ++s;
+    t[len] = s;
   }
-  throw std::logic_error("length_slot: length below minimum");
-}
+  return t;
+}();
 
-unsigned distance_slot(unsigned dist) {
-  for (unsigned s = 29;; --s) {
-    if (dist >= kDistBase[s]) return s;
-    if (s == 0) break;
-  }
-  throw std::logic_error("distance_slot: distance below minimum");
+// Distances up to 256 get an entry each. Past 256 every slot base is one
+// more than a multiple of 128, so one entry per 128 distances is exact.
+constexpr std::size_t dist_index(std::size_t dist) {
+  return dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7);
 }
+static_assert([] {
+  for (std::size_t s = 16; s < 30; ++s)
+    if ((kDistBase[s] - 1) % 128 != 0) return false;
+  return kDistBase[16] == 257;
+}());
+
+constexpr auto kDistSlot = [] {
+  std::array<std::uint8_t, dist_index(kWindowSize) + 1> t{};
+  std::uint8_t s = 0;
+  for (std::size_t dist = 1; dist <= kWindowSize; ++dist) {
+    while (s + 1 < 30 && kDistBase[s + 1] <= dist) ++s;
+    t[dist_index(dist)] = s;
+  }
+  return t;
+}();
+
+unsigned distance_slot(unsigned dist) { return kDistSlot[dist_index(dist)]; }
 
 }  // namespace
 
@@ -59,11 +79,11 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> data,
   const std::vector<Token> tokens = lzss_compress(data, config);
 
   // Symbol statistics.
-  std::vector<std::uint64_t> lit_freq(kLitLenSymbols, 0);
-  std::vector<std::uint64_t> dist_freq(kDistSymbols, 0);
+  std::array<std::uint64_t, kLitLenSymbols> lit_freq{};
+  std::array<std::uint64_t, kDistSymbols> dist_freq{};
   for (const Token& t : tokens) {
     if (t.is_match) {
-      ++lit_freq[257 + length_slot(t.length)];
+      ++lit_freq[257 + kLengthSlot[t.length]];
       ++dist_freq[distance_slot(t.distance)];
     } else {
       ++lit_freq[t.literal];
@@ -76,14 +96,28 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> data,
   const HuffmanEncoder lit_enc(build_codes(lit_lengths));
   const HuffmanEncoder dist_enc(build_codes(dist_lengths));
 
-  BitWriter bits;
+  // The statistics give the exact payload size, so the container is
+  // allocated once and the header and bit stream go straight into it.
+  std::uint64_t payload_bits = (kLitLenSymbols + kDistSymbols) * 4;
+  for (std::size_t s = 0; s < kLitLenSymbols; ++s) {
+    const unsigned extra = s > kEndOfBlock ? kLenExtra[s - 257] : 0;
+    payload_bits += lit_freq[s] * (lit_lengths[s] + extra);
+  }
+  for (std::size_t s = 0; s < kDistSymbols; ++s)
+    payload_bits += dist_freq[s] * (dist_lengths[s] + kDistExtra[s]);
+
+  util::ByteWriter header;
+  header.u32(kMagic);
+  header.u64(data.size());
+  header.u32(crc32(data));
+  BitWriter bits(header.take(), static_cast<std::size_t>(payload_bits));
   // Code-length tables, 4 bits each (kMaxCodeLength = 15 fits).
   for (auto len : lit_lengths) bits.put(len, 4);
   for (auto len : dist_lengths) bits.put(len, 4);
   // Token stream.
   for (const Token& t : tokens) {
     if (t.is_match) {
-      const unsigned ls = length_slot(t.length);
+      const unsigned ls = kLengthSlot[t.length];
       lit_enc.encode(bits, static_cast<std::uint16_t>(257 + ls));
       bits.put(t.length - kLenBase[ls], kLenExtra[ls]);
       const unsigned ds = distance_slot(t.distance);
@@ -94,14 +128,7 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> data,
     }
   }
   lit_enc.encode(bits, kEndOfBlock);
-  const auto payload = bits.finish();
-
-  util::ByteWriter out;
-  out.u32(kMagic);
-  out.u64(data.size());
-  out.u32(crc32(data));
-  out.bytes(payload);
-  return out.take();
+  return bits.finish();
 }
 
 namespace {
@@ -130,10 +157,10 @@ std::vector<std::uint8_t> decompress_impl(
   const std::uint64_t original_size = header.u64();
   const std::uint32_t expected_crc = header.u32();
 
-  BitReader bits(packed.subspan(16));
-  std::vector<std::uint8_t> lit_lengths(kLitLenSymbols);
+  BitReader bits(packed.subspan(kHeaderBytes));
+  std::array<std::uint8_t, kLitLenSymbols> lit_lengths{};
   for (auto& len : lit_lengths) len = static_cast<std::uint8_t>(bits.get(4));
-  std::vector<std::uint8_t> dist_lengths(kDistSymbols);
+  std::array<std::uint8_t, kDistSymbols> dist_lengths{};
   for (auto& len : dist_lengths) len = static_cast<std::uint8_t>(bits.get(4));
   const HuffmanDecoder lit_dec(lit_lengths);
   const HuffmanDecoder dist_dec(dist_lengths);
@@ -149,11 +176,11 @@ std::vector<std::uint8_t> decompress_impl(
     if (out.size() > original_size)
       throw std::runtime_error("decompress: size mismatch");
     const std::uint16_t sym = lit_dec.decode(bits);
-    if (sym == kEndOfBlock) break;
     if (sym < 256) {
       out.push_back(static_cast<std::uint8_t>(sym));
       continue;
     }
+    if (sym == kEndOfBlock) break;
     const unsigned ls = sym - 257u;
     if (ls >= 29) throw std::runtime_error("decompress: bad length symbol");
     const unsigned len = kLenBase[ls] + bits.get(kLenExtra[ls]);
@@ -161,10 +188,18 @@ std::vector<std::uint8_t> decompress_impl(
     if (dsym >= kDistSymbols)
       throw std::runtime_error("decompress: bad distance symbol");
     const unsigned dist = kDistBase[dsym] + bits.get(kDistExtra[dsym]);
-    if (dist == 0 || dist > out.size())
+    const std::size_t start = out.size();
+    if (dist == 0 || dist > start)
       throw std::runtime_error("decompress: invalid back-reference");
-    const std::size_t start = out.size() - dist;
-    for (unsigned i = 0; i < len; ++i) out.push_back(out[start + i]);
+    out.resize(start + len);
+    std::uint8_t* dst = out.data() + start;
+    const std::uint8_t* src = dst - dist;
+    if (dist >= len) {
+      std::memcpy(dst, src, len);
+    } else {
+      // Overlapping copy: each byte may be one this copy just wrote.
+      for (unsigned i = 0; i < len; ++i) dst[i] = src[i];
+    }
   }
 
   if (out.size() != original_size)
@@ -174,7 +209,7 @@ std::vector<std::uint8_t> decompress_impl(
   // Strictness: the container must end where the bit stream ends (plus
   // byte-boundary padding) — appended garbage is rejected, not ignored.
   const std::size_t stream_bytes = (bits.bits_consumed() + 7) / 8;
-  if (packed.size() - 16 > stream_bytes)
+  if (packed.size() - kHeaderBytes > stream_bytes)
     throw std::runtime_error("decompress: trailing bytes");
   return out;
 }

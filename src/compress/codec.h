@@ -1,9 +1,11 @@
 #pragma once
 // The complete compressor: LZSS tokens entropy-coded with canonical
 // Huffman (deflate-style length/distance slot alphabets) inside a small
-// container with original-size and CRC-32 fields. This is the "zip data
-// compression" stage the paper's Android app applies before uploading the
-// 600 MB CSV measurement dumps (reduced to 240 MB, i.e. ~2.5x).
+// container with original-size and CRC-32 fields (the MSZ1 layout in
+// docs/PROTOCOL.md). This is the "zip data compression" stage the paper's
+// Android app applies before uploading its 600 MB CSV measurement dumps
+// (reduced to 240 MB, i.e. ~2.5x); here the phone relay applies it to
+// the binary series upload.
 
 #include <cstdint>
 #include <span>
@@ -22,7 +24,7 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> data,
 /// std::runtime_error on magic/CRC mismatch or malformed streams.
 std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> packed);
 
-/// Convenience helpers for strings (the CSV path).
+/// Convenience helpers for text.
 std::vector<std::uint8_t> compress_string(const std::string& text);
 std::string decompress_string(std::span<const std::uint8_t> packed);
 

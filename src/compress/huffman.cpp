@@ -1,6 +1,7 @@
 #include "compress/huffman.h"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <stdexcept>
 
@@ -26,6 +27,13 @@ void assign_depths(const std::vector<Node>& nodes, int idx, unsigned depth,
   }
   assign_depths(nodes, n.left, depth + 1, lengths);
   assign_depths(nodes, n.right, depth + 1, lengths);
+}
+
+std::uint32_t reverse_bits(std::uint32_t code, unsigned len) {
+  std::uint32_t rev = 0;
+  for (unsigned i = 0; i < len; ++i, code >>= 1)
+    rev = (rev << 1) | (code & 1);
+  return rev;
 }
 
 }  // namespace
@@ -88,27 +96,15 @@ HuffmanCode build_codes(std::span<const std::uint8_t> lengths) {
   for (std::size_t s = 0; s < lengths.size(); ++s) {
     const unsigned len = lengths[s];
     if (len == 0) continue;
-    std::uint32_t c = next_code[len]++;
     // Bit-reverse for LSB-first emission.
-    std::uint32_t rev = 0;
-    for (unsigned i = 0; i < len; ++i) {
-      rev = (rev << 1) | (c & 1);
-      c >>= 1;
-    }
-    out.codes[s] = static_cast<std::uint16_t>(rev);
+    out.codes[s] =
+        static_cast<std::uint16_t>(reverse_bits(next_code[len]++, len));
   }
   return out;
 }
 
-void HuffmanEncoder::encode(BitWriter& out, std::uint16_t symbol) const {
-  const unsigned len = code_.lengths.at(symbol);
-  if (len == 0)
-    throw std::runtime_error("HuffmanEncoder: symbol has no code");
-  out.put(code_.codes[symbol], len);
-}
-
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  std::vector<std::uint32_t> length_count(kMaxCodeLength + 1, 0);
+  std::array<std::uint32_t, kMaxCodeLength + 1> length_count{};
   for (auto len : lengths) {
     if (len > kMaxCodeLength)
       throw std::invalid_argument("HuffmanDecoder: length too long");
@@ -117,35 +113,47 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
       max_len_ = std::max<unsigned>(max_len_, len);
     }
   }
-  first_code_.assign(kMaxCodeLength + 2, 0);
-  first_index_.assign(kMaxCodeLength + 2, 0);
+  if (max_len_ > kRootBits) sub_mask_ = (1u << (max_len_ - kRootBits)) - 1;
+
+  // Canonical codes: each length starts where the previous one ended,
+  // doubled; symbols of one length take consecutive codes in symbol order.
+  std::array<std::uint32_t, kMaxCodeLength + 1> next_code{};
   std::uint32_t code = 0;
-  std::uint32_t index = 0;
   for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
     code = (code + length_count[len - 1]) << 1;
-    first_code_[len] = code;
-    first_index_[len] = index;
-    index += length_count[len];
+    next_code[len] = code;
   }
-  // Symbols sorted by (length, symbol value) — canonical order.
-  symbols_.clear();
-  for (unsigned len = 1; len <= kMaxCodeLength; ++len)
-    for (std::size_t s = 0; s < lengths.size(); ++s)
-      if (lengths[s] == len) symbols_.push_back(static_cast<std::uint16_t>(s));
+  // A code's prefixes are never codes of shorter lengths (each length's
+  // first code lies past every prefix of the shorter lengths' codes), so
+  // filling the tables in any order gives the bit-at-a-time answer.
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const unsigned len = lengths[s];
+    if (len == 0) continue;
+    const std::uint32_t c = next_code[len]++;
+    if ((c >> len) != 0) continue;  // needs more than `len` bits: unreachable
+    const std::uint32_t rev = reverse_bits(c, len);  // first code bit = bit 0
+    const Entry symbol{static_cast<std::uint16_t>(s),
+                       static_cast<std::uint8_t>(len), Kind::kSymbol};
+    if (len <= kRootBits) {
+      for (std::uint32_t i = rev; i < root_.size(); i += 1u << len)
+        root_[i] = symbol;
+      continue;
+    }
+    Entry& link = root_[rev & kRootMask];
+    if (link.kind != Kind::kSubTable) {
+      link = {static_cast<std::uint16_t>(sub_.size()), 0, Kind::kSubTable};
+      sub_.resize(sub_.size() + sub_mask_ + 1);
+    }
+    for (std::uint32_t i = rev >> kRootBits; i <= sub_mask_;
+         i += 1u << (len - kRootBits))
+      sub_[link.value + i] = symbol;
+  }
 }
 
-std::uint16_t HuffmanDecoder::decode(BitReader& in) const {
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | in.bit();
-    const std::uint32_t count =
-        (len < kMaxCodeLength ? first_index_[len + 1] : static_cast<std::uint32_t>(symbols_.size())) -
-        first_index_[len];
-    if (count > 0 && code >= first_code_[len] &&
-        code < first_code_[len] + count) {
-      return symbols_[first_index_[len] + (code - first_code_[len])];
-    }
-  }
+void HuffmanDecoder::reject(BitReader& in) const {
+  // Reading the code bit by bit would take max_len_ bits before giving
+  // up; if the stream ends first, the stream is what is wrong.
+  in.consume(max_len_);
   throw std::runtime_error("HuffmanDecoder: invalid code");
 }
 

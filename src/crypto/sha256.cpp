@@ -64,6 +64,8 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

@@ -40,7 +40,15 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::f64_vec(std::span<const double> v) {
   u32(static_cast<std::uint32_t>(v.size()));
-  for (double x : v) f64(x);
+  const std::size_t start = buf_.size();
+  buf_.resize(start + v.size() * sizeof(double));
+  std::uint8_t* out = buf_.data() + start;
+  for (const double x : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int i = 0; i < 8; ++i)
+      *out++ = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
 }
 
 std::uint8_t ByteReader::u8() {
@@ -97,10 +105,17 @@ std::string ByteReader::str() {
 }
 
 std::vector<double> ByteReader::f64_vec() {
+  // count_u32 has checked that all n elements are in the buffer.
   const std::uint32_t n = count_u32(sizeof(double));
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(f64());
+  std::vector<double> out(n);
+  const std::uint8_t* in = data_.data() + pos_;
+  for (double& x : out) {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i)
+      bits |= static_cast<std::uint64_t>(*in++) << (8 * i);
+    std::memcpy(&x, &bits, sizeof(x));
+  }
+  pos_ += std::size_t{n} * sizeof(double);
   return out;
 }
 

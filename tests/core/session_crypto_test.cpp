@@ -142,7 +142,7 @@ TEST(SessionCrypto, InvalidateDropsTheSession) {
   const auto challenge = crypto.make_challenge(100);
   const std::vector<std::uint8_t> rnd_b(16, 0xb7);
   ASSERT_TRUE(crypto.complete(honest_response(challenge, key, rnd_b)));
-  crypto.next_counter();
+  (void)crypto.next_counter();
 
   crypto.invalidate();
   EXPECT_FALSE(crypto.active());

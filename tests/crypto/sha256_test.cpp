@@ -25,6 +25,19 @@ TEST(Sha256, TwoBlockMessage) {
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
+TEST(Sha256, EmptyUpdateMidStreamIsANoOp) {
+  // A default-constructed vector's span has a null data pointer; feeding
+  // it while bytes are buffered must neither change the digest nor hand
+  // memcpy a null source (UBSan flags that).
+  const std::vector<std::uint8_t> abc = {'a', 'b', 'c'};
+  Sha256 h;
+  h.update(std::span<const std::uint8_t>(abc).first(1));
+  h.update(std::vector<std::uint8_t>{});
+  h.update(std::span<const std::uint8_t>(abc).subspan(1));
+  EXPECT_EQ(to_hex(h.finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256, MillionAs) {
   Sha256 h;
   const std::string chunk(1000, 'a');

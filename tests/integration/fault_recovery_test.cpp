@@ -177,8 +177,9 @@ TEST(FaultRecovery, EachFaultAloneTerminatesWithTheExpectedAction) {
     EXPECT_GE(outcome.quality_rejections, 1u);
     EXPECT_LE(outcome.attempts, core::RetryPolicy{}.max_attempts);
     ASSERT_FALSE(outcome.actions.empty());
-    if (fault.expected_first_action != core::RecoveryAction::kNone)
+    if (fault.expected_first_action != core::RecoveryAction::kNone) {
       EXPECT_EQ(outcome.actions.front(), fault.expected_first_action);
+    }
 
     // Healable faults recover to a full-confidence diagnosis; unhealable
     // ones degrade gracefully instead of throwing.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace medsen::util {
@@ -48,6 +49,39 @@ TEST(Serialize, F64VectorRoundTrip) {
   w.f64_vec(xs);
   ByteReader r(w.data());
   EXPECT_EQ(r.f64_vec(), xs);
+}
+
+TEST(Serialize, F64VectorLayoutMatchesPerElementEncoding) {
+  const std::vector<double> xs = {1.0, -0.0, 1e-310, 0.1,
+                                  std::numeric_limits<double>::quiet_NaN()};
+  ByteWriter vec;
+  vec.u8(7);
+  vec.f64_vec(xs);
+  vec.u8(9);
+  ByteWriter each;
+  each.u8(7);
+  each.u32(static_cast<std::uint32_t>(xs.size()));
+  for (const double x : xs) each.f64(x);
+  each.u8(9);
+  EXPECT_EQ(vec.data(), each.data());
+
+  ByteReader r(vec.data());
+  EXPECT_EQ(r.u8(), 7);
+  const auto back = r.f64_vec();
+  ASSERT_EQ(back.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    EXPECT_EQ(std::memcmp(&back[i], &xs[i], sizeof(double)), 0) << i;
+  EXPECT_EQ(r.u8(), 9);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Serialize, TruncatedF64VectorThrows) {
+  ByteWriter w;
+  w.u32(3);  // claims three elements, holds two
+  w.f64(1.0);
+  w.f64(2.0);
+  ByteReader r(w.data());
+  EXPECT_THROW(r.f64_vec(), std::out_of_range);
 }
 
 TEST(Serialize, TruncatedReadThrows) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace medsen::util {
@@ -29,20 +32,26 @@ TEST(ThreadPool, ZeroTasksIsANoOp) {
 TEST(ThreadPool, RespectsGrain) {
   ThreadPool pool(2);
   std::mutex m;
-  std::vector<std::size_t> sizes;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
   pool.parallel_for(100, 32, [&](std::size_t b, std::size_t e) {
     std::lock_guard<std::mutex> lock(m);
-    sizes.push_back(e - b);
+    chunks.emplace_back(b, e);
   });
-  std::size_t total = 0;
-  for (const std::size_t s : sizes) {
-    EXPECT_GE(s, 1u);
-    total += s;
+  // Chunks finish in any order; sorted by start they must tile [0, 100)
+  // exactly, and all but the ragged last one must honor the grain.
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_FALSE(chunks.empty());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto [b, e] = chunks[i];
+    EXPECT_EQ(b, next);
+    EXPECT_GT(e, b);
+    if (i + 1 < chunks.size()) {
+      EXPECT_GE(e - b, 32u);
+    }
+    next = e;
   }
-  EXPECT_EQ(total, 100u);
-  // All chunks but the ragged last one must honor the grain.
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
-    EXPECT_GE(sizes[i], 32u);
+  EXPECT_EQ(next, 100u);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {

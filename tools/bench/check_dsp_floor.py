@@ -3,8 +3,10 @@
 
 Validates BENCH_fig14_analysis_perf.json and BENCH_streaming_analysis.json
 (from the --smoke presets) against the checked-in floors in
-tools/bench/dsp_floor.json. The floors are deliberately conservative —
-roughly a quarter of the single-core container measurement — so the
+tools/bench/dsp_floor.json; with --floor it checks any other artifact
+against that file (BENCH_compression.json against
+tools/bench/compression_floor.json). The floors are deliberately
+conservative — roughly a quarter of the container measurement — so the
 check catches structural regressions (a per-sample std::sin creeping
 back into a kernel, a per-request allocation storm), not runner jitter.
 
@@ -24,6 +26,11 @@ import sys
 from pathlib import Path
 
 
+def fmt(value: float) -> str:
+    """Whole numbers for throughputs, three digits for ratios."""
+    return f"{value:.0f}" if abs(value) >= 100 else f"{value:.3g}"
+
+
 def check_counters(bench: str, counters: dict, floors: dict,
                    tolerance: float) -> list[str]:
     failures = []
@@ -33,13 +40,13 @@ def check_counters(bench: str, counters: dict, floors: dict,
             continue
         value = float(counters[key])
         minimum = float(baseline) * (1.0 - tolerance)
-        print(f"{bench}: {key} = {value:.0f} "
-              f"(floor {float(baseline):.0f}, minimum after "
-              f"{tolerance:.0%} tolerance: {minimum:.0f})")
+        print(f"{bench}: {key} = {fmt(value)} "
+              f"(floor {fmt(float(baseline))}, minimum after "
+              f"{tolerance:.0%} tolerance: {fmt(minimum)})")
         if value < minimum:
             failures.append(
-                f"{bench}: REGRESSION — {key} = {value:.0f} is more than "
-                f"{tolerance:.0%} below the {float(baseline):.0f} floor")
+                f"{bench}: REGRESSION — {key} = {fmt(value)} is more than "
+                f"{tolerance:.0%} below the {fmt(float(baseline))} floor")
     return failures
 
 
