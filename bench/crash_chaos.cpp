@@ -39,6 +39,7 @@
 // cache is the same one a kill -9 would leave behind.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -286,7 +287,7 @@ struct Ledger {
   std::uint64_t acked_lsn = 0;
   /// Every RndB this state-directory lineage has ever issued; invariant
   /// 3 is their global pairwise uniqueness.
-  std::set<std::vector<std::uint8_t>> rnd_bs;
+  std::set<std::array<std::uint8_t, 16>> rnd_bs;
   /// Sealing nonce -> ciphertext fingerprint, across every disk
   /// observation of this lineage; invariant 6 is that no nonce ever
   /// reappears over *different* ciphertext (CTR keystream reuse).
@@ -351,8 +352,8 @@ std::size_t check_seal_nonces(const std::string& dir, Ledger& led,
 /// or nullopt when the server (correctly) refuses. The device-side RndA
 /// is the SAME every time (fixed crypto seed), so RndB freshness rests
 /// entirely on the durability of the server's handshake ordinal.
-std::optional<std::vector<std::uint8_t>> handshake_rnd_b(Rig& rig,
-                                                         Ledger& led) {
+std::optional<std::array<std::uint8_t, 16>> handshake_rnd_b(
+    Rig& rig, Ledger& led) {
   core::SessionCrypto crypto(
       kEnrolled,
       crypto::diversify_device_key(pattern_key(0xC0), kEnrolled, kEpoch),
@@ -362,13 +363,12 @@ std::optional<std::vector<std::uint8_t>> handshake_rnd_b(Rig& rig,
   if (response.type != net::MessageType::kAuthResponse) return std::nullopt;
   const auto payload = net::AuthResponsePayload::deserialize(response.payload);
   if (!crypto.complete(response)) return std::nullopt;
-  return std::vector<std::uint8_t>(payload.challenge.begin(),
-                                   payload.challenge.end());
+  return payload.challenge;
 }
 
 /// Record a fresh RndB, reporting an invariant-3 violation when it
 /// duplicates any nonce this lineage has seen.
-bool note_rnd_b(Ledger& led, const std::vector<std::uint8_t>& rnd_b,
+bool note_rnd_b(Ledger& led, const std::array<std::uint8_t, 16>& rnd_b,
                 Invariants& inv, const char* where) {
   if (!led.rnd_bs.insert(rnd_b).second) {
     std::printf("INVARIANT 3 VIOLATED (%s): duplicated RndB — a recorded "

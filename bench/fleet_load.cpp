@@ -51,6 +51,7 @@
 #include "cloud/server.h"
 #include "core/session_crypto.h"
 #include "crypto/cmac.h"
+#include "crypto/cpu_features.h"
 #include "net/faulty_link.h"
 
 using namespace medsen;
@@ -805,6 +806,11 @@ int main(int argc, char** argv) {
   json.set_count("cache_capacity", options.cache_capacity);
   json.set_text("arrivals", options.arrivals);
   json.set_count("faulty", options.faulty ? 1 : 0);
+  // Which block kernels produced these numbers: the same CPUID probe the
+  // dispatch in crypto/sha256.cpp and crypto/aes.cpp reads.
+  const auto& cpu = crypto::detail::cpu_features();
+  json.set_text("crypto.sha256_backend", cpu.sha_ni ? "sha-ni" : "portable");
+  json.set_text("crypto.aes_backend", cpu.aes_ni ? "aes-ni" : "portable");
   json.set("provision_s", provision_s);
   json.set_count("requests_sent", sent);
   json.set("elapsed_s", mixed_s);

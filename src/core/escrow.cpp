@@ -20,12 +20,13 @@ std::array<std::uint8_t, 32> derive(std::span<const std::uint8_t> secret,
   return key;
 }
 
-std::vector<std::uint8_t> mac_input(const EscrowPackage& package) {
-  std::vector<std::uint8_t> input(package.nonce.begin(),
-                                  package.nonce.end());
-  input.insert(input.end(), package.ciphertext.begin(),
-               package.ciphertext.end());
-  return input;
+/// HMAC over nonce || ciphertext, streamed in one pass.
+crypto::Sha256Digest package_mac(std::span<const std::uint8_t> mac_key,
+                                 const EscrowPackage& package) {
+  crypto::HmacSha256 mac(mac_key);
+  mac.update(package.nonce);
+  mac.update(package.ciphertext);
+  return mac.finish();
 }
 
 }  // namespace
@@ -64,7 +65,7 @@ EscrowPackage escrow_key_schedule(const KeySchedule& schedule,
   cipher.apply(package.ciphertext);
 
   const auto mac_key = derive(shared_secret, "medsen-escrow-mac");
-  package.mac = crypto::hmac_sha256(mac_key, mac_input(package));
+  package.mac = package_mac(mac_key, package);
   return package;
 }
 
@@ -72,7 +73,7 @@ KeySchedule recover_key_schedule(
     const EscrowPackage& package,
     std::span<const std::uint8_t> shared_secret) {
   const auto mac_key = derive(shared_secret, "medsen-escrow-mac");
-  const auto expected = crypto::hmac_sha256(mac_key, mac_input(package));
+  const auto expected = package_mac(mac_key, package);
   if (!crypto::digest_equal(expected, package.mac))
     throw std::runtime_error(
         "recover_key_schedule: MAC verification failed");

@@ -2,7 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/cpu_features.h"
 #include "util/secure_zero.h"
+
+#if MEDSEN_CRYPTO_X86
+#include <immintrin.h>
+#endif
 
 namespace medsen::crypto {
 
@@ -35,37 +40,20 @@ constexpr std::uint8_t kSBox[256] = {
 constexpr std::uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
-std::uint8_t inv_sbox(std::uint8_t y) {
-  // Small table built lazily; 256-entry inverse of kSBox.
-  static const auto table = [] {
-    std::array<std::uint8_t, 256> t{};
-    for (int i = 0; i < 256; ++i) t[kSBox[i]] = static_cast<std::uint8_t>(i);
-    return t;
-  }();
-  return table[y];
-}
-
 inline std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
-}
-
 }  // namespace
 
-Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
+namespace detail {
+
+void aes128_expand_key_portable(const std::uint8_t* key,
+                                AesRoundKeys& round_keys) {
+  std::memcpy(round_keys.data(), key, Aes128::kKeySize);
   for (int i = 4; i < 44; ++i) {
     std::uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + 4 * (i - 1), 4);
+    std::memcpy(temp, round_keys.data() + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       const std::uint8_t t = temp[0];
       temp[0] = static_cast<std::uint8_t>(kSBox[temp[1]] ^ kRcon[i / 4 - 1]);
@@ -74,18 +62,16 @@ Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
       temp[3] = kSBox[t];
     }
     for (int j = 0; j < 4; ++j)
-      round_keys_[static_cast<std::size_t>(4 * i + j)] =
-          round_keys_[static_cast<std::size_t>(4 * (i - 4) + j)] ^ temp[j];
+      round_keys[static_cast<std::size_t>(4 * i + j)] =
+          round_keys[static_cast<std::size_t>(4 * (i - 4) + j)] ^ temp[j];
   }
 }
 
-Aes128::~Aes128() { util::secure_wipe(round_keys_); }
-
-void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
-  std::uint8_t* s = block.data();
+void aes128_encrypt_portable(const AesRoundKeys& round_keys,
+                             std::uint8_t* s) {
   auto add_round_key = [&](int round) {
     for (int i = 0; i < 16; ++i)
-      s[i] ^= round_keys_[static_cast<std::size_t>(16 * round + i)];
+      s[i] ^= round_keys[static_cast<std::size_t>(16 * round + i)];
   };
   add_round_key(0);
   for (int round = 1; round <= 10; ++round) {
@@ -113,36 +99,77 @@ void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
   }
 }
 
-void Aes128::decrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
-  std::uint8_t* s = block.data();
-  auto add_round_key = [&](int round) {
-    for (int i = 0; i < 16; ++i)
-      s[i] ^= round_keys_[static_cast<std::size_t>(16 * round + i)];
-  };
-  add_round_key(10);
-  for (int round = 9; round >= 0; --round) {
-    // InvShiftRows
-    for (int row = 1; row < 4; ++row) {
-      std::uint8_t tmp[4];
-      for (int col = 0; col < 4; ++col)
-        tmp[(col + row) % 4] = s[col * 4 + row];
-      for (int col = 0; col < 4; ++col) s[col * 4 + row] = tmp[col];
-    }
-    // InvSubBytes
-    for (int i = 0; i < 16; ++i) s[i] = inv_sbox(s[i]);
-    add_round_key(round);
-    // InvMixColumns (skipped after the last key addition)
-    if (round != 0) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = s + 4 * col;
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-        c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-        c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-        c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    }
+#if MEDSEN_CRYPTO_X86
+
+#define MEDSEN_AES_NI __attribute__((target("aes")))
+
+namespace {
+
+/// One key-expansion step; AESKEYGENASSIST takes its round constant as
+/// an immediate, hence the template.
+template <int kRoundConstant>
+MEDSEN_AES_NI inline __m128i expand_step(__m128i key) {
+  const __m128i assist = _mm_shuffle_epi32(
+      _mm_aeskeygenassist_si128(key, kRoundConstant), 0xFF);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+}  // namespace
+
+MEDSEN_AES_NI void aes128_expand_key_ni(const std::uint8_t* key,
+                                        AesRoundKeys& round_keys) {
+  auto* rk = reinterpret_cast<__m128i*>(round_keys.data());
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  _mm_storeu_si128(rk, k);
+  k = expand_step<0x01>(k); _mm_storeu_si128(rk + 1, k);
+  k = expand_step<0x02>(k); _mm_storeu_si128(rk + 2, k);
+  k = expand_step<0x04>(k); _mm_storeu_si128(rk + 3, k);
+  k = expand_step<0x08>(k); _mm_storeu_si128(rk + 4, k);
+  k = expand_step<0x10>(k); _mm_storeu_si128(rk + 5, k);
+  k = expand_step<0x20>(k); _mm_storeu_si128(rk + 6, k);
+  k = expand_step<0x40>(k); _mm_storeu_si128(rk + 7, k);
+  k = expand_step<0x80>(k); _mm_storeu_si128(rk + 8, k);
+  k = expand_step<0x1b>(k); _mm_storeu_si128(rk + 9, k);
+  k = expand_step<0x36>(k); _mm_storeu_si128(rk + 10, k);
+}
+
+MEDSEN_AES_NI void aes128_encrypt_ni(const AesRoundKeys& round_keys,
+                                     std::uint8_t* block) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys.data());
+  auto* io = reinterpret_cast<__m128i*>(block);
+  __m128i s = _mm_xor_si128(_mm_loadu_si128(io), _mm_loadu_si128(rk));
+  for (int round = 1; round < 10; ++round)
+    s = _mm_aesenc_si128(s, _mm_loadu_si128(rk + round));
+  _mm_storeu_si128(io, _mm_aesenclast_si128(s, _mm_loadu_si128(rk + 10)));
+}
+
+#endif  // MEDSEN_CRYPTO_X86
+
+}  // namespace detail
+
+Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
+#if MEDSEN_CRYPTO_X86
+  if (detail::cpu_features().aes_ni) {
+    detail::aes128_expand_key_ni(key.data(), round_keys_);
+    return;
   }
+#endif
+  detail::aes128_expand_key_portable(key.data(), round_keys_);
+}
+
+Aes128::~Aes128() { util::secure_wipe(round_keys_); }
+
+void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
+#if MEDSEN_CRYPTO_X86
+  if (detail::cpu_features().aes_ni) {
+    detail::aes128_encrypt_ni(round_keys_, block.data());
+    return;
+  }
+#endif
+  detail::aes128_encrypt_portable(round_keys_, block.data());
 }
 
 Aes128Ctr::Aes128Ctr(std::span<const std::uint8_t, Aes128::kKeySize> key,

@@ -1,10 +1,11 @@
 #pragma once
-// AES-128 block cipher (FIPS 197) with CTR mode. This is NOT used by the
-// MedSen sensing path — the paper's point is that in-sensor analog
-// encryption makes a software cipher unnecessary. AES is implemented here
-// as the "general-purpose symmetric encryption" comparator from the related
-// work discussion, powering the ablation benchmark that contrasts software
-// encryption cost against MedSen's zero-overhead hardware keying.
+// AES-128 block cipher (FIPS 197) with CTR mode. AES keys the session
+// plane (the AES-CMAC KDF, device-key diversification and handshake
+// proofs in crypto/cmac.h) and seals the journal and snapshots at rest
+// (CTR, cloud/durability.cpp). Both modes only ever run the forward
+// cipher, so there is no decryption. The block function runs on AES-NI
+// when the CPU reports it (crypto/cpu_features.h), with the portable
+// S-box code as the byte-identical reference.
 
 #include <array>
 #include <cstdint>
@@ -27,8 +28,6 @@ class Aes128 {
 
   /// Encrypt one 16-byte block in place.
   void encrypt_block(std::span<std::uint8_t, kBlockSize> block) const;
-  /// Decrypt one 16-byte block in place.
-  void decrypt_block(std::span<std::uint8_t, kBlockSize> block) const;
 
  private:
   std::array<std::uint8_t, 176> round_keys_{};  // 11 round keys  // medsen: secret

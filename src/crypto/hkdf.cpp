@@ -1,5 +1,6 @@
 #include "crypto/hkdf.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "crypto/hmac.h"
@@ -10,7 +11,7 @@ namespace medsen::crypto {
 Sha256Digest hkdf_extract(std::span<const std::uint8_t> salt,
                           std::span<const std::uint8_t> ikm) {
   if (salt.empty()) {
-    const std::vector<std::uint8_t> zero_salt(32, 0);
+    const std::array<std::uint8_t, 32> zero_salt{};
     return hmac_sha256(zero_salt, ikm);
   }
   return hmac_sha256(salt, ikm);
@@ -23,18 +24,16 @@ std::vector<std::uint8_t> hkdf_expand(const Sha256Digest& prk,
     throw std::invalid_argument("hkdf_expand: length out of range");
   std::vector<std::uint8_t> okm;
   okm.reserve(length);
-  std::vector<std::uint8_t> block;  // medsen: secret
-  std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    // `input` chains the previous output block T(i-1), which is OKM
-    // material — wipe it each round along with the digest scratch.
-    std::vector<std::uint8_t> input = block;  // medsen: secret
-    input.insert(input.end(), info.begin(), info.end());
-    input.push_back(counter++);
-    auto t = hmac_sha256(prk, input);  // medsen: secret
-    block.assign(t.begin(), t.end());
-    util::secure_wipe(t);
-    util::secure_wipe(input);
+  // T(i) = HMAC(PRK, T(i-1) || info || i), streamed; T(0) is empty.
+  Sha256Digest block{};  // medsen: secret
+  std::size_t block_len = 0;
+  for (std::uint8_t counter = 1; okm.size() < length; ++counter) {
+    HmacSha256 mac(prk);
+    mac.update(std::span<const std::uint8_t>(block.data(), block_len));
+    mac.update(info);
+    mac.update(std::span<const std::uint8_t>(&counter, 1));
+    block = mac.finish();
+    block_len = block.size();
     const std::size_t take = std::min(block.size(), length - okm.size());
     okm.insert(okm.end(), block.begin(),
                block.begin() + static_cast<long>(take));

@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/cpu_features.h"
+
+#if MEDSEN_CRYPTO_X86
+#include <immintrin.h>
+#endif
+
 namespace medsen::crypto {
 
 namespace {
@@ -32,35 +38,127 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+namespace detail {
+
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* blocks,
+                            std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g; g = f; f = e; e = d + temp1;
+      d = c; c = b; b = a; a = temp1 + temp2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+}
+
+#if MEDSEN_CRYPTO_X86
+
+#define MEDSEN_SHA_NI __attribute__((target("sha,sse4.1,ssse3")))
+
+namespace {
+
+/// Four rounds. The SHA extensions hold the state as ABEF and CDGH, and
+/// each SHA256RNDS2 runs two rounds and swaps the halves' roles.
+MEDSEN_SHA_NI inline void quad_rounds(__m128i& abef, __m128i& cdgh,
+                                      __m128i words, std::size_t quad) {
+  __m128i wk = _mm_add_epi32(
+      words, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * quad)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+}
+
+/// W[t..t+3] from W[t-16..t-1], given as four quads oldest first:
+/// W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+MEDSEN_SHA_NI inline __m128i next_quad(__m128i w16, __m128i w12, __m128i w8,
+                                       __m128i w4) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12),
+                                        _mm_alignr_epi8(w4, w8, 4));
+  return _mm_sha256msg2_epu32(partial, w4);
+}
+
+}  // namespace
+
+MEDSEN_SHA_NI void sha256_blocks_shani(Sha256State& state,
+                                       const std::uint8_t* blocks,
+                                       std::size_t count) {
+  // Byte-swaps each 32-bit word: the message is big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // Register names list the state words from the high lane down.
+  auto* words = reinterpret_cast<__m128i*>(state.data());
+  const __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(words), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(words + 1), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(blocks);
+    __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(in), bswap);
+    quad_rounds(abef, cdgh, m0, 0);
+    __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    quad_rounds(abef, cdgh, m1, 1);
+    __m128i m2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    quad_rounds(abef, cdgh, m2, 2);
+    __m128i m3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    quad_rounds(abef, cdgh, m3, 3);
+    for (std::size_t quad = 4; quad < 16; quad += 4) {
+      m0 = next_quad(m0, m1, m2, m3);
+      quad_rounds(abef, cdgh, m0, quad);
+      m1 = next_quad(m1, m2, m3, m0);
+      quad_rounds(abef, cdgh, m1, quad + 1);
+      m2 = next_quad(m2, m3, m0, m1);
+      quad_rounds(abef, cdgh, m2, quad + 2);
+      m3 = next_quad(m3, m0, m1, m2);
+      quad_rounds(abef, cdgh, m3, quad + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g; g = f; f = e; e = d + temp1;
-    d = c; c = b; b = a; a = temp1 + temp2;
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(words, _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(words + 1, _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+#endif  // MEDSEN_CRYPTO_X86
+
+}  // namespace detail
+
+void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
+#if MEDSEN_CRYPTO_X86
+  if (detail::cpu_features().sha_ni) {
+    detail::sha256_blocks_shani(state_, blocks, count);
+    return;
   }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+#endif
+  detail::sha256_blocks_portable(state_, blocks, count);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -74,13 +172,14 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
@@ -93,14 +192,14 @@ Sha256Digest Sha256::finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
-    process_block(buffer_.data());
+    compress(buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
     buffer_[static_cast<std::size_t>(56 + i)] =
         static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  process_block(buffer_.data());
+  compress(buffer_.data(), 1);
   buffer_len_ = 0;
 
   Sha256Digest digest;

@@ -23,7 +23,10 @@ class Sha256 {
   Sha256Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Runs the block function over `count` 64-byte blocks: the SHA-NI
+  /// kernel when the CPU has it, the portable one otherwise
+  /// (crypto/cpu_features.h).
+  void compress(const std::uint8_t* blocks, std::size_t count);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;

@@ -8,17 +8,21 @@ namespace medsen::net {
 
 namespace {
 
-std::vector<std::uint8_t> mac_input(MessageType type, std::uint64_t session,
-                                    std::uint64_t device,
-                                    std::uint32_t counter,
-                                    std::span<const std::uint8_t> payload) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(session);
-  w.u64(device);
-  w.u32(counter);
-  w.bytes(payload);
-  return w.take();
+/// HMAC over the 21-byte header (type, session, device, counter) and
+/// then the payload, streamed in one pass without copying the payload.
+crypto::Sha256Digest envelope_mac(MessageType type, std::uint64_t session,
+                                  std::uint64_t device, std::uint32_t counter,
+                                  std::span<const std::uint8_t> payload,
+                                  std::span<const std::uint8_t> mac_key) {
+  util::ByteWriter header;
+  header.u8(static_cast<std::uint8_t>(type));
+  header.u64(session);
+  header.u64(device);
+  header.u32(counter);
+  crypto::HmacSha256 mac(mac_key);
+  mac.update(header.data());
+  mac.update(payload);
+  return mac.finish();
 }
 
 }  // namespace
@@ -61,17 +65,16 @@ Envelope make_envelope(MessageType type, std::uint64_t session_id,
   e.device_id = device_id;
   e.counter = counter;
   e.payload = std::move(payload);
-  e.mac = crypto::hmac_sha256(
-      mac_key, mac_input(type, session_id, device_id, counter, e.payload));
+  e.mac = envelope_mac(type, session_id, device_id, counter, e.payload,
+                       mac_key);
   return e;
 }
 
 bool verify_envelope(const Envelope& envelope,
                      std::span<const std::uint8_t> mac_key) {
-  const auto expected = crypto::hmac_sha256(
-      mac_key, mac_input(envelope.type, envelope.session_id,
-                         envelope.device_id, envelope.counter,
-                         envelope.payload));
+  const auto expected =
+      envelope_mac(envelope.type, envelope.session_id, envelope.device_id,
+                   envelope.counter, envelope.payload, mac_key);
   return crypto::digest_equal(expected, envelope.mac);
 }
 

@@ -4,6 +4,7 @@
 
 #include "cloud/analysis_service.h"
 #include "core/encryptor.h"
+#include "crypto/sha256.h"
 
 namespace medsen::core {
 namespace {
@@ -67,6 +68,18 @@ TEST(Escrow, SerializationRoundTrip) {
   EXPECT_EQ(restored.ciphertext, package.ciphertext);
   EXPECT_EQ(restored.mac, package.mac);
   EXPECT_NO_THROW((void)recover_key_schedule(restored, secret()));
+}
+
+// Both escrow keys come from HKDF-SHA256 and the MAC covers
+// nonce || ciphertext; the values are the portable reference's output,
+// so a change to how HKDF or the MAC is computed that moves a byte
+// fails here.
+TEST(Escrow, PackageBytesPinned) {
+  const auto package = escrow_key_schedule(sample_schedule(), secret(), 7);
+  EXPECT_EQ(crypto::to_hex(crypto::sha256(package.ciphertext)),
+            "1ad9a231a2db6130222d1eaaef3bb658ce167d0518d7cdc0d3f6a47a970c00d2");
+  EXPECT_EQ(crypto::to_hex(package.mac),
+            "7cb9ed9b4f1b2b1a79a58fb571fb80b5433f34e0c2e55c0e089b077ce0d20fac");
 }
 
 TEST(Escrow, TrailingBytesRejected) {

@@ -23,31 +23,6 @@ TEST(Aes128, Fips197Vector) {
   EXPECT_EQ(block, expected);
 }
 
-TEST(Aes128, DecryptInvertsEncrypt) {
-  std::array<std::uint8_t, 16> key = {1, 2, 3, 4, 5, 6, 7, 8,
-                                      9, 10, 11, 12, 13, 14, 15, 16};
-  Aes128 cipher(key);
-  std::array<std::uint8_t, 16> block = {0xde, 0xad, 0xbe, 0xef, 0, 1, 2, 3,
-                                        4,    5,    6,    7,    8, 9, 10, 11};
-  const auto original = block;
-  cipher.encrypt_block(block);
-  EXPECT_NE(block, original);
-  cipher.decrypt_block(block);
-  EXPECT_EQ(block, original);
-}
-
-TEST(Aes128, DecryptFips197Vector) {
-  std::array<std::uint8_t, 16> key;
-  for (int i = 0; i < 16; ++i) key[i] = static_cast<std::uint8_t>(i);
-  std::array<std::uint8_t, 16> block = {
-      0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
-      0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a};
-  Aes128 cipher(key);
-  cipher.decrypt_block(block);
-  for (int i = 0; i < 16; ++i)
-    EXPECT_EQ(block[i], static_cast<std::uint8_t>(i * 0x11));
-}
-
 TEST(Aes128Ctr, RoundTrip) {
   std::array<std::uint8_t, 16> key{};
   key[0] = 0x42;

@@ -36,6 +36,16 @@ TEST(Hmac, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+// RFC 4231 test case 4: 25-byte counting key, 50x 0xcd data.
+TEST(Hmac, Rfc4231Case4) {
+  std::vector<std::uint8_t> key(25);
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(i + 1);
+  const std::vector<std::uint8_t> data(50, 0xcd);
+  EXPECT_EQ(to_hex(hmac_sha256(key, data)),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
 // RFC 4231 test case 6: 131-byte key (longer than block -> hashed).
 TEST(Hmac, Rfc4231Case6LongKey) {
   const std::vector<std::uint8_t> key(131, 0xaa);
@@ -43,6 +53,17 @@ TEST(Hmac, Rfc4231Case6LongKey) {
       key, as_bytes("Test Using Larger Than Block-Size Key - Hash Key First"));
   EXPECT_EQ(to_hex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// RFC 4231 test case 7: 131-byte key and a message longer than a block.
+TEST(Hmac, Rfc4231Case7LongKeyLongData) {
+  const std::vector<std::uint8_t> key(131, 0xaa);
+  const auto mac = hmac_sha256(
+      key, as_bytes("This is a test using a larger than block-size key and a "
+                    "larger than block-size data. The key needs to be hashed "
+                    "before being used by the HMAC algorithm."));
+  EXPECT_EQ(to_hex(mac),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 // Empty key, empty data — the well-known HMAC-SHA256 vector. The cloud

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "compress/codec.h"
@@ -170,6 +171,46 @@ int main(int argc, char** argv) {
   write(root / "peak_report", "two_channels.bin", report.serialize());
   write(root / "peak_report", "empty.bin",
         medsen::core::PeakReport{}.serialize());
+
+  // --- crypto ---------------------------------------------------------
+  // Layout (fuzz_crypto.cpp): key length, split byte, key, message. The
+  // first 16 bytes also key the AES check.
+  {
+    const auto hmac_seed = [](const std::vector<std::uint8_t>& hmac_key,
+                              const std::vector<std::uint8_t>& message) {
+      std::vector<std::uint8_t> seed = {
+          static_cast<std::uint8_t>(hmac_key.size()), 0x80};
+      seed.insert(seed.end(), hmac_key.begin(), hmac_key.end());
+      seed.insert(seed.end(), message.begin(), message.end());
+      return seed;
+    };
+    // FIPS-197 C.1: key 00..0f, then the plaintext 00 11 .. ff.
+    std::vector<std::uint8_t> fips197;
+    for (int i = 0; i < 16; ++i)
+      fips197.push_back(static_cast<std::uint8_t>(i));
+    for (int i = 0; i < 16; ++i)
+      fips197.push_back(static_cast<std::uint8_t>(i * 0x11));
+    write(root / "crypto", "fips197_c1.bin", fips197);
+    write(root / "crypto", "fips180_abc.bin", ascii("abc"));
+    write(root / "crypto", "fips180_two_block.bin",
+          ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
+    write(root / "crypto", "rfc4231_case1.bin",
+          hmac_seed(std::vector<std::uint8_t>(20, 0x0b), ascii("Hi There")));
+    write(root / "crypto", "rfc4231_case2.bin",
+          hmac_seed(ascii("Jefe"), ascii("what do ya want for nothing?")));
+    write(root / "crypto", "rfc4231_case6.bin",
+          hmac_seed(std::vector<std::uint8_t>(131, 0xaa),
+                    ascii("Test Using Larger Than Block-Size Key - Hash Key "
+                          "First")));
+    // SHA-256 padding boundaries: 55 and 56 bytes straddle the length
+    // field, 63/64/65 the block edge.
+    for (const std::size_t len : {55u, 56u, 63u, 64u, 65u}) {
+      std::vector<std::uint8_t> message(len);
+      for (std::size_t i = 0; i < len; ++i)
+        message[i] = static_cast<std::uint8_t>(i * 37 + 11);
+      write(root / "crypto", "len" + std::to_string(len) + ".bin", message);
+    }
+  }
 
   std::cout << "corpora written under " << root << "\n";
   return 0;
