@@ -13,7 +13,9 @@
 //      single in-flight operation the crash interrupted.
 //   3. No duplicated auth decision: handshake nonces (RndB) stay
 //      globally unique across every restart — a rewound ordinal would
-//      let an observer replay a recorded handshake.
+//      let an observer replay a recorded handshake. Every boot issues
+//      two handshakes, more than the LSN advances between two boots, so
+//      an ordinal counter seeded from the LSN is caught too.
 //   4. Counters monotonic across restart: the journal LSN never rewinds
 //      past an acknowledged write.
 //   5. No plaintext secret bytes on disk: device keys and the master
@@ -148,7 +150,7 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
 }
 
 const char* kStateFiles[] = {"/journal.wal", "/records.snap", "/enroll.snap",
-                             "/registry.snap", "/sessions.snap"};
+                             "/registry.snap"};
 
 void remove_state(const std::string& dir) {
   for (const char* file : kStateFiles) {
@@ -351,7 +353,7 @@ std::size_t check_seal_nonces(const std::string& dir, Ledger& led,
 /// Run the device side of one handshake and return the server's RndB,
 /// or nullopt when the server (correctly) refuses. The device-side RndA
 /// is the SAME every time (fixed crypto seed), so RndB freshness rests
-/// entirely on the durability of the server's handshake ordinal.
+/// entirely on the server's handshake ordinal never repeating.
 std::optional<std::array<std::uint8_t, 16>> handshake_rnd_b(
     Rig& rig, Ledger& led) {
   core::SessionCrypto crypto(
@@ -381,9 +383,10 @@ bool note_rnd_b(Ledger& led, const std::array<std::uint8_t, 16>& rnd_b,
 }
 
 /// The scripted workload: every durable operation the server supports,
-/// sequenced so compaction (auto at 5 appends, plus one explicit call)
-/// lands in the middle of live traffic. Throws SimulatedCrash when a
-/// site is armed; the ledger then holds exactly what was acked.
+/// plus handshakes (which append nothing), sequenced so compaction (auto
+/// at 5 appends, plus one explicit call) lands in the middle of live
+/// traffic. Throws SimulatedCrash when a site is armed; the ledger then
+/// holds exactly what was acked.
 void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
   const auto code1 = code_of({2, 1});
   const auto code2 = code_of({1, 2});
@@ -413,11 +416,9 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
     ack_lsn();
   };
   const auto handshake = [&] {
-    // The ordinal may burn even when the crash eats the response; only
-    // a *returned* RndB joins the uniqueness set.
+    // Only a *returned* RndB joins the uniqueness set.
     const auto rnd_b = handshake_rnd_b(rig, led);
     if (rnd_b) note_rnd_b(led, *rnd_b, inv, "workload");
-    ack_lsn();
   };
 
   enroll_device(kDeviceA);
@@ -427,8 +428,8 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
   ack_lsn();
   enroll_device(kEnrolled);
   enroll_user("alice", code1);
-  handshake();  // 5th append: auto-compaction fires here
-  store(code1, 11, 0x11);
+  handshake();
+  store(code1, 11, 0x11);  // 5th append: auto-compaction fires here
   enroll_device(kDeviceB);
   handshake();
   store(code1, 12, 0x12);
@@ -441,7 +442,8 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
   enroll_user("bob", code2);
   store(code2, 21, 0x21);
   handshake();
-  store(code1, 13, 0x13);  // 5 appends since compact: auto-compacts again
+  store(code1, 13, 0x13);
+  store(code2, 22, 0x22);  // 5 appends since compact: auto-compacts again
 }
 
 /// Check every invariant against a freshly recovered rig.
@@ -544,17 +546,23 @@ std::size_t verify(Rig& rig, Ledger& led, const std::string& dir,
     ++inv.counter_rewinds;
   }
 
-  // 3: a fresh handshake against the recovered server must issue an
-  // RndB this lineage has never seen, even though the device replays
-  // the exact same RndA.
+  // 3: two fresh handshakes against the recovered server must each
+  // issue an RndB this lineage has never seen, even though the device
+  // replays the exact same RndA. Two, because a counter seeded from
+  // something a boot advances by less than it hands out (the LSN, which
+  // the one liveness write between boots moves by 1) starts the next
+  // boot inside the range this boot used; with one handshake per boot
+  // the two ranges would just miss each other.
   if (rig.server->devices().has_epoch(kEpoch) &&
       rig.server->devices().lookup_epoch(kEnrolled, kEpoch).has_value()) {
-    const auto rnd_b = handshake_rnd_b(rig, led);
-    if (!rnd_b) {
-      fail("post-recovery handshake refused", "device 7");
-      ++inv.recovery_errors;
-    } else if (!note_rnd_b(led, *rnd_b, inv, label)) {
-      ++failures;
+    for (int i = 0; i < 2; ++i) {
+      const auto rnd_b = handshake_rnd_b(rig, led);
+      if (!rnd_b) {
+        fail("post-recovery handshake refused", "device 7");
+        ++inv.recovery_errors;
+      } else if (!note_rnd_b(led, *rnd_b, inv, label)) {
+        ++failures;
+      }
     }
   }
 

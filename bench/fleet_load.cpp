@@ -536,6 +536,9 @@ struct SessionPhaseResult {
   std::uint64_t rehandshakes = 0;
   std::uint64_t auth_required_errors = 0;
   std::uint64_t stale_attacks = 0;
+  /// Stale-counter attacks answered with anything but kStaleCounter,
+  /// kSessionConflict or kAuthRequired (must stay 0).
+  std::uint64_t stale_attacks_accepted = 0;
   std::uint64_t counter_rejections = 0;  ///< server-side, from stats()
 };
 
@@ -613,7 +616,7 @@ SessionPhaseResult run_session_phases(
   // single-threaded state); the master rotation between rounds is the
   // fleet-wide synchronization point.
   std::atomic<std::uint64_t> ok{0}, rehandshakes{0}, auth_required{0},
-      stale{0};
+      stale{0}, stale_accepted{0};
   const std::size_t rounds = options.rekey_rounds;
   const std::size_t per_round =
       std::max<std::size_t>(1, options.session_commands / (rounds + 1));
@@ -647,7 +650,17 @@ SessionPhaseResult run_session_phases(
                 /*counter=*/1);
             const auto response = server.handle(attack);
             stale.fetch_add(1);
-            (void)response;
+            // The window refuses it, or the cache still holds the
+            // counter's exchange, or a rotation dropped the session.
+            bool refused = false;
+            if (response.type == net::MessageType::kError) {
+              const auto code =
+                  net::ErrorPayload::deserialize(response.payload).code;
+              refused = code == net::ErrorCode::kStaleCounter ||
+                        code == net::ErrorCode::kSessionConflict ||
+                        code == net::ErrorCode::kAuthRequired;
+            }
+            if (!refused) stale_accepted.fetch_add(1);
             continue;
           }
           auto request = net::make_envelope(
@@ -685,6 +698,7 @@ SessionPhaseResult run_session_phases(
   result.rehandshakes = rehandshakes.load();
   result.auth_required_errors = auth_required.load();
   result.stale_attacks = stale.load();
+  result.stale_attacks_accepted = stale_accepted.load();
   result.commands_per_sec =
       static_cast<double>(result.commands_ok) / result.rekey_elapsed_s;
   result.counter_rejections = server.stats().counter_rejections;
@@ -859,15 +873,18 @@ int main(int argc, char** argv) {
 
   // Phases 4+5: the session plane — handshake storm, then a rekey storm
   // with master rotations and deliberate stale-counter replays.
+  std::uint64_t session_accepted = 0;
   if (options.session) {
     const auto session =
         run_session_phases(options, workers, upload_payload);
+    session_accepted = session.stale_attacks_accepted;
     std::printf(
         "session: %zu devices, %zu commands, %zu rekey rounds\n"
         "  handshakes   %llu in %.2fs (%.0f/s)\n"
         "  commands ok  %llu (%.0f/s), rehandshakes %llu, "
         "auth-required %llu\n"
-        "  stale attacks sent %llu, counter rejections %llu\n",
+        "  stale attacks sent %llu (accepted %llu), counter rejections "
+        "%llu\n",
         options.session_devices, options.session_commands,
         options.rekey_rounds,
         static_cast<unsigned long long>(session.handshakes),
@@ -877,6 +894,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(session.rehandshakes),
         static_cast<unsigned long long>(session.auth_required_errors),
         static_cast<unsigned long long>(session.stale_attacks),
+        static_cast<unsigned long long>(session.stale_attacks_accepted),
         static_cast<unsigned long long>(session.counter_rejections));
     json.set_count("session.devices", options.session_devices);
     json.set_count("session.rekey_rounds", options.rekey_rounds);
@@ -887,10 +905,19 @@ int main(int argc, char** argv) {
     json.set_count("session.rehandshakes", session.rehandshakes);
     json.set_count("session.auth_required", session.auth_required_errors);
     json.set_count("session.stale_attacks", session.stale_attacks);
+    json.set_count("session.stale_attacks_accepted",
+                   session.stale_attacks_accepted);
     json.set_count("session.counter_rejections",
                    session.counter_rejections);
   }
 
   json.write(options.out);
+  // Like the legacy-plane check above, but after the artifact is
+  // written so the floor check sees the count too.
+  if (session_accepted != 0) {
+    std::fprintf(stderr, "FAIL: %llu stale-counter attacks were accepted\n",
+                 static_cast<unsigned long long>(session_accepted));
+    return 1;
+  }
   return 0;
 }

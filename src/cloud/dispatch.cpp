@@ -241,26 +241,4 @@ ServiceResult ServiceResult::failure(
   return result;
 }
 
-void Dispatcher::add(net::MessageType type, Handler handler) {
-  handlers_[static_cast<std::uint8_t>(type)] = std::move(handler);
-}
-
-const Dispatcher::Handler* Dispatcher::find(net::MessageType type) const {
-  const auto it = handlers_.find(static_cast<std::uint8_t>(type));
-  return it == handlers_.end() ? nullptr : &it->second;
-}
-
-std::vector<net::MessageType> Dispatcher::registered() const {
-  std::vector<net::MessageType> types;
-  types.reserve(handlers_.size());
-  for (const auto& [key, handler] : handlers_)
-    types.push_back(static_cast<net::MessageType>(key));
-  std::sort(types.begin(), types.end(),
-            [](net::MessageType a, net::MessageType b) {
-              return static_cast<std::uint8_t>(a) <
-                     static_cast<std::uint8_t>(b);
-            });
-  return types;
-}
-
 }  // namespace medsen::cloud

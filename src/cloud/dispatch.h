@@ -14,18 +14,12 @@
 //    aggregated on read — the hot path never takes a stats lock, and a
 //    stats() snapshot is eventually consistent (it may miss an update
 //    racing the read, never report a torn one).
-//  - RequestContext: per-request scratch (identity, quality report,
-//    timing) so nothing request-scoped ever lives in a server-wide
-//    member — the fix for the old racy `last_quality_`.
 //  - ServiceResult: a handler's outcome as data. Failures are values
 //    that become kError envelopes at the boundary; exceptions are
 //    reserved for programmer errors.
-//  - Dispatcher: MessageType -> handler registry behind the single
-//    CloudServer::handle() entrypoint.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/quality.h"
 #include "net/messages.h"
 #include "util/secret_bytes.h"
 #include "util/sharded.h"
@@ -175,7 +168,10 @@ class AdmissionGate {
 
  private:
   std::size_t limit_;
-  std::atomic<std::size_t> in_flight_{0};
+  /// Every request writes this twice, from every client thread: its own
+  /// cache line keeps the read-mostly server fields laid out next to the
+  /// gate from being invalidated along with it.
+  alignas(64) std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> shed_{0};
 };
 
@@ -230,17 +226,6 @@ class ServiceCounters {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// Per-request state threaded through a handler: who is asking, what the
-/// quality gate concluded, and how long the handler ran. Owned by the
-/// dispatching thread — never shared, never a server member.
-struct RequestContext {
-  std::uint64_t device_id = 0;
-  std::uint64_t session_id = 0;
-  util::SecretBytes mac_key;       ///< resolved from the registry
-  QualityReport quality;           ///< filled by the upload handler
-  double processing_time_s = 0.0;  ///< filled by the dispatcher
-};
-
 /// A handler's outcome. Success carries the response payload; failure
 /// carries the structured error that becomes a kError envelope.
 struct ServiceResult {
@@ -259,22 +244,6 @@ struct ServiceResult {
   static ServiceResult failure(net::ErrorCode code, std::string detail,
                                std::uint8_t subcode = 0,
                                std::vector<std::uint8_t> channel_reasons = {});
-};
-
-/// MessageType -> handler registry. Handlers run after admission, device
-/// resolution and MAC verification, so they only see authenticated
-/// requests from known devices.
-class Dispatcher {
- public:
-  using Handler =
-      std::function<ServiceResult(const net::Envelope&, RequestContext&)>;
-
-  void add(net::MessageType type, Handler handler);
-  [[nodiscard]] const Handler* find(net::MessageType type) const;
-  [[nodiscard]] std::vector<net::MessageType> registered() const;
-
- private:
-  std::unordered_map<std::uint8_t, Handler> handlers_;
 };
 
 }  // namespace medsen::cloud

@@ -23,7 +23,6 @@ namespace {
 constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
 constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
 constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
-constexpr std::uint32_t kSnapSessionMagic = 0x4D445353;   // "MDSS"
 constexpr std::uint32_t kSealEpochMagic = 0x4D444550;     // "MDEP"
 
 DurabilityConfig require_storage_key(DurabilityConfig config) {
@@ -50,36 +49,6 @@ auto replay_guard(const char* what, Fn&& fn) {
   }
 }
 
-/// Handshake-ordinal snapshot body: u32 count | (u64 device, u64 seq)*.
-/// Without this, compaction would truncate the kHandshake journal
-/// records and a later restart could rewind a device's RndB ordinal.
-std::vector<std::uint8_t> encode_sessions_body(const SessionAuthTable& table) {
-  const auto seqs = table.handshake_seqs();
-  util::ByteWriter body;
-  body.u32(static_cast<std::uint32_t>(seqs.size()));
-  for (const auto& [device, seq] : seqs) {
-    body.u64(device);
-    body.u64(seq);
-  }
-  return body.take();
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> decode_sessions_body(
-    std::span<const std::uint8_t> body) {
-  return replay_guard("decode_sessions_body", [&] {
-    util::ByteReader in(body);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> seqs;
-    const std::uint32_t count = in.count_u32(8 + 8);
-    seqs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t device = in.u64();
-      seqs.emplace_back(device, in.u64());
-    }
-    in.expect_done("decode_sessions_body");
-    return seqs;
-  });
-}
-
 }  // namespace
 
 DurableState::DurableState(DurabilityConfig config)
@@ -93,7 +62,7 @@ DurableState::DurableState(DurabilityConfig config)
   bool removed_tmp = false;
   for (const auto& path :
        {records_snapshot_path(), enroll_snapshot_path(),
-        registry_snapshot_path(), sessions_snapshot_path()})
+        registry_snapshot_path()})
     removed_tmp |= util::remove_file(path + ".tmp");
   if (removed_tmp) util::sync_parent_dir(records_snapshot_path());
   auto normalized =
@@ -143,9 +112,6 @@ std::string DurableState::enroll_snapshot_path() const {
 }
 std::string DurableState::registry_snapshot_path() const {
   return config_.dir + "/registry.snap";
-}
-std::string DurableState::sessions_snapshot_path() const {
-  return config_.dir + "/sessions.snap";
 }
 std::string DurableState::seal_epoch_path() const {
   return config_.dir + "/seal.epoch";
@@ -263,22 +229,12 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
     });
     stats.snapshots_loaded = true;
   }
-  const auto [sessions_lsn, sessions_body] =
-      read_snapshot(sessions_snapshot_path(), kSnapSessionMagic);
-  if (sessions_lsn != 0 || !sessions_body.empty()) {
-    replay_guard("snapshot restore (sessions)", [&] {
-      for (const auto& [device, seq] : decode_sessions_body(sessions_body))
-        server.sessions().restore_handshake_seq(device, seq);
-    });
-    stats.snapshots_loaded = true;
-  }
 
   // The snapshots are the only carrier of the LSN sequence across a
   // crash that lands between compaction's truncate and the next append:
   // push their high-water mark back into the journal before anything new
   // is appended, or fresh records would reuse gated-out LSNs.
-  journal_.raise_lsn_floor(std::max({records_lsn, enroll_lsn, registry_lsn,
-                                     sessions_lsn}));
+  journal_.raise_lsn_floor(std::max({records_lsn, enroll_lsn, registry_lsn}));
 
   // Journal replay, LSN-gated per store.
   for (const auto& record : journal_.take_recovered()) {
@@ -339,15 +295,14 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           ++stats.registry_events;
           break;
         }
-        case JournalRecordType::kHandshake: {
-          const std::uint64_t device = in.u64();
-          const std::uint64_t seq = in.u64();
-          in.expect_done("replay kHandshake");
-          if (record.lsn <= sessions_lsn) return;
-          server.sessions().restore_handshake_seq(device, seq);
-          ++stats.handshake_marks;
-          break;
-        }
+        case JournalRecordType::kRetiredHandshake:
+          // An older build's per-device ordinal (u64 device, u64
+          // ordinal), checked for that shape and skipped: every ordinal
+          // this build issues is at least 2^32, above all of them.
+          in.u64();
+          in.u64();
+          in.expect_done("replay retired type 8");
+          return;
         default:
           throw PersistenceError(
               "journal: unknown record type " +
@@ -442,13 +397,6 @@ void DurableState::log_epoch_retired(std::uint32_t epoch,
   append_and_apply(JournalRecordType::kEpochRetired, payload.take(), apply);
 }
 
-void DurableState::log_handshake(std::uint64_t device_id, std::uint64_t seq) {
-  util::ByteWriter payload;
-  payload.u64(device_id);
-  payload.u64(seq);
-  append_and_apply(JournalRecordType::kHandshake, payload.take(), [] {});
-}
-
 void DurableState::compact(CloudServer& server) {
   gate_.with(0, [&](Gate&) {
     if (journal_.appended_since_compaction() == 0) return;
@@ -461,8 +409,6 @@ void DurableState::compact(CloudServer& server) {
                    encode_enrollments_body(server.enrollments()));
     write_snapshot(registry_snapshot_path(), kSnapRegistryMagic, lsn,
                    encode_registry_body(server.devices()));
-    write_snapshot(sessions_snapshot_path(), kSnapSessionMagic, lsn,
-                   encode_sessions_body(server.sessions()));
     util::crash_point("durability.compact.snapshots_written");
     journal_.truncate_all();
     util::crash_point("durability.compact.done");

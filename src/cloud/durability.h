@@ -1,8 +1,7 @@
 #pragma once
 // cloud::DurableState — the crash-consistency layer for one CloudServer.
-// It owns a write-ahead journal plus four LSN-stamped compaction
-// snapshots (records, enrollments, registry, handshake ordinals), and
-// enforces the
+// It owns a write-ahead journal plus three LSN-stamped compaction
+// snapshots (records, enrollments, registry), and enforces the
 // ack ⇒ durable contract: every server-side mutation is appended (and
 // fsync'd) to the journal *and applied to memory under the same lock*
 // before the caller may acknowledge it, so a compaction snapshot can
@@ -28,11 +27,11 @@
 // plaintexts). Stale .snap.tmp files are also unlinked at open so the
 // stranded ciphertext itself cannot linger.
 //
-// Handshake ordinals are journaled too (kHandshake): the server's
-// deterministic RndB derivation must never rewind across a crash, or a
-// restarted server would re-issue an old nonce and an observer could
-// replay a recorded handshake — the "no duplicated auth decision"
-// invariant.
+// The boot epoch also partitions the server's handshake ordinals
+// (boot_epoch()): RndB is derived deterministically, so its freshness
+// across restarts rests on the same durable bump as the sealing nonces,
+// and a handshake writes nothing here — the "no duplicated auth
+// decision" invariant at no I/O.
 
 #include <atomic>
 #include <cstdint>
@@ -54,7 +53,7 @@ class CloudServer;
 
 struct DurabilityConfig {
   /// State directory (created if missing). Holds journal.wal,
-  /// records.snap, enroll.snap, registry.snap, sessions.snap.
+  /// records.snap, enroll.snap, registry.snap and seal.epoch.
   std::string dir;
   /// fsync each journal append (the ack ⇒ durable contract); off only
   /// for benches measuring the in-memory path.
@@ -76,7 +75,6 @@ struct RecoveryStats {
   std::uint64_t stored_records = 0;
   std::uint64_t registry_events = 0;
   std::uint64_t user_enrollments = 0;
-  std::uint64_t handshake_marks = 0;
   std::uint64_t last_lsn = 0;
   bool tail_truncated = false;
   double replay_ms = 0.0;
@@ -116,8 +114,6 @@ class DurableState {
                           const std::function<void()>& apply);
   void log_epoch_retired(std::uint32_t epoch,
                          const std::function<void()>& apply);
-  /// Handshake ordinal burned (already bumped in memory by the caller).
-  void log_handshake(std::uint64_t device_id, std::uint64_t seq);
 
   /// Snapshot all stores (stamped with the journal's current LSN)
   /// and truncate the journal. Blocks concurrent log_* calls for the
@@ -127,6 +123,9 @@ class DurableState {
   void maybe_compact(CloudServer& server);
 
   [[nodiscard]] std::uint64_t last_lsn() const { return journal_.last_lsn(); }
+  /// This boot's epoch, durably bumped in seal.epoch at construction
+  /// before anything is sealed: no earlier process lifetime used it.
+  [[nodiscard]] std::uint64_t boot_epoch() const { return seal_epoch_; }
   [[nodiscard]] const RecoveryStats& last_recovery() const {
     return recovery_;
   }
@@ -134,9 +133,6 @@ class DurableState {
   [[nodiscard]] std::string records_snapshot_path() const;
   [[nodiscard]] std::string enroll_snapshot_path() const;
   [[nodiscard]] std::string registry_snapshot_path() const;
-  /// Handshake-ordinal snapshot — without it, compaction would truncate
-  /// kHandshake records and a restart could rewind RndB freshness.
-  [[nodiscard]] std::string sessions_snapshot_path() const;
   /// The persisted sealing-nonce boot epoch.
   [[nodiscard]] std::string seal_epoch_path() const;
 

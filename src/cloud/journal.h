@@ -1,11 +1,10 @@
 #pragma once
 // cloud::Journal — the checksummed, length-prefixed write-ahead log
 // behind the cloud's ack ⇒ durable contract. Every state mutation the
-// server acknowledges (stored record, enrollment, registry event,
-// handshake ordinal) is appended — and fsync'd — here *before* the
-// acknowledgement leaves the building; recovery replays the journal over
-// the last snapshots. See DESIGN.md "Durability model" and PROTOCOL.md
-// for the wire format.
+// server acknowledges (stored record, enrollment, registry event) is
+// appended — and fsync'd — here *before* the acknowledgement leaves the
+// building; recovery replays the journal over the last snapshots. See
+// DESIGN.md "Durability model" and PROTOCOL.md for the wire format.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -36,9 +35,12 @@
 namespace medsen::cloud {
 
 /// What a journal record describes. Values are the wire encoding —
-/// append-only, never renumber. 3 is retired (it carried an explicit
-/// per-device key) and never reused: recovery refuses it like any
-/// unknown type.
+/// append-only, never renumber. Two values are retired and never
+/// reused. 3 carried an explicit per-device key: recovery refuses it
+/// like any unknown type. 8 carried a per-device handshake ordinal:
+/// older builds left it in journal tails, and recovery checks its shape
+/// and skips it, since every ordinal this build hands out lies above
+/// any it recorded.
 enum class JournalRecordType : std::uint8_t {
   kRecordStored = 1,      ///< record store append
   kUserEnrolled = 2,      ///< enrollment database append
@@ -46,7 +48,7 @@ enum class JournalRecordType : std::uint8_t {
   kDeviceRevoked = 5,     ///< device revoked
   kMasterRotated = 6,     ///< master-key epoch installed
   kEpochRetired = 7,      ///< master-key epoch dropped
-  kHandshake = 8,         ///< handshake ordinal burned (nonce freshness)
+  kRetiredHandshake = 8,  ///< retired: skipped on replay, never appended
 };
 
 struct JournalRecord {

@@ -29,23 +29,14 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
       sessions_(service.shards),
       counters_(service.shards),
       challenge_seed_(service.challenge_seed),
-      allow_legacy_plane_(service.allow_legacy_plane) {
-  dispatch_.add(net::MessageType::kSignalUpload,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_upload(request, context);
-                });
-  dispatch_.add(net::MessageType::kAuthPass,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_auth_pass(request, context);
-                });
-  dispatch_.add(net::MessageType::kAuthChallenge,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_handshake(request, context);
-                });
-}
+      allow_legacy_plane_(service.allow_legacy_plane) {}
 
 RecoveryStats CloudServer::attach_durability(DurableState& durable) {
   const RecoveryStats stats = durable.recover_into(*this);
+  // No earlier boot used this epoch, so no earlier RndB used these
+  // ordinals.
+  ordinal_epoch_ = durable.boot_epoch();
+  next_ordinal_.store((ordinal_epoch_ << 32) | 1, std::memory_order_relaxed);
   durable_ = &durable;  // mutations journal from here on
   return stats;
 }
@@ -317,29 +308,32 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
     }
   }
 
-  // 5. Dispatch through the handler registry. Handlers report failures
-  // as ServiceResult values; decoder throws on MAC-valid garbage are
+  // 5. Route on the message type. Handlers report failures as
+  // ServiceResult values; decoder throws on MAC-valid garbage are
   // converted to kMalformed at this boundary.
-  RequestContext context;
-  context.device_id = request.device_id;
-  context.session_id = request.session_id;
-  context.mac_key = *mac_key;
-
   ServiceResult result;
   const auto started = std::chrono::steady_clock::now();
-  if (const auto* handler = dispatch_.find(request.type)) {
-    try {
-      result = (*handler)(request, context);
-    } catch (const std::exception& e) {
-      result = ServiceResult::failure(net::ErrorCode::kMalformed, e.what());
+  try {
+    switch (request.type) {
+      case net::MessageType::kSignalUpload:
+        result = serve_upload(request);
+        break;
+      case net::MessageType::kAuthPass:
+        result = serve_auth_pass(request);
+        break;
+      case net::MessageType::kAuthChallenge:
+        result = serve_handshake(request, *mac_key);
+        break;
+      default:
+        result = ServiceResult::failure(
+            net::ErrorCode::kMalformed,
+            "no handler for message type " +
+                std::to_string(static_cast<unsigned>(request.type)));
     }
-  } else {
-    result = ServiceResult::failure(
-        net::ErrorCode::kMalformed,
-        "no handler for message type " +
-            std::to_string(static_cast<unsigned>(request.type)));
+  } catch (const std::exception& e) {
+    result = ServiceResult::failure(net::ErrorCode::kMalformed, e.what());
   }
-  context.processing_time_s =
+  const double processing_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
           .count();
@@ -359,22 +353,21 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
   // retransmission of this one finds the cached response above.
   if (resolved.session_plane)
     sessions_.commit(request.device_id, request.session_id, request.counter);
-  counters_.count_processed(request.device_id, context.processing_time_s);
+  counters_.count_processed(request.device_id, processing_time_s);
   return response;
 }
 
-ServiceResult CloudServer::serve_upload(const net::Envelope& request,
-                                        RequestContext& context) {
+ServiceResult CloudServer::serve_upload(const net::Envelope& request) {
   const auto payload = net::SignalUploadPayload::deserialize(request.payload);
   const auto series = decode_series(payload);
   if (quality_gate_) {
-    context.quality = assess_quality(series);
-    if (!context.quality.acceptable) {
+    const QualityReport quality = assess_quality(series);
+    if (!quality.acceptable) {
       return ServiceResult::failure(
           net::ErrorCode::kQualityRejected,
-          "acquisition rejected (" + context.quality.reason + ")",
-          static_cast<std::uint8_t>(context.quality.reason_code),
-          context.quality.channel_failure_bytes());
+          "acquisition rejected (" + quality.reason + ")",
+          static_cast<std::uint8_t>(quality.reason_code),
+          quality.channel_failure_bytes());
     }
   }
   const core::PeakReport report = analysis_.analyze(series);
@@ -382,9 +375,7 @@ ServiceResult CloudServer::serve_upload(const net::Envelope& request,
                                 report.serialize());
 }
 
-ServiceResult CloudServer::serve_auth_pass(const net::Envelope& request,
-                                           RequestContext& context) {
-  (void)context;
+ServiceResult CloudServer::serve_auth_pass(const net::Envelope& request) {
   const auto pass = net::AuthPassPayload::deserialize(request.payload);
   const auto series = decode_series(pass.upload);
   const core::PeakReport report = analysis_.analyze(series);
@@ -425,7 +416,7 @@ ServiceResult CloudServer::serve_auth_pass(const net::Envelope& request,
 }
 
 ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
-                                           RequestContext& context) {
+                                           const util::SecretBytes& mac_key) {
   if (request.counter != 0) {
     return ServiceResult::failure(net::ErrorCode::kMalformed,
                                   "handshake envelopes must use counter 0");
@@ -434,20 +425,23 @@ ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
       net::AuthChallengePayload::deserialize(request.payload);
 
   // RndB: KDF'd from the device key so it is unpredictable to anyone
-  // off the key, salted with a per-device handshake ordinal so repeated
-  // handshakes never reuse a nonce, and free of OS entropy so the whole
-  // exchange replays bit-identically in tests.
-  const std::uint64_t seq = sessions_.next_handshake_seq(request.device_id);
-  // Journal the burned ordinal before RndB is derived or leaves the
-  // building: a crash after the fsync but before the response means the
-  // ordinal is consumed on replay and the nonce is never re-issued.
-  if (durable_) durable_->log_handshake(request.device_id, seq);
+  // off the key, salted with a server-wide ordinal that no handshake of
+  // this boot or any other reuses, and free of OS entropy so the whole
+  // exchange replays bit-identically in tests. Like seal_payload, fail
+  // closed rather than leave this boot's range.
+  const std::uint64_t ordinal =
+      next_ordinal_.fetch_add(1, std::memory_order_relaxed);
+  if ((ordinal >> 32) != ordinal_epoch_) {
+    return ServiceResult::failure(
+        net::ErrorCode::kOverloaded,
+        "handshake ordinals exhausted for this boot; restart the server");
+  }
   util::ByteWriter nonce_context;
   nonce_context.u64(challenge_seed_);
   nonce_context.u64(request.device_id);
-  nonce_context.u64(seq);
+  nonce_context.u64(ordinal);
   nonce_context.bytes(challenge.challenge);
-  auto normalized = crypto::normalize_cmac_key(context.mac_key);  // medsen: secret
+  auto normalized = crypto::normalize_cmac_key(mac_key);  // medsen: secret
   const auto rnd_b_bytes = crypto::kdf_cmac(
       normalized, "medsen-chal",
       nonce_context.data(), net::AuthResponsePayload::kNonceSize);
@@ -456,12 +450,12 @@ ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
   net::AuthResponsePayload response;
   std::copy(rnd_b_bytes.begin(), rnd_b_bytes.end(),
             response.challenge.begin());
-  response.proof = crypto::session_proof(context.mac_key, challenge.challenge,
+  response.proof = crypto::session_proof(mac_key, challenge.challenge,
                                          response.challenge);
 
   sessions_.establish(
       request.device_id, request.session_id,
-      crypto::derive_session_mac_key(context.mac_key, challenge.challenge,
+      crypto::derive_session_mac_key(mac_key, challenge.challenge,
                                      response.challenge));
   counters_.count_handshake(request.device_id);
   return ServiceResult::success(net::MessageType::kAuthResponse,

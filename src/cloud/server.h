@@ -3,7 +3,7 @@
 // MedSen dongles: `handle()` is the single request/response entrypoint —
 // it admits (or sheds) the request, resolves the sender's MAC key from
 // the device registry, verifies the envelope, consults the idempotent
-// session cache, and routes through the handler registry. Every failure
+// session cache, and routes on the message type. Every failure
 // travels back as a kError envelope with a structured ErrorPayload;
 // exceptions never cross the service boundary. Curious-but-honest: the
 // server follows the protocol faithfully but sees only ciphertext
@@ -15,6 +15,7 @@
 // request never takes a process-wide lock and never touches a shard
 // another device's request is using.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -51,10 +52,11 @@ struct ServiceConfig {
   std::size_t session_cache_capacity = 1u << 16;
   /// Seed for the server's deterministic handshake-nonce (RndB)
   /// derivation. The nonce is KDF'd from the *device key* with this
-  /// seed, the device id, a per-device handshake ordinal and the
-  /// device's RndA in the context, so it is unpredictable to anyone
-  /// without the key yet fully reproducible in tests (no OS entropy —
-  /// the determinism lint applies to the cloud too).
+  /// seed, the device id, the server-wide handshake ordinal
+  /// (boot_epoch << 32 | n, see attach_durability) and the device's RndA
+  /// in the context, so it is unpredictable to anyone without the key
+  /// yet fully reproducible in tests (no OS entropy — the determinism
+  /// lint applies to the cloud too).
   std::uint64_t challenge_seed = 0x9e3779b97f4a7c15ull;
   /// When false, counter-0 command traffic on the legacy static-key
   /// plane is refused with kAuthRequired — only the handshake itself
@@ -87,9 +89,11 @@ class CloudServer {
   /// Attach a durability layer: first recovers the journal + snapshots
   /// under `durable` into this server's stores, then journals every
   /// subsequent mutation (enroll/revoke/rotate/retire, user
-  /// enrollment, stored record, handshake ordinal) before it is applied
-  /// — the ack ⇒ durable contract. Call once, on a freshly constructed
-  /// server, before serving traffic. Returns what recovery found.
+  /// enrollment, stored record) before it is applied — the
+  /// ack ⇒ durable contract. It also moves handshake ordinals into
+  /// this boot's range, `durable.boot_epoch() << 32 | n`; handshakes
+  /// journal nothing. Call once, on a freshly constructed server,
+  /// before serving traffic. Returns what recovery found.
   RecoveryStats attach_durability(DurableState& durable);
 
   /// The device registry: enroll each dongle before it may talk to
@@ -149,14 +153,12 @@ class CloudServer {
   [[nodiscard]] std::uint64_t replays_served() const;
 
  private:
-  /// Handlers (registered on MessageType in the constructor). They run
-  /// after admission + device resolution + MAC verification.
-  ServiceResult serve_upload(const net::Envelope& request,
-                             RequestContext& context);
-  ServiceResult serve_auth_pass(const net::Envelope& request,
-                                RequestContext& context);
+  /// Handlers, one per routable MessageType. They run after admission
+  /// + device resolution + MAC verification.
+  ServiceResult serve_upload(const net::Envelope& request);
+  ServiceResult serve_auth_pass(const net::Envelope& request);
   ServiceResult serve_handshake(const net::Envelope& request,
-                                RequestContext& context);
+                                const util::SecretBytes& mac_key);
 
   /// Resolve the key that must verify `request` (long-term, epoch
   /// derivation for handshakes, or the negotiated session key), or the
@@ -182,13 +184,17 @@ class CloudServer {
   RecordStore store_;
   DeviceRegistry devices_;
   AdmissionGate admission_;
-  Dispatcher dispatch_;
   const bool quality_gate_;
   SessionCache cache_;
   SessionAuthTable sessions_;
   ServiceCounters counters_;
   std::uint64_t challenge_seed_;
   bool allow_legacy_plane_;
+  /// Handshake ordinals: this boot's epoch (0 without durability) and
+  /// the next ordinal, boot_epoch << 32 | n. An ordinal outside the
+  /// epoch's range fails the handshake closed.
+  std::uint64_t ordinal_epoch_ = 0;
+  std::atomic<std::uint64_t> next_ordinal_{1};
   /// Optional WAL (attach_durability). Not owned; must outlive serving.
   DurableState* durable_ = nullptr;
 };

@@ -18,13 +18,13 @@
 //
 // One active session per device: a new handshake (re-key) atomically
 // replaces key, counter, and window, so envelopes from the superseded
-// session fail MAC verification from that point on. State is sharded by
-// device id (util::Sharded) like every other hot map in this layer.
+// session fail MAC verification from that point on. Sessions live only
+// in memory. State is sharded by device id (util::Sharded) like every
+// other hot map in this layer.
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "util/secret_bytes.h"
@@ -43,11 +43,10 @@ enum class CounterStatus : std::uint8_t {
 /// Per-device negotiated session state (one live session per device).
 struct DeviceSessionState {
   std::uint64_t session_id = 0;
-  util::SecretBytes mac_key;        ///< 32-byte derived MAC key (wiped on
-                                    ///< replace/drop by SecretBytes)
-  std::uint32_t highest = 0;        ///< largest committed counter
-  std::uint64_t window = 0;         ///< seen-bitmap below `highest`
-  std::uint64_t handshake_seq = 0;  ///< per-device handshake ordinal
+  util::SecretBytes mac_key;  ///< 32-byte derived MAC key (wiped on
+                              ///< replace/drop by SecretBytes)
+  std::uint32_t highest = 0;  ///< largest committed counter
+  std::uint64_t window = 0;   ///< seen-bitmap below `highest`
 };
 
 class SessionAuthTable {
@@ -83,23 +82,7 @@ class SessionAuthTable {
   void drop(std::uint64_t device_id);
 
   /// Tear down every session (master-key rotation re-keys the fleet).
-  /// Handshake ordinals survive, as with drop().
   void drop_all();
-
-  /// Next per-device handshake ordinal (feeds the server's
-  /// deterministic RndB derivation so repeated handshakes from one
-  /// device never reuse a nonce).
-  [[nodiscard]] std::uint64_t next_handshake_seq(std::uint64_t device_id);
-
-  /// Recovery: floor the device's handshake ordinal at `seq` (max with
-  /// the current value — replay may arrive in any snapshot/journal
-  /// interleaving, and the ordinal must never rewind).
-  void restore_handshake_seq(std::uint64_t device_id, std::uint64_t seq);
-
-  /// All non-zero handshake ordinals, sorted by device id (feeds the
-  /// durability layer's compaction snapshot).
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  handshake_seqs() const;
 
   /// Live session count across all shards (snapshot).
   [[nodiscard]] std::size_t active_sessions() const;

@@ -115,31 +115,5 @@ TEST(ServiceResult, SuccessAndFailureFactories) {
   EXPECT_EQ(bad.detail, "saturated");
 }
 
-TEST(Dispatcher, RoutesByMessageType) {
-  Dispatcher dispatcher;
-  dispatcher.add(net::MessageType::kSignalUpload,
-                 [](const net::Envelope&, RequestContext&) {
-                   return ServiceResult::success(
-                       net::MessageType::kAnalysisResult, {0xAA});
-                 });
-  dispatcher.add(net::MessageType::kAuthPass,
-                 [](const net::Envelope&, RequestContext&) {
-                   return ServiceResult::failure(net::ErrorCode::kMalformed,
-                                                 "nope");
-                 });
-
-  EXPECT_EQ(dispatcher.registered().size(), 2u);
-  EXPECT_EQ(dispatcher.find(net::MessageType::kProgress), nullptr);
-
-  net::Envelope request;
-  RequestContext context;
-  const auto* upload = dispatcher.find(net::MessageType::kSignalUpload);
-  ASSERT_NE(upload, nullptr);
-  EXPECT_TRUE((*upload)(request, context).ok);
-  const auto* auth = dispatcher.find(net::MessageType::kAuthPass);
-  ASSERT_NE(auth, nullptr);
-  EXPECT_FALSE((*auth)(request, context).ok);
-}
-
 }  // namespace
 }  // namespace medsen::cloud

@@ -33,7 +33,7 @@ void write_three_records(const std::string& path) {
   Journal journal(path);
   journal.append(JournalRecordType::kDeviceEnrolled, payload_of({1}));
   journal.append(JournalRecordType::kRecordStored, payload_of({2, 2}));
-  journal.append(JournalRecordType::kHandshake, payload_of({3, 3, 3}));
+  journal.append(JournalRecordType::kDeviceRevoked, payload_of({3, 3, 3}));
 }
 
 TEST(Journal, AppendThenReopenReplaysInOrder) {

@@ -135,26 +135,5 @@ TEST(SessionAuth, DropAllClearsEveryDevice) {
   EXPECT_EQ(table.classify(2, 200, 1), CounterStatus::kNoSession);
 }
 
-// Handshake ordinals are the nonce-derivation context: they must be
-// strictly increasing per device and survive session teardown, or a
-// re-handshake after drop() could repeat a server nonce.
-TEST(SessionAuth, HandshakeSeqSurvivesDrops) {
-  SessionAuthTable table(4);
-  const auto s1 = table.next_handshake_seq(1);
-  const auto s2 = table.next_handshake_seq(1);
-  EXPECT_GT(s2, s1);
-
-  table.establish(1, 100, test_key(0xaa));
-  table.drop(1);
-  EXPECT_GT(table.next_handshake_seq(1), s2);
-
-  table.establish(1, 100, test_key(0xaa));
-  table.drop_all();
-  const auto s4 = table.next_handshake_seq(1);
-  EXPECT_GT(s4, s2);
-  // Per-device, not global.
-  EXPECT_EQ(table.next_handshake_seq(2), 1u);
-}
-
 }  // namespace
 }  // namespace medsen::cloud

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cloud/persistence.h"
@@ -307,6 +310,69 @@ TEST(SessionService, HandshakeRetransmitServedFromCache) {
   EXPECT_EQ(first.serialize(), second.serialize());
   EXPECT_EQ(rig.server.stats().handshakes_completed, 1u);
   ASSERT_TRUE(rig.crypto.complete(second));
+}
+
+// RndB freshness rests on one server-wide handshake ordinal. The same
+// device replaying the same RndA must get a new RndB every time: plainly,
+// after revocation and re-enrollment, after a master rotation, and while
+// other devices hand-shake on other threads.
+TEST(SessionService, FixedRndAAlwaysGetsFreshRndB) {
+  using Nonce = std::array<std::uint8_t, net::AuthResponsePayload::kNonceSize>;
+  DiversifiedRig rig;
+  const auto device_key =
+      crypto::diversify_device_key(master_key(0x5a), kDevice, 1);
+  const auto first_rnd_a = net::AuthChallengePayload::deserialize(
+                               rig.crypto.make_challenge(1).payload)
+                               .challenge;
+  std::uint64_t next_session = 100;
+  std::set<Nonce> seen;
+  const auto expect_fresh = [&](const char* when) {
+    // A fresh SessionCrypto with the rig's seed draws the same RndA.
+    core::SessionCrypto crypto(kDevice, device_key, 1, kSeed);
+    const auto challenge = crypto.make_challenge(next_session++);
+    ASSERT_EQ(net::AuthChallengePayload::deserialize(challenge.payload)
+                  .challenge,
+              first_rnd_a);
+    const auto response = rig.server.handle(challenge);
+    ASSERT_TRUE(crypto.complete(response)) << when;
+    EXPECT_TRUE(seen.insert(net::AuthResponsePayload::deserialize(
+                                response.payload)
+                                .challenge)
+                    .second)
+        << "RndB repeated " << when;
+  };
+
+  for (int i = 0; i < 4; ++i) expect_fresh("plainly");
+  ASSERT_TRUE(rig.server.revoke_device(kDevice));
+  rig.server.enroll_device(kDevice);
+  expect_fresh("after revoke + re-enroll");
+  expect_fresh("after revoke + re-enroll");
+  rig.server.rotate_master_key(2, master_key(0x6b));
+  expect_fresh("after rotate_master_key");
+  expect_fresh("after rotate_master_key");
+
+  constexpr int kOthers = 3;
+  constexpr int kRounds = 50;
+  for (std::uint64_t id = 1; id <= kOthers; ++id) rig.server.enroll_device(id);
+  std::array<int, kOthers> completed{};
+  std::vector<std::thread> others;
+  for (int t = 0; t < kOthers; ++t) {
+    others.emplace_back([&rig, &completed, t] {
+      const auto id = static_cast<std::uint64_t>(t + 1);
+      for (int round = 0; round < kRounds; ++round) {
+        core::SessionCrypto crypto(
+            id, crypto::diversify_device_key(master_key(0x6b), id, 2), 2,
+            kSeed);
+        if (crypto.complete(rig.server.handle(crypto.make_challenge(
+                static_cast<std::uint64_t>(1000 + round)))))
+          ++completed[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) expect_fresh("under load");
+  for (auto& thread : others) thread.join();
+  for (const int count : completed) EXPECT_EQ(count, kRounds);
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(8 + kRounds));
 }
 
 TEST(RegistryPersistence, RoundTripsAllKeyingState) {

@@ -6,7 +6,7 @@ Compares the smoke run's throughput against the checked-in floor
 than the allowed fraction. The floor is deliberately conservative — a
 single-core container measurement — so the check catches "someone
 reintroduced a global lock" (an integer-factor collapse), not runner
-jitter.
+jitter. It also holds `session.stale_attacks_accepted` at hard zero.
 
 Usage: check_fleet_floor.py BENCH_fleet_load.json [--floor FLOOR.json]
 Exit status: 0 ok, 1 regression or malformed artifact, 2 usage error.
@@ -30,6 +30,7 @@ REQUIRED_KEYS = (
     "session.handshakes_per_sec",
     "session.rehandshakes",
     "session.counter_rejections",
+    "session.stale_attacks_accepted",
 )
 
 
@@ -86,6 +87,14 @@ def main() -> int:
             print(f"check_fleet_floor: {counter_key} is 0 — the rekey "
                   f"storm exercised nothing", file=sys.stderr)
             failed = True
+
+    # Every stale-counter attack must be refused: hard zero.
+    accepted = int(counters["session.stale_attacks_accepted"])
+    if accepted != 0:
+        print(f"check_fleet_floor: session.stale_attacks_accepted is "
+              f"{accepted} — the server accepted a replayed counter",
+              file=sys.stderr)
+        failed = True
 
     if failed:
         return 1
