@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "cloud/durability.h"
-#include "compress/codec.h"
 #include "crypto/cmac.h"
 #include "util/secure_zero.h"
 #include "util/serialize.h"
@@ -122,8 +121,7 @@ void CloudServer::store_result(const auth::CytoCode& code,
 
 util::MultiChannelSeries CloudServer::decode_series(
     const net::SignalUploadPayload& payload) const {
-  if (payload.compressed)
-    return net::deserialize_series(compress::decompress(payload.data));
+  if (payload.compressed) return net::deserialize_packed_series(payload.data);
   return net::deserialize_series(payload.data);
 }
 

@@ -244,7 +244,7 @@ KeySchedule KeySchedule::deserialize(std::span<const std::uint8_t> bytes) {
   params.flow_max_ul_min = in.f64();
   params.period_s = in.f64();
   params.min_active_electrodes = in.u32();
-  params.avoid_successive_electrodes = in.u8() != 0;
+  params.avoid_successive_electrodes = in.flag();
   // Minimum wire size per key: t_start (8) + electrodes (4) + gain
   // count (4) + flow code (1); per gain code: one byte.
   const std::uint32_t count = in.count_u32(17);

@@ -1,7 +1,12 @@
 #include "net/messages.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "compress/codec.h"
 #include "util/serialize.h"
 
 namespace medsen::net {
@@ -23,6 +28,35 @@ crypto::Sha256Digest envelope_mac(MessageType type, std::uint64_t session,
   mac.update(header.data());
   mac.update(payload);
   return mac.finish();
+}
+
+constexpr std::uint32_t kPackedMagic = 0x4D535031;  // "MSP1"
+constexpr std::size_t kPlanes = sizeof(double);
+/// Carrier, rate and start time (f64 each) plus the u32 sample count.
+constexpr std::size_t kChannelHeaderBytes = 3 * sizeof(double) + 4;
+/// A plane goes to the codec only below this order-0 entropy. Sensor
+/// noise planes measure 7.86-7.98 bits/byte, where the codec wins
+/// nothing; the sign, exponent and high-mantissa planes at most ~4.3.
+constexpr double kCodedPlaneMaxBits = 7.0;
+
+/// Reads a channel's sample rate. util::TimeSeries refuses a
+/// non-positive rate with std::invalid_argument; off the wire that is
+/// malformed input like any other.
+double read_rate(util::ByteReader& in) {
+  const double rate = in.f64();
+  if (rate <= 0.0)
+    throw std::runtime_error("series: sample rate must be positive");
+  return rate;
+}
+
+/// Order-0 entropy, in bits per byte, of `n` bytes with histogram `hist`.
+double entropy_bits(const std::array<std::uint32_t, 256>& hist,
+                    std::size_t n) {
+  double sum = 0.0;
+  for (const std::uint32_t c : hist)
+    if (c != 0) sum += c * std::log2(static_cast<double>(c));
+  const double total = static_cast<double>(n);
+  return std::log2(total) - sum / total;
 }
 
 }  // namespace
@@ -90,7 +124,7 @@ SignalUploadPayload SignalUploadPayload::deserialize(
     std::span<const std::uint8_t> bytes) {
   util::ByteReader in(bytes);
   SignalUploadPayload p;
-  p.compressed = in.u8() != 0;
+  p.compressed = in.flag();
   p.sample_rate_hz = in.f64();
   p.data = in.blob();
   in.expect_done("SignalUploadPayload");
@@ -174,14 +208,150 @@ util::MultiChannelSeries deserialize_series(
   util::ByteReader in(bytes);
   util::MultiChannelSeries series;
   // Each channel needs at least carrier + rate + start + count.
-  const std::uint32_t n = in.count_u32(3 * sizeof(double) + 4);
+  const std::uint32_t n = in.count_u32(kChannelHeaderBytes);
   for (std::uint32_t i = 0; i < n; ++i) {
     series.carrier_frequencies_hz.push_back(in.f64());
-    const double rate = in.f64();
+    const double rate = read_rate(in);
     const double start = in.f64();
     series.channels.emplace_back(rate, in.f64_vec(), start);
   }
   in.expect_done("deserialize_series");
+  return series;
+}
+
+std::size_t serialized_series_size(const util::MultiChannelSeries& series) {
+  std::size_t size = 4;
+  for (const auto& ch : series.channels)
+    size += kChannelHeaderBytes + ch.size() * sizeof(double);
+  return size;
+}
+
+std::vector<std::uint8_t> pack_series(const util::MultiChannelSeries& series) {
+  const std::size_t channels = series.channels.size();
+  // planes[c] holds channel c's n samples as eight n-byte planes.
+  std::vector<std::vector<std::uint8_t>> planes(channels);
+  std::vector<std::uint8_t> masks(channels, 0);
+  std::vector<std::uint8_t> coded;
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto samples = series.channels[c].samples();
+    const std::size_t n = samples.size();
+    auto& plane = planes[c];
+    plane.resize(kPlanes * n);
+    std::array<std::array<std::uint32_t, 256>, kPlanes> hist{};
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &samples[i], sizeof(bits));
+      for (std::size_t k = 0; k < kPlanes; ++k) {
+        const auto byte = static_cast<std::uint8_t>(bits >> (8 * k));
+        plane[k * n + i] = byte;
+        ++hist[k][byte];
+      }
+    }
+    for (std::size_t k = 0; k < kPlanes && n > 0; ++k) {
+      if (entropy_bits(hist[k], n) >= kCodedPlaneMaxBits) continue;
+      masks[c] = static_cast<std::uint8_t>(masks[c] | (1u << k));
+      coded.insert(coded.end(), plane.begin() + static_cast<long>(k * n),
+                   plane.begin() + static_cast<long>((k + 1) * n));
+    }
+  }
+  // One codec call for every coded plane: each container carries its
+  // own header and code tables.
+  std::vector<std::uint8_t> block;
+  if (!coded.empty()) {
+    block = compress::compress(coded);
+    if (block.size() >= coded.size()) {
+      block.clear();
+      std::fill(masks.begin(), masks.end(), std::uint8_t{0});
+    }
+  }
+
+  util::ByteWriter out;
+  out.u32(kPackedMagic);
+  out.u32(static_cast<std::uint32_t>(channels));
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto& ch = series.channels[c];
+    out.f64(series.carrier_frequencies_hz.at(c));
+    out.f64(ch.sample_rate());
+    out.f64(ch.start_time());
+    out.u32(static_cast<std::uint32_t>(ch.size()));
+    out.u8(masks[c]);
+  }
+  for (std::size_t c = 0; c < channels; ++c) {
+    const std::size_t n = series.channels[c].size();
+    const std::span<const std::uint8_t> plane(planes[c]);
+    for (std::size_t k = 0; k < kPlanes; ++k)
+      if ((masks[c] >> k & 1u) == 0) out.bytes(plane.subspan(k * n, n));
+  }
+  out.blob(block);
+  return out.take();
+}
+
+util::MultiChannelSeries deserialize_packed_series(
+    std::span<const std::uint8_t> bytes) {
+  util::ByteReader in(bytes);
+  if (in.u32() != kPackedMagic)
+    // One MSZ1 container holding a whole serialized series, as relays
+    // sent before byte planes; decompress() refuses any other magic.
+    return deserialize_series(compress::decompress(bytes));
+
+  struct ChannelHeader {
+    double carrier_hz = 0.0;
+    double rate = 0.0;
+    double start = 0.0;
+    std::uint32_t n = 0;
+    std::uint8_t mask = 0;
+  };
+  // Each channel needs at least its header and coded-plane mask.
+  std::vector<ChannelHeader> headers(in.count_u32(kChannelHeaderBytes + 1));
+  std::uint64_t raw_bytes = 0;
+  std::uint64_t coded_bytes = 0;
+  for (auto& h : headers) {
+    h.carrier_hz = in.f64();
+    h.rate = read_rate(in);
+    h.start = in.f64();
+    h.n = in.u32();
+    h.mask = in.u8();
+    const auto coded_planes = static_cast<std::uint64_t>(std::popcount(h.mask));
+    raw_bytes += (kPlanes - coded_planes) * h.n;
+    coded_bytes += coded_planes * h.n;
+  }
+  std::span<const std::uint8_t> raw = in.bytes(raw_bytes);
+  const std::span<const std::uint8_t> block = in.bytes(in.u32());
+  in.expect_done("deserialize_packed_series");
+
+  std::vector<std::uint8_t> decoded;
+  if (coded_bytes == 0) {
+    if (!block.empty())
+      throw std::runtime_error(
+          "deserialize_packed_series: coded block without coded planes");
+  } else {
+    decoded = compress::decompress(block);
+    if (decoded.size() != coded_bytes)
+      throw std::runtime_error(
+          "deserialize_packed_series: coded block size mismatch");
+  }
+
+  util::MultiChannelSeries series;
+  series.carrier_frequencies_hz.reserve(headers.size());
+  series.channels.reserve(headers.size());
+  std::span<const std::uint8_t> coded(decoded);
+  for (const auto& h : headers) {
+    std::array<std::span<const std::uint8_t>, kPlanes> plane;
+    for (std::size_t k = 0; k < kPlanes; ++k) {
+      auto& source = (h.mask >> k & 1u) != 0 ? coded : raw;
+      plane[k] = source.first(h.n);
+      source = source.subspan(h.n);
+    }
+    std::vector<double> samples(h.n);
+    for (std::size_t i = 0; i < h.n; ++i) {
+      std::uint64_t bits = 0;
+      for (std::size_t k = 0; k < kPlanes; ++k)
+        bits |= static_cast<std::uint64_t>(plane[k][i]) << (8 * k);
+      std::memcpy(&samples[i], &bits, sizeof(bits));
+    }
+    series.carrier_frequencies_hz.push_back(h.carrier_hz);
+    series.channels.emplace_back(h.rate, std::move(samples), h.start);
+  }
   return series;
 }
 
@@ -197,7 +367,7 @@ AuthDecisionPayload AuthDecisionPayload::deserialize(
     std::span<const std::uint8_t> bytes) {
   util::ByteReader in(bytes);
   AuthDecisionPayload p;
-  p.authenticated = in.u8() != 0;
+  p.authenticated = in.flag();
   p.user_id = in.str();
   p.distance = in.f64();
   in.expect_done("AuthDecisionPayload");

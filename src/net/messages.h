@@ -63,12 +63,13 @@ Envelope make_envelope(MessageType type, std::uint64_t session_id,
 bool verify_envelope(const Envelope& envelope,
                      std::span<const std::uint8_t> mac_key);
 
-/// SignalUpload payload: the binary-serialized acquisition, optionally
-/// compressed.
+/// SignalUpload payload: the acquisition, either as serialize_series()
+/// bytes or, when `compressed`, as a packed series
+/// (deserialize_packed_series()).
 struct SignalUploadPayload {
   bool compressed = false;
   double sample_rate_hz = 450.0;
-  std::vector<std::uint8_t> data;  ///< serialized (maybe compressed) series
+  std::vector<std::uint8_t> data;  ///< serialized or packed series
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static SignalUploadPayload deserialize(std::span<const std::uint8_t> bytes);
@@ -121,6 +122,24 @@ struct AuthResponsePayload {
 std::vector<std::uint8_t> serialize_series(
     const util::MultiChannelSeries& series);
 util::MultiChannelSeries deserialize_series(
+    std::span<const std::uint8_t> bytes);
+/// serialize_series(series).size(), without building the bytes.
+std::size_t serialized_series_size(const util::MultiChannelSeries& series);
+
+/// The relay's compressed upload (MSP1 in docs/PROTOCOL.md): each
+/// channel's samples as eight byte planes, byte k of every IEEE-754 bit
+/// pattern in plane k. Planes whose order-0 entropy is under 7 bits/byte
+/// (sign, exponent, high mantissa) go through one compress::compress()
+/// call; the sensor-noise planes travel raw. Lossless.
+std::vector<std::uint8_t> pack_series(const util::MultiChannelSeries& series);
+
+/// Strict decoder for a packed series: MSP1, or one MSZ1 container
+/// holding serialize_series() bytes (what relays sent before byte
+/// planes). Throws std::runtime_error on any other magic, a coded block
+/// of the wrong size or trailing bytes, and std::out_of_range on a short
+/// raw plane. Samples are allocated only once the bytes behind them are
+/// present or decoded.
+util::MultiChannelSeries deserialize_packed_series(
     std::span<const std::uint8_t> bytes);
 
 /// AuthDecision payload.

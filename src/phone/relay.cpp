@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "compress/codec.h"
-
 namespace medsen::phone {
 
 namespace {
@@ -29,24 +27,22 @@ net::SignalUploadPayload PhoneRelay::build_payload(
     const util::MultiChannelSeries& series) {
   timing_ = RelayTiming{};
   report("receiving measurement from sensor");
-  auto raw = net::serialize_series(series);
-  timing_.usb_in_s = config_.usb.transfer_time_s(raw.size());
+  const std::size_t raw_size = net::serialized_series_size(series);
+  timing_.usb_in_s = config_.usb.transfer_time_s(raw_size);
 
   net::SignalUploadPayload payload;
   payload.sample_rate_hz = series.channels.empty()
                                ? 450.0
                                : series.channels.front().sample_rate();
   if (config_.compress_uploads &&
-      raw.size() >= config_.compression_threshold_bytes) {
+      raw_size >= config_.compression_threshold_bytes) {
     report("compressing upload");
-    std::vector<std::uint8_t> packed;
-    const double t = measure([&] { packed = compress::compress(raw); });
+    const double t =
+        measure([&] { payload.data = net::pack_series(series); });
     timing_.compression_s = config_.profile.scale(t);
     payload.compressed = true;
-    payload.data = std::move(packed);
   } else {
-    payload.compressed = false;
-    payload.data = std::move(raw);
+    payload.data = net::serialize_series(series);
   }
   last_upload_bytes_ = payload.data.size();
   return payload;

@@ -2,8 +2,9 @@
 // The smartphone relay: the Android app of the prototype. It is NOT in
 // the trusted computing base — it only (a) relays envelopes between the
 // USB-attached controller and the cloud, (b) compresses bulk uploads to
-// save data-plan bytes, (c) reports progress to the user, and (d) can run
-// the peak analysis locally for small samples (paper Fig. 14 discussion).
+// save data-plan bytes (net::pack_series), (c) reports progress to the
+// user, and (d) can run the peak analysis locally for small samples
+// (paper Fig. 14 discussion).
 
 #include <cstdint>
 #include <functional>
@@ -25,7 +26,7 @@ namespace medsen::phone {
 /// measured compute times).
 struct RelayTiming {
   double usb_in_s = 0.0;       ///< controller -> phone
-  double compression_s = 0.0;  ///< measured on the phone profile
+  double compression_s = 0.0;  ///< pack_series, phone-profile scaled
   double uplink_s = 0.0;       ///< phone -> cloud (incl. retransmissions)
   double analysis_s = 0.0;     ///< cloud compute (measured)
   double downlink_s = 0.0;     ///< cloud -> phone (incl. retransmissions)
@@ -166,8 +167,9 @@ class PhoneRelay {
   }
 
  private:
-  /// Serialize (and maybe compress) the acquisition; resets and fills
-  /// the USB/compression timing fields.
+  /// Serialize the acquisition, or pack it (net::pack_series) when it
+  /// reaches the compression threshold; resets and fills the
+  /// USB/compression timing fields.
   net::SignalUploadPayload build_payload(
       const util::MultiChannelSeries& series);
   /// The exchange relay_analysis() and relay_auth() share: stamp the

@@ -87,6 +87,19 @@ double ByteReader::f64() {
   return v;
 }
 
+bool ByteReader::flag() {
+  const std::uint8_t v = u8();
+  if (v > 1) throw std::runtime_error("ByteReader: flag byte is not 0 or 1");
+  return v == 1;
+}
+
+std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
+  need(n);
+  const auto out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 std::vector<std::uint8_t> ByteReader::blob() {
   const std::uint32_t n = u32();
   need(n);

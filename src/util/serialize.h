@@ -49,6 +49,11 @@ class ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
+  /// A u8 boolean: 0 or 1. Any other value throws std::runtime_error, so
+  /// every accepted byte string re-serializes to itself.
+  bool flag();
+  /// Borrow the next `n` bytes without copying them.
+  std::span<const std::uint8_t> bytes(std::size_t n);
   std::vector<std::uint8_t> blob();
   std::string str();
   std::vector<double> f64_vec();
@@ -69,7 +74,7 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const {
-    if (pos_ + n > data_.size())
+    if (n > data_.size() - pos_)
       throw std::out_of_range("ByteReader: truncated buffer");
   }
   std::span<const std::uint8_t> data_;

@@ -121,6 +121,20 @@ TEST(KeySchedule, TrailingBytesRejected) {
   EXPECT_NO_THROW(KeySchedule::deserialize(bytes));
 }
 
+TEST(KeySchedule, FlagAboveOneRejected) {
+  crypto::ChaChaRng rng(7);
+  const auto schedule =
+      KeySchedule::generate(nine_electrode_params(), 4.0, rng);
+  auto bytes = schedule.serialize();
+  // avoid_successive_electrodes is the last byte of the 51-byte params
+  // block.
+  bytes[50] = 0x02;
+  EXPECT_THROW(KeySchedule::deserialize(bytes), std::runtime_error);
+  bytes[50] = 0x01;
+  EXPECT_TRUE(KeySchedule::deserialize(bytes).params()
+                  .avoid_successive_electrodes);
+}
+
 TEST(KeySchedule, TruncatedDeserializationThrows) {
   crypto::ChaChaRng rng(7);
   const auto schedule =

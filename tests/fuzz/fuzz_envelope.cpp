@@ -5,49 +5,54 @@
 // Properties checked on accepted inputs:
 //   * serialize(deserialize(x)) == x  (strict decoding is a bijection
 //     between accepted byte strings and envelopes)
-//   * the payload decoder for the envelope's type either succeeds or
-//     throws one of the two structured rejection types
+//   * the payload decoder for the envelope's type either throws one of
+//     the two structured rejection types or accepts a payload that
+//     re-serializes to the same bytes (the bijection extends to every
+//     payload, flag bytes included)
 
 #include "fuzz_target.h"
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "net/messages.h"
 
 namespace {
 
-void try_payload(const medsen::net::Envelope& envelope) {
+/// Decode the payload for the envelope's type and re-serialize it;
+/// nullopt for types this target does not decode.
+std::optional<std::vector<std::uint8_t>> payload_round_trip(
+    const medsen::net::Envelope& envelope) {
   using medsen::net::MessageType;
   const std::span<const std::uint8_t> payload(envelope.payload);
   switch (envelope.type) {
     case MessageType::kSignalUpload:
-      (void)medsen::net::SignalUploadPayload::deserialize(payload);
-      break;
+      return medsen::net::SignalUploadPayload::deserialize(payload)
+          .serialize();
     case MessageType::kAnalysisResult:
       // PeakReport decoding has its own target; the envelope target
       // stops at the envelope layer for this type.
-      break;
+      return std::nullopt;
     case MessageType::kAuthDecision:
-      (void)medsen::net::AuthDecisionPayload::deserialize(payload);
-      break;
+      return medsen::net::AuthDecisionPayload::deserialize(payload)
+          .serialize();
     case MessageType::kError:
-      (void)medsen::net::ErrorPayload::deserialize(payload);
-      break;
+      return medsen::net::ErrorPayload::deserialize(payload).serialize();
     case MessageType::kAuthPass:
-      (void)medsen::net::AuthPassPayload::deserialize(payload);
-      break;
+      return medsen::net::AuthPassPayload::deserialize(payload).serialize();
     case MessageType::kAuthChallenge:
-      (void)medsen::net::AuthChallengePayload::deserialize(payload);
-      break;
+      return medsen::net::AuthChallengePayload::deserialize(payload)
+          .serialize();
     case MessageType::kAuthResponse:
-      (void)medsen::net::AuthResponsePayload::deserialize(payload);
-      break;
+      return medsen::net::AuthResponsePayload::deserialize(payload)
+          .serialize();
     case MessageType::kProgress:
     default:
-      break;
+      return std::nullopt;
   }
 }
 
@@ -70,10 +75,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       !std::equal(round_trip.begin(), round_trip.end(), data))
     std::abort();  // accepted input failed to round-trip bit-identically
 
+  std::optional<std::vector<std::uint8_t>> payload;
   try {
-    try_payload(envelope);
+    payload = payload_round_trip(envelope);
   } catch (const std::out_of_range&) {
+    return 0;
   } catch (const std::runtime_error&) {
+    return 0;
   }
+  if (payload.has_value() && *payload != envelope.payload)
+    std::abort();  // accepted payload failed to round-trip bit-identically
   return 0;
 }

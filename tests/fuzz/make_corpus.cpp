@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,48 @@ int main(int argc, char** argv) {
   write(root / "peak_report", "two_channels.bin", report.serialize());
   write(root / "peak_report", "empty.bin",
         medsen::core::PeakReport{}.serialize());
+
+  // --- series ---------------------------------------------------------
+  // fuzz_series feeds every seed to both series decoders.
+  {
+    const auto channel = [](std::vector<double> samples, double carrier_hz) {
+      medsen::util::MultiChannelSeries series;
+      series.carrier_frequencies_hz = {carrier_hz};
+      series.channels.emplace_back(450.0, std::move(samples), 0.5);
+      return series;
+    };
+    // Two short channels with the doubles a decoder must carry bit-exactly.
+    auto special = channel({1.0, -0.0, 5e-324, -1e308, 0.999}, 5.0e5);
+    special.carrier_frequencies_hz.push_back(2.0e6);
+    special.channels.emplace_back(
+        900.0, std::vector<double>{std::numeric_limits<double>::infinity(),
+                                   std::numeric_limits<double>::quiet_NaN()},
+        1.0);
+    // A baseline near 1.0 with LCG noise in the low mantissa bytes.
+    std::vector<double> noise(512);
+    std::uint64_t state = 0x9E3779B97F4A7C15ull;
+    for (auto& x : noise) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      x = 1.0 + 1e-4 * (static_cast<double>(state >> 11) * 0x1.0p-53 - 0.5);
+    }
+    const auto noisy = channel(std::move(noise), 5.0e5);
+
+    write(root / "series", "raw.bin", medsen::net::serialize_series(special));
+    // One MSZ1 container holding the whole series (older relays).
+    write(root / "series", "whole_msz1.bin",
+          medsen::compress::compress(medsen::net::serialize_series(noisy)));
+    // MSP1 with raw noise planes and coded top planes, and MSP1 with
+    // every plane raw (too short for the codec to win). The coded-plane
+    // mask of channel 0 sits at byte 36.
+    const auto mixed = medsen::net::pack_series(noisy);
+    const auto all_raw = medsen::net::pack_series(special);
+    if (mixed[36] == 0 || mixed[36] == 0xFF || all_raw[36] != 0) {
+      std::cerr << "make_corpus: series seeds lost their plane split\n";
+      return 1;
+    }
+    write(root / "series", "planes_mixed.bin", mixed);
+    write(root / "series", "planes_raw.bin", all_raw);
+  }
 
   // --- crypto ---------------------------------------------------------
   // Layout (fuzz_crypto.cpp): key length, split byte, key, message. The

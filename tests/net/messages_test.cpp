@@ -238,6 +238,30 @@ TEST(Messages, SignalUploadPayloadTruncatedThrows) {
   }
 }
 
+TEST(Messages, SignalUploadPayloadFlagAboveOneRejected) {
+  // Only 0 and 1 are booleans: a decoder that took 0x02 as `true` would
+  // accept a byte string that re-serializes differently.
+  SignalUploadPayload payload;
+  payload.compressed = true;
+  payload.data = {1, 2, 3};
+  auto bytes = payload.serialize();
+  bytes[0] = 0x02;
+  EXPECT_THROW(SignalUploadPayload::deserialize(bytes), std::runtime_error);
+  bytes[0] = 0x01;
+  EXPECT_TRUE(SignalUploadPayload::deserialize(bytes).compressed);
+}
+
+TEST(Messages, AuthDecisionPayloadFlagAboveOneRejected) {
+  AuthDecisionPayload payload;
+  payload.authenticated = false;
+  payload.user_id = "bob";
+  auto bytes = payload.serialize();
+  bytes[0] = 0x7F;
+  EXPECT_THROW(AuthDecisionPayload::deserialize(bytes), std::runtime_error);
+  bytes[0] = 0x00;
+  EXPECT_FALSE(AuthDecisionPayload::deserialize(bytes).authenticated);
+}
+
 TEST(Messages, AuthPassPayloadTrailingBytesRejected) {
   AuthPassPayload pass;
   pass.upload.data = {4, 5, 6};

@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "compress/codec.h"
+
 namespace medsen::phone {
 namespace {
 
@@ -75,6 +77,10 @@ TEST(PhoneRelay, CompressionShrinksUpload) {
   (void)compressed.relay_analysis(series, 1, server, kMacKey);
   (void)raw.relay_analysis(series, 2, server, kMacKey);
   EXPECT_LT(compressed.last_upload_bytes(), raw.last_upload_bytes() / 2);
+  // Byte planes are no larger than the whole series in one MSZ1
+  // container, the upload older relays send.
+  EXPECT_LE(compressed.last_upload_bytes(),
+            compress::compress(net::serialize_series(series)).size());
 }
 
 TEST(PhoneRelay, SmallUploadSkipsCompression) {
@@ -391,6 +397,78 @@ TEST(PhoneRelay, SessionPlaneSurvivesLossyTransport) {
   ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response.counter, 1u);
   EXPECT_EQ(server.stats().counter_rejections, 0u);
+}
+
+// perfbench's clinical acquisition shape: two carriers, 20 s at 450 Hz,
+// quiet sensor noise, keyed over a 9-electrode array.
+util::MultiChannelSeries noisy_acquisition(std::uint64_t seed = 5) {
+  auto controller = make_controller(seed);
+  sim::AcquisitionConfig config;
+  config.carriers_hz = {5.0e5, 2.0e6};
+  config.noise_sigma = 5e-5;
+  config.drift.slow_amplitude = 0.002;
+  config.drift.random_walk_sigma = 1e-6;
+  sim::SampleSpec sample;
+  sample.components = {{sim::ParticleType::kBloodCell, 250.0}};
+  const auto control = controller.begin_session(20.0);
+  return sim::acquire(sample, sim::ChannelConfig{}, sim::standard_design(9),
+                      config, control, 20.0, seed)
+      .signals;
+}
+
+TEST(PhoneRelay, PackedNoisyUploadMatchesRawAndBeatsWholeSeries) {
+  const auto series = noisy_acquisition();
+  ASSERT_EQ(series.channels.size(), 2u);
+  ASSERT_EQ(series.channels[0].size(), 9000u);
+  auto server = make_server();
+  testkit::enroll(server, RelayConfig{}.device_id);
+  RelayConfig raw_config;
+  raw_config.compress_uploads = false;
+  PhoneRelay packed, raw(raw_config);
+  const auto a = packed.relay_analysis(series, 1, server, kMacKey);
+  const auto b = raw.relay_analysis(series, 2, server, kMacKey);
+  ASSERT_EQ(a.type, net::MessageType::kAnalysisResult);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_GT(packed.timing().compression_s, 0.0);
+  // At least 10 % smaller than the whole series in one MSZ1 container.
+  const std::size_t whole =
+      compress::compress(net::serialize_series(series)).size();
+  EXPECT_LE(packed.last_upload_bytes() * 10, whole * 9);
+}
+
+TEST(PhoneRelay, PackedAuthPassDecidesLikeRawOne) {
+  const auto series = noisy_acquisition(6);
+  auto server = make_server();
+  testkit::enroll(server, RelayConfig{}.device_id);
+  RelayConfig raw_config;
+  raw_config.compress_uploads = false;
+  PhoneRelay packed, raw(raw_config);
+  const auto a = packed.relay_auth(series, 3, 1.0, server, kMacKey, 20.0);
+  const auto b = raw.relay_auth(series, 4, 1.0, server, kMacKey, 20.0);
+  ASSERT_EQ(a.type, net::MessageType::kAuthDecision);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_LT(packed.last_upload_bytes(), raw.last_upload_bytes());
+}
+
+TEST(PhoneRelay, WholeSeriesMsz1UploadStillDecodes) {
+  // Relays built before byte planes compress the whole serialized
+  // series into one MSZ1 container; the cloud still accepts that form.
+  const auto series = noisy_acquisition();
+  auto server = make_server();
+  testkit::enroll(server, RelayConfig{}.device_id);
+  RelayConfig raw_config;
+  raw_config.compress_uploads = false;
+  PhoneRelay raw(raw_config);
+  const auto reference = raw.relay_analysis(series, 1, server, kMacKey);
+
+  net::SignalUploadPayload upload;
+  upload.compressed = true;
+  upload.data = compress::compress(net::serialize_series(series));
+  const auto response = server.handle(
+      net::make_envelope(net::MessageType::kSignalUpload, 2,
+                         RelayConfig{}.device_id, upload.serialize(), kMacKey));
+  ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
+  EXPECT_EQ(response.payload, reference.payload);
 }
 
 TEST(PhoneRelay, Profiles) {
