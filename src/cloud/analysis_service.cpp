@@ -27,10 +27,25 @@ AnalysisService::AnalysisService(AnalysisConfig config,
 
 core::PeakReport AnalysisService::analyze(
     const util::MultiChannelSeries& series) {
+  return run(series, nullptr).report;
+}
+
+GatedAnalysis AnalysisService::analyze_gated(
+    const util::MultiChannelSeries& series, const QualityConfig& quality) {
+  return run(series, &quality);
+}
+
+GatedAnalysis AnalysisService::run(const util::MultiChannelSeries& series,
+                                   const QualityConfig* gate) {
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n_channels = series.channels.size();
-  core::PeakReport report;
+  GatedAnalysis result;
+  core::PeakReport& report = result.report;
   report.channels.resize(n_channels);
+  std::vector<ChannelQuality> quality(gate != nullptr ? n_channels : 0);
+  // Set by the first channel that fails the gate. The report is then
+  // discarded, so channels scored after it skip peak detection.
+  std::atomic<bool> rejected{false};
   // Per-channel accumulation slots: each channel task writes only its own
   // slot, so the fan-out is race-free and the serial merge below is
   // deterministic.
@@ -39,8 +54,6 @@ core::PeakReport AnalysisService::analyze(
 
   const auto analyze_channel = [&](std::size_t i) {
     const auto& channel = series.channels[i];
-    core::ChannelPeaks& out = report.channels[i];
-    out.carrier_hz = series.carrier_frequencies_hz.at(i);
     // Lease working memory for this channel task; every buffer below is
     // reused across requests instead of allocated per channel.
     auto scratch = scratch_pool_.acquire();
@@ -49,15 +62,30 @@ core::PeakReport AnalysisService::analyze(
                                       channel.size());
     dsp::detrend_into(channel.samples(), config_.detrend, detrended,
                       pool_.get(), scratch->detrend);
+    if (gate != nullptr) {
+      // The gate scores the kQualityDetrend output; only an analysis
+      // configured with another detrend pays for a second one.
+      std::vector<double> gate_detrended;
+      std::span<const double> scored = detrended;
+      if (config_.detrend != kQualityDetrend) {
+        gate_detrended =
+            dsp::detrend(channel.samples(), kQualityDetrend, pool_.get());
+        scored = gate_detrended;
+      }
+      quality[i] = assess_channel(channel.samples(), scored, *gate);
+      if (quality[i].worst != QualityReason::kNone)
+        rejected.store(true, std::memory_order_relaxed);
+      if (rejected.load(std::memory_order_relaxed)) return;
+    }
     dsp::PeakDetectConfig detect = config_.peak_detect;
     if (config_.adaptive_threshold)
       detect.threshold =
           dsp::adaptive_threshold(detrended, config_.adaptive_k_sigma);
-    out.peaks =
+    report.channels[i].peaks =
         dsp::detect_peaks(detrended, channel.sample_rate(),
                           channel.start_time(), detect, scratch->peak_detect);
     samples[i] = channel.size();
-    peaks[i] = out.peaks.size();
+    peaks[i] = report.channels[i].peaks.size();
   };
 
   if (pool_ && n_channels > 1) {
@@ -69,6 +97,16 @@ core::PeakReport AnalysisService::analyze(
   } else {
     for (std::size_t i = 0; i < n_channels; ++i) analyze_channel(i);
   }
+
+  if (gate != nullptr) {
+    result.quality = summarize_quality(std::move(quality));
+    if (!result.quality.acceptable) {
+      result.report = {};
+      return result;
+    }
+  }
+  for (std::size_t i = 0; i < n_channels; ++i)
+    report.channels[i].carrier_hz = series.carrier_frequencies_hz.at(i);
 
   AnalysisStats fresh;
   for (std::size_t i = 0; i < n_channels; ++i) {
@@ -87,7 +125,7 @@ core::PeakReport AnalysisService::analyze(
   processing_time_ns_.store(
       static_cast<std::uint64_t>(fresh.processing_time_s * 1e9),
       std::memory_order_relaxed);
-  return report;
+  return result;
 }
 
 AnalysisStats AnalysisService::stats() const {

@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "cloud/quality.h"
 #include "core/peak_report.h"
 #include "dsp/detrend.h"
 #include "dsp/peak_detect.h"
@@ -40,6 +41,12 @@ struct AnalysisConfig {
   unsigned threads = 0;
 };
 
+/// An upload's quality verdict and, when it passes, its peaks.
+struct GatedAnalysis {
+  QualityReport quality;
+  core::PeakReport report;  ///< empty unless quality.acceptable
+};
+
 struct AnalysisStats {
   std::uint64_t samples_processed = 0;
   std::uint64_t peaks_found = 0;
@@ -56,6 +63,15 @@ class AnalysisService {
   /// Analyze a full acquisition: detrend + peak detection per channel.
   /// Safe to call from several request threads concurrently.
   core::PeakReport analyze(const util::MultiChannelSeries& series);
+
+  /// The quality gate and analyze() in one pass: each channel is
+  /// detrended once, and that buffer feeds both the gate's noise check and
+  /// peak detection, which stops once any channel fails. The verdict is
+  /// assess_quality(series, quality)'s; an acceptable upload gets
+  /// analyze(series)'s report and stats, a rejected one leaves stats()
+  /// untouched.
+  GatedAnalysis analyze_gated(const util::MultiChannelSeries& series,
+                              const QualityConfig& quality = {});
 
   /// Snapshot of the last analyze()'s statistics. Lock-free: the fields
   /// are independent relaxed atomics, so a read racing a concurrent
@@ -80,6 +96,10 @@ class AnalysisService {
     dsp::DetrendWorkspace detrend;
     dsp::PeakDetectScratch peak_detect;
   };
+
+  /// analyze() when `gate` is null, analyze_gated() otherwise.
+  GatedAnalysis run(const util::MultiChannelSeries& series,
+                    const QualityConfig* gate);
 
   AnalysisConfig config_;
   std::shared_ptr<util::ThreadPool> pool_;

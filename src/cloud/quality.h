@@ -12,9 +12,11 @@
 // stays the single highest-severity failure for wire compatibility.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dsp/detrend.h"
 #include "net/messages.h"
 #include "util/time_series.h"
 
@@ -30,7 +32,9 @@ struct ChannelQuality {
   double noise_rms = 0.0;        ///< detrended high-frequency residual
   double drift_span = 0.0;       ///< max-min of the raw baseline
   double dropout_fraction = 0.0; ///< samples pinned at a constant value
-  bool saturated = false;        ///< raw samples outside plausible range
+  /// Over 1 % of the raw samples outside the plausible range, or any
+  /// sample NaN or infinite (detrend would flatten a NaN's whole window).
+  bool saturated = false;
   /// Highest-severity failing check for this channel (kNone = clean).
   QualityReason worst = QualityReason::kNone;
   /// Bitmask of every failing check: bit (1u << reason) set per failure.
@@ -68,8 +72,23 @@ struct QualityConfig {
   double max_plausible = 1.7;
 };
 
+/// The detrend whose output the noise-floor check scores.
+inline constexpr dsp::DetrendConfig kQualityDetrend{};
+
 /// Score an acquisition. Never throws on bad data — that is the point.
 QualityReport assess_quality(const util::MultiChannelSeries& series,
                              const QualityConfig& config = {});
+
+/// Score one channel: `samples` as uploaded and `detrended`, the same
+/// samples detrended with kQualityDetrend (what the noise check reads).
+/// assess_quality() detrends for itself; AnalysisService::analyze_gated()
+/// passes the buffer it detrends for peak detection anyway.
+ChannelQuality assess_channel(std::span<const double> samples,
+                              std::span<const double> detrended,
+                              const QualityConfig& config = {});
+
+/// The report over per-channel scores, as assess_quality() builds it
+/// (no channels at all is itself a failure).
+QualityReport summarize_quality(std::vector<ChannelQuality> channels);
 
 }  // namespace medsen::cloud

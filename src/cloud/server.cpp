@@ -358,19 +358,19 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
 ServiceResult CloudServer::serve_upload(const net::Envelope& request) {
   const auto payload = net::SignalUploadPayload::deserialize(request.payload);
   const auto series = decode_series(payload);
-  if (quality_gate_) {
-    const QualityReport quality = assess_quality(series);
-    if (!quality.acceptable) {
-      return ServiceResult::failure(
-          net::ErrorCode::kQualityRejected,
-          "acquisition rejected (" + quality.reason + ")",
-          static_cast<std::uint8_t>(quality.reason_code),
-          quality.channel_failure_bytes());
-    }
+  if (!quality_gate_)
+    return ServiceResult::success(net::MessageType::kAnalysisResult,
+                                  analysis_.analyze(series).serialize());
+  const GatedAnalysis gated = analysis_.analyze_gated(series);
+  if (!gated.quality.acceptable) {
+    return ServiceResult::failure(
+        net::ErrorCode::kQualityRejected,
+        "acquisition rejected (" + gated.quality.reason + ")",
+        static_cast<std::uint8_t>(gated.quality.reason_code),
+        gated.quality.channel_failure_bytes());
   }
-  const core::PeakReport report = analysis_.analyze(series);
   return ServiceResult::success(net::MessageType::kAnalysisResult,
-                                report.serialize());
+                                gated.report.serialize());
 }
 
 ServiceResult CloudServer::serve_auth_pass(const net::Envelope& request) {

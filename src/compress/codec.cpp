@@ -196,9 +196,19 @@ std::vector<std::uint8_t> decompress_impl(
     const std::uint8_t* src = dst - dist;
     if (dist >= len) {
       std::memcpy(dst, src, len);
+    } else if (dist == 1) {
+      std::memset(dst, *src, len);
     } else {
-      // Overlapping copy: each byte may be one this copy just wrote.
-      for (unsigned i = 0; i < len; ++i) dst[i] = src[i];
+      // Overlapping copy: the match repeats its first `dist` bytes. Once
+      // `done` (a whole number of periods) bytes are written, the
+      // `dist + done` bytes from `src` are periods too and can be copied
+      // to `dst + done` in one non-overlapping memcpy, so the run doubles
+      // each step.
+      for (std::size_t done = 0; done < len;) {
+        const std::size_t n = std::min<std::size_t>(dist + done, len - done);
+        std::memcpy(dst + done, src, n);
+        done += n;
+      }
     }
   }
 

@@ -26,6 +26,8 @@ struct DetrendConfig {
   unsigned poly_degree = 2;       ///< paper: second order found optimal
   std::size_t window = 2048;      ///< sub-sequence length in samples
   std::size_t overlap = 256;      ///< overlap between adjacent windows
+
+  bool operator==(const DetrendConfig&) const = default;
 };
 
 /// Reusable cross-call arena for detrend_into: owns every buffer the

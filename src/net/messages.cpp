@@ -1,6 +1,7 @@
 #include "net/messages.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -38,6 +39,58 @@ constexpr std::size_t kChannelHeaderBytes = 3 * sizeof(double) + 4;
 /// noise planes measure 7.86-7.98 bits/byte, where the codec wins
 /// nothing; the sign, exponent and high-mantissa planes at most ~4.3.
 constexpr double kCodedPlaneMaxBits = 7.0;
+
+/// Two 64-bit lanes (GCC/Clang vector extension): SSE2 on x86-64, NEON
+/// on AArch64, lane pairs elsewhere.
+using U64x2 = std::uint64_t __attribute__((vector_size(16)));
+
+/// Swaps the bytes `mask` selects in `b` with those `shift` bits higher
+/// in `a`: one step of a block transpose.
+inline void swap_bytes(U64x2& a, U64x2& b, unsigned shift,
+                       std::uint64_t mask) {
+  const U64x2 t = ((a >> shift) ^ b) & mask;
+  b ^= t;
+  a ^= t << shift;
+}
+
+/// Rebuilds out.size() samples from their eight byte planes: byte k of
+/// sample i's bit pattern is plane[k][i]. Sixteen samples at a time,
+/// plane k's next 16 bytes load as row k of two 8x8 byte blocks (one per
+/// lane), and three rounds of swaps (4x4, 2x2, then 1x1 sub-blocks)
+/// transpose both, so row j then holds whole samples.
+void merge_planes(
+    const std::array<std::span<const std::uint8_t>, kPlanes>& plane,
+    std::span<double> out) {
+  constexpr std::size_t kBlock = 2 * kPlanes;
+  // Row j's lane holds sample j of its block on a little-endian host and
+  // sample 7 - j on a big-endian one, whose loads reverse the columns.
+  constexpr bool kLittle = std::endian::native == std::endian::little;
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::array<U64x2, kPlanes> row{};
+    for (std::size_t k = 0; k < kPlanes; ++k)
+      std::memcpy(&row[k], plane[k].data() + i, sizeof(U64x2));
+    for (std::size_t j = 0; j < 4; ++j)
+      swap_bytes(row[j], row[j + 4], 32, 0x00000000FFFFFFFFull);
+    for (const std::size_t j : {0, 1, 4, 5})
+      swap_bytes(row[j], row[j + 2], 16, 0x0000FFFF0000FFFFull);
+    for (std::size_t j = 0; j < kPlanes; j += 2)
+      swap_bytes(row[j], row[j + 1], 8, 0x00FF00FF00FF00FFull);
+    for (std::size_t lane = 0; lane < 2; ++lane)
+      for (std::size_t j = 0; j < kPlanes; ++j) {
+        const std::uint64_t bits = row[j][lane];
+        std::memcpy(&out[i + lane * kPlanes + (kLittle ? j : 7 - j)], &bits,
+                    sizeof(bits));
+      }
+  }
+  for (; i < n; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t k = 0; k < kPlanes; ++k)
+      bits |= static_cast<std::uint64_t>(plane[k][i]) << (8 * k);
+    std::memcpy(&out[i], &bits, sizeof(bits));
+  }
+}
 
 /// Reads a channel's sample rate. util::TimeSeries refuses a
 /// non-positive rate with std::invalid_argument; off the wire that is
@@ -343,12 +396,7 @@ util::MultiChannelSeries deserialize_packed_series(
       source = source.subspan(h.n);
     }
     std::vector<double> samples(h.n);
-    for (std::size_t i = 0; i < h.n; ++i) {
-      std::uint64_t bits = 0;
-      for (std::size_t k = 0; k < kPlanes; ++k)
-        bits |= static_cast<std::uint64_t>(plane[k][i]) << (8 * k);
-      std::memcpy(&samples[i], &bits, sizeof(bits));
-    }
+    merge_planes(plane, samples);
     series.carrier_frequencies_hz.push_back(h.carrier_hz);
     series.channels.emplace_back(h.rate, std::move(samples), h.start);
   }

@@ -43,16 +43,6 @@ double percentile(std::span<const double> xs, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double min_value(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_value(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   LinearFit fit;
   const std::size_t n = std::min(xs.size(), ys.size());

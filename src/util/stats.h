@@ -24,10 +24,6 @@ double median(std::span<const double> xs);
 /// Linear interpolated percentile, p in [0,100]. Returns 0 for empty input.
 double percentile(std::span<const double> xs, double p);
 
-/// Minimum / maximum of a sample. Return 0 for empty input.
-double min_value(std::span<const double> xs);
-double max_value(std::span<const double> xs);
-
 /// Result of an ordinary-least-squares fit y = slope * x + intercept.
 struct LinearFit {
   double slope = 0.0;

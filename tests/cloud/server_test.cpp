@@ -268,6 +268,34 @@ TEST(CloudServer, QualityRejectionsCarryDistinctReasons) {
   EXPECT_EQ(server.stats().errors_returned, 3u);
 }
 
+TEST(CloudServer, NonFiniteSamplesFailTheGateAsSaturated) {
+  // NaN fails every range comparison, and detrend flattens a NaN's whole
+  // window, so a NaN-laced upload used to pass the gate and come back as
+  // a normal (wrong) analysis. One NaN is enough to reject the channel.
+  auto server = make_server();
+  testkit::enroll(server, kDevice);
+  std::uint64_t session = 1;
+  for (const std::size_t every : {std::size_t{0}, std::size_t{1800}}) {
+    auto series = dip_series(3);
+    auto& samples = series.channels[0];
+    if (every == 0) {
+      samples[samples.size() / 2] = std::nan("");
+    } else {
+      for (std::size_t i = every; i < samples.size(); i += every)
+        samples[i] = std::nan("");
+    }
+    const auto error =
+        expect_error(server.handle(upload_of(series, session++)),
+                     net::ErrorCode::kQualityRejected);
+    EXPECT_EQ(error.subcode,
+              static_cast<std::uint8_t>(QualityReason::kSaturated));
+    ASSERT_EQ(error.channel_reasons.size(), 1u);
+    EXPECT_NE(error.channel_reasons[0] &
+                  (1u << static_cast<unsigned>(QualityReason::kSaturated)),
+              0u);
+  }
+}
+
 TEST(CloudServer, QualityGateTogglable) {
   auto gated = make_server();
   testkit::enroll(gated, kDevice);

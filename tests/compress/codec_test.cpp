@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "compress/lzss.h"
 #include "crypto/chacha20.h"
 #include "sim/acquisition.h"
 #include "util/csv.h"
@@ -56,6 +57,33 @@ TEST(Codec, AllByteValuesRoundTrip) {
       data.push_back(static_cast<std::uint8_t>(b));
   const auto packed = compress(data);
   EXPECT_EQ(decompress(packed), data);
+}
+
+TEST(Codec, OverlappingBackReferencesRoundTrip) {
+  // `dist` distinct bytes, then `len` more that repeat them: one literal
+  // per pattern byte and one back-reference (len, dist) that overlaps its
+  // own output whenever len > dist. The decoder copies such a reference
+  // in runs of dist, 2 dist, 4 dist, ... bytes, so the lengths are the
+  // shortest and longest matches and those next to a run boundary.
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    std::vector<std::size_t> lengths = {kMinMatch, kMinMatch + 1,
+                                        kMaxMatch - 1, kMaxMatch};
+    for (std::size_t run = dist; run <= kMaxMatch + 1; run = 2 * run + dist)
+      for (const std::size_t len : {run - 1, run, run + 1})
+        if (len >= kMinMatch && len <= kMaxMatch) lengths.push_back(len);
+    for (const std::size_t len : lengths) {
+      std::vector<std::uint8_t> data;
+      for (std::size_t i = 0; i < dist; ++i)
+        data.push_back(static_cast<std::uint8_t>(len + 37 * i));
+      for (std::size_t i = 0; i < len; ++i)
+        data.push_back(data[data.size() - dist]);
+      const auto tokens = lzss_compress(data);
+      ASSERT_EQ(tokens.size(), dist + 1) << dist << "/" << len;
+      ASSERT_EQ(tokens.back().distance, dist);
+      ASSERT_EQ(tokens.back().length, len);
+      ASSERT_EQ(decompress(compress(data)), data) << dist << "/" << len;
+    }
+  }
 }
 
 TEST(Codec, BadMagicThrows) {

@@ -85,6 +85,23 @@ TEST(PackedSeries, RoundTripIsBitExactOnSpecialValues) {
   EXPECT_EQ(pack_series(one_channel(repeated))[mask_offset(0)], 0xFF);
 }
 
+TEST(PackedSeries, RoundTripIsBitExactAtEveryBlockTail) {
+  // The decoder merges planes sixteen samples at a time and the rest one
+  // by one: every tail length, around 4,096 and at an odd 9,001, with NaN
+  // payloads, infinities and signed zeros spread through the samples.
+  const auto values = special_values();
+  std::vector<std::size_t> lengths = {4095, 4096, 4097, 9001};
+  for (std::size_t n = 0; n <= 33; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE(n);
+    auto series = noisy_series(n);
+    for (std::size_t i = 0; i < n; i += 3)
+      series.channels[0][i] = values[(i / 3) % values.size()];
+    expect_bit_identical(deserialize_packed_series(pack_series(series)),
+                         series);
+  }
+}
+
 TEST(PackedSeries, EmptyAndTinySeriesRoundTrip) {
   util::MultiChannelSeries none;
   const auto packed_none = pack_series(none);

@@ -38,12 +38,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 10.0);
 }
 
-TEST(Stats, MinMax) {
-  const std::vector<double> xs = {3.0, -1.0, 5.0};
-  EXPECT_DOUBLE_EQ(min_value(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(xs), 5.0);
-}
-
 TEST(Stats, LinearFitRecoversLine) {
   std::vector<double> xs, ys;
   for (int i = 0; i < 50; ++i) {
