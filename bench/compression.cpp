@@ -4,16 +4,18 @@
 // rendered to CSV and pushed through the LZSS+Huffman codec. The shape to
 // match is the ~2-3x ratio on CSV sensor dumps.
 //
-// Two cases cover the relay's two-carrier 20 s upload window:
+// Three cases cover the relay's two-carrier 20 s upload window:
 // relay_planes is what the relay sends (net::pack_series: byte planes,
-// only the low-entropy ones through the codec), relay_upload the whole
-// serialized series in one compress() call, as relays sent it before
-// byte planes and as the cloud still accepts it. Every case reports
-// encode and decode throughput against the uncompressed size (median of
-// several runs) and the ratio, and the run writes BENCH_compression.json
-// for tools/bench/check_dsp_floor.py (--floor
+// only the low-entropy ones through the codec), raw_series the
+// uncompressed upload (net::serialize_series / deserialize_series, the
+// doubles as they are), and relay_upload the whole serialized series in
+// one compress() call, as relays sent it before byte planes and as the
+// cloud still accepts it. Every case reports encode and decode
+// throughput against the uncompressed size (median of several runs) and
+// the ratio, and the run writes BENCH_compression.json for
+// tools/bench/check_dsp_floor.py (--floor
 // tools/bench/compression_floor.json). `--smoke`, the CI preset, runs the
-// two relay cases and the 60 s CSV dump only.
+// three window cases and the 60 s CSV dump only.
 
 #include <algorithm>
 #include <chrono>
@@ -83,16 +85,14 @@ std::function<std::optional<CaseResult>()> codec_case(
   };
 }
 
-/// The relay's byte-plane packer over `series`; the decoded series must
-/// be bit-identical (compared through its serialized bytes).
-std::function<std::optional<CaseResult>()> planes_case(
-    util::MultiChannelSeries series, int reps) {
-  return [series = std::move(series), reps] {
+/// A series codec round trip over `series`; the decoded series must be
+/// bit-identical (compared through its serialized bytes).
+template <typename Encode, typename Decode>
+std::function<std::optional<CaseResult>()> series_case(
+    util::MultiChannelSeries series, Encode encode, Decode decode, int reps) {
+  return [series = std::move(series), encode, decode, reps] {
     const auto expected = net::serialize_series(series);
-    return measure([&] { return net::pack_series(series); },
-                   [](std::span<const std::uint8_t> packed) {
-                     return net::deserialize_packed_series(packed);
-                   },
+    return measure([&] { return encode(series); }, decode,
                    [&](const util::MultiChannelSeries& out) {
                      return net::serialize_series(out) == expected;
                    },
@@ -128,8 +128,12 @@ int main(int argc, char** argv) {
                                    bench::quiet_acquisition(), control, 20.0,
                                    99);
   const std::size_t window_bytes = net::serialized_series_size(window.signals);
-  cases.push_back(
-      {"relay_planes", window_bytes, planes_case(window.signals, 15)});
+  cases.push_back({"relay_planes", window_bytes,
+                   series_case(window.signals, net::pack_series,
+                               net::deserialize_packed_series, 15)});
+  cases.push_back({"raw_series", window_bytes,
+                   series_case(window.signals, net::serialize_series,
+                               net::deserialize_series, 15)});
   cases.push_back({"relay_upload", window_bytes,
                    codec_case(net::serialize_series(window.signals), 15)});
   // Full 8-carrier configuration like the prototype, rendered to CSV.

@@ -11,73 +11,69 @@ namespace medsen::dsp {
 
 namespace {
 
-/// Normalize one sample against its fitted baseline (guarding a
-/// near-zero fit) and accumulate the weighted contribution.
-inline void accumulate_sample(std::span<const double> chunk,
-                              const double* fitted, std::size_t i, double w,
-                              std::size_t offset, double* acc,
-                              double* weight_sum) {
-  const double baseline = fitted[i];
-  const double normalized =
-      std::fabs(baseline) > 1e-12 ? chunk[i] / baseline : 1.0;
-  acc[offset + i] += w * normalized;
-  weight_sum[offset + i] += w;
+/// One sample over its fitted baseline, guarding a near-zero fit.
+inline double normalize(double sample, double baseline) {
+  return std::fabs(baseline) > 1e-12 ? sample / baseline : 1.0;
 }
 
-/// Fit one window and accumulate its weighted contribution into
-/// acc/weight_sum, which are offset so index `base` maps to element 0
-/// (base = 0 for the global arrays, base = slab start for task slabs).
+/// Cross-fade weight of the sample `from_edge` samples in from the outer
+/// edge of an overlap ramp of `ramp` samples.
+inline double ramp_weight(std::size_t from_edge, double ramp) {
+  return (static_cast<double>(from_edge) + 1.0) / ramp;
+}
+
+/// Fits the window at `start` and writes its share of `out`. A sample no
+/// other window covers is its weighted mean over one window,
+/// (0 + 1*q) / (0 + 1), which is exactly 0 + q (+0.0 for q = -0.0).
+/// Ramps cross-fade with the neighbouring windows: the right ramp goes
+/// to task.tail as the first term of its weighted sum, and the left ramp
+/// is blended with the previous window's task.tail — or, when
+/// `blend_left` is false (a task's first window on the pooled path),
+/// left as its second term in task.head for the seam pass. Every sum
+/// adds its terms in window order, as a running accumulation would.
 void process_window(std::span<const double> signal, std::size_t start,
                     std::size_t window, std::size_t overlap, unsigned degree,
-                    DetrendWorkspace::FitScratch& scratch, double* acc,
-                    double* weight_sum, std::size_t base) {
+                    bool blend_left, DetrendWorkspace::TaskScratch& task,
+                    std::span<double> out) {
   const std::size_t n = signal.size();
   const std::size_t end = std::min(start + window, n);
   const std::size_t len = end - start;
   const std::span<const double> chunk = signal.subspan(start, len);
 
-  scratch.fitted.resize(len);
+  task.fitted.resize(len);
   if (len >= static_cast<std::size_t>(degree) + 1) {
-    const auto coeffs = polyfit_indices(chunk, degree, scratch.poly);
-    polyval_indices_into(coeffs, scratch.fitted);
+    const auto coeffs = polyfit_indices(chunk, degree, task.poly);
+    polyval_indices_into(coeffs, task.fitted);
   } else {
-    std::fill(scratch.fitted.begin(), scratch.fitted.end(),
-              util::mean(chunk));
+    std::fill(task.fitted.begin(), task.fitted.end(), util::mean(chunk));
   }
 
-  // Triangular weight: full in the window interior, ramping across the
-  // overlap margins so adjacent windows cross-fade (minimizes polynomial
-  // edge error, as the paper prescribes). The common case — ramps that
-  // do not meet — splits into three branch-free segments so each inner
-  // loop vectorizes; the weights are exactly those of the per-sample
-  // min() formulation, which remains below as the short-window fallback.
-  const double* const fitted = scratch.fitted.data();
-  const std::size_t offset = start - base;
+  // Only the first window lacks a left ramp and only the last a right
+  // one. Overlap is at most window / 2 and the last window is longer
+  // than the overlap (the one before it ends short of n), so the ramps
+  // never meet and no sample lies under three windows.
+  const double* const fitted = task.fitted.data();
+  double* const dst = out.data() + start;
   const std::size_t left = (overlap > 0 && start > 0) ? overlap : 0;
   const std::size_t right = (overlap > 0 && end < n) ? overlap : 0;
-  if (left + right <= len) {
-    const double ramp = static_cast<double>(overlap);
+  const double ramp = static_cast<double>(overlap);
+  if (blend_left) {
+    for (std::size_t i = 0; i < left; ++i) {
+      const double w = ramp_weight(i, ramp);
+      dst[i] = (task.tail[i] + w * normalize(chunk[i], fitted[i])) /
+               (ramp_weight(overlap - 1 - i, ramp) + w);
+    }
+  } else {
+    task.head.resize(left);
     for (std::size_t i = 0; i < left; ++i)
-      accumulate_sample(chunk, fitted, i, (static_cast<double>(i) + 1.0) / ramp,
-                        offset, acc, weight_sum);
-    for (std::size_t i = left; i < len - right; ++i)
-      accumulate_sample(chunk, fitted, i, 1.0, offset, acc, weight_sum);
-    for (std::size_t i = len - right; i < len; ++i)
-      accumulate_sample(chunk, fitted, i,
-                        (static_cast<double>(len - 1 - i) + 1.0) / ramp,
-                        offset, acc, weight_sum);
-    return;
+      task.head[i] = ramp_weight(i, ramp) * normalize(chunk[i], fitted[i]);
   }
-  for (std::size_t i = 0; i < len; ++i) {
-    double w = 1.0;
-    const double ramp = static_cast<double>(overlap);
-    if (i < overlap && start > 0)
-      w = (static_cast<double>(i) + 1.0) / ramp;
-    const std::size_t from_end = len - 1 - i;
-    if (from_end < overlap && end < n)
-      w = std::min(w, (static_cast<double>(from_end) + 1.0) / ramp);
-    accumulate_sample(chunk, fitted, i, w, offset, acc, weight_sum);
-  }
+  for (std::size_t i = left; i < len - right; ++i)
+    dst[i] = 0.0 + normalize(chunk[i], fitted[i]);
+  task.tail.resize(right);
+  for (std::size_t i = len - right; i < len; ++i)
+    task.tail[i - (len - right)] =
+        0.0 + ramp_weight(len - 1 - i, ramp) * normalize(chunk[i], fitted[i]);
 }
 
 }  // namespace
@@ -102,11 +98,6 @@ void detrend_into(std::span<const double> signal, const DetrendConfig& config,
   }
   const std::size_t num_windows = starts.size();
 
-  workspace.acc.assign(n, 0.0);
-  workspace.weight_sum.assign(n, 0.0);
-  std::vector<double>& acc = workspace.acc;
-  std::vector<double>& weight_sum = workspace.weight_sum;
-
   std::size_t tasks = 1;
   if (pool != nullptr && num_windows > 1)
     tasks = std::min(num_windows,
@@ -116,48 +107,34 @@ void detrend_into(std::span<const double> signal, const DetrendConfig& config,
   if (tasks <= 1) {
     for (const std::size_t s : starts)
       process_window(signal, s, window, overlap, config.poly_degree,
-                     workspace.tasks[0], acc.data(), weight_sum.data(), 0);
-  } else {
-    // Each task owns a contiguous run of windows and accumulates into a
-    // private slab covering exactly the samples those windows touch.
-    // Slabs start at 0.0 and are added to the global arrays serially in
-    // window order below, so every sample receives its contributions in
-    // the same order as the serial loop — bit-identical output.
-    if (workspace.slabs.size() < tasks) workspace.slabs.resize(tasks);
-    std::vector<DetrendWorkspace::Slab>& slabs = workspace.slabs;
-    pool->parallel_for(
-        tasks, 1, [&](std::size_t task_begin, std::size_t task_end) {
-          for (std::size_t t = task_begin; t < task_end; ++t) {
-            const std::size_t wb = t * num_windows / tasks;
-            const std::size_t we = (t + 1) * num_windows / tasks;
-            DetrendWorkspace::Slab& slab = slabs[t];
-            if (wb >= we) {
-              slab.acc.clear();
-              slab.weight_sum.clear();
-              continue;
-            }
-            slab.lo = starts[wb];
-            const std::size_t hi = std::min(starts[we - 1] + window, n);
-            slab.acc.assign(hi - slab.lo, 0.0);
-            slab.weight_sum.assign(hi - slab.lo, 0.0);
-            for (std::size_t w = wb; w < we; ++w)
-              process_window(signal, starts[w], window, overlap,
-                             config.poly_degree, workspace.tasks[t],
-                             slab.acc.data(), slab.weight_sum.data(),
-                             slab.lo);
-          }
-        });
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const DetrendWorkspace::Slab& slab = slabs[t];
-      for (std::size_t i = 0; i < slab.acc.size(); ++i) {
-        acc[slab.lo + i] += slab.acc[i];
-        weight_sum[slab.lo + i] += slab.weight_sum[i];
-      }
-    }
+                     /*blend_left=*/true, workspace.tasks[0], out);
+    return;
   }
-
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = weight_sum[i] > 0.0 ? acc[i] / weight_sum[i] : 1.0;
+  // Each task owns a contiguous run of (at least one) windows. A window
+  // reads only its own samples and writes only those no other task's
+  // window covers, so `out` may alias `signal`. The ramp two tasks share
+  // is blended serially after the fan-out, with the serial path's
+  // operations: bit-identical output for any thread count.
+  pool->parallel_for(
+      tasks, 1, [&](std::size_t task_begin, std::size_t task_end) {
+        for (std::size_t t = task_begin; t < task_end; ++t) {
+          const std::size_t wb = t * num_windows / tasks;
+          const std::size_t we = (t + 1) * num_windows / tasks;
+          for (std::size_t w = wb; w < we; ++w)
+            process_window(signal, starts[w], window, overlap,
+                           config.poly_degree, /*blend_left=*/w != wb,
+                           workspace.tasks[t], out);
+        }
+      });
+  const double ramp = static_cast<double>(overlap);
+  for (std::size_t t = 1; t < tasks; ++t) {
+    const std::vector<double>& tail = workspace.tasks[t - 1].tail;
+    const std::vector<double>& head = workspace.tasks[t].head;
+    double* const dst = out.data() + starts[t * num_windows / tasks];
+    for (std::size_t i = 0; i < head.size(); ++i)
+      dst[i] = (tail[i] + head[i]) /
+               (ramp_weight(overlap - 1 - i, ramp) + ramp_weight(i, ramp));
+  }
 }
 
 void detrend_into(std::span<const double> signal, const DetrendConfig& config,

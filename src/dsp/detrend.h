@@ -6,11 +6,13 @@
 // with cross-fade in the overlap regions.
 //
 // Each window's fit is independent, so the window loop parallelizes on a
-// util::ThreadPool. Determinism contract: the parallel path accumulates
-// each task's windows into a private slab and reduces the slabs serially
-// in window order, so the output is bit-identical to the serial path for
-// any thread count (IEEE additions happen in the same order; see
-// DESIGN.md "Threading model").
+// util::ThreadPool. A sample under one window is written straight from
+// that window's fit; only the overlap ramps, where two windows meet, are
+// blended. Determinism contract: each blend adds its two terms in window
+// order with the same operations on every path, the ramps two pool tasks
+// share in a serial pass after the fan-out, so the output is
+// bit-identical to the serial path for any thread count (see DESIGN.md
+// "Threading model").
 
 #include <cstddef>
 #include <span>
@@ -31,9 +33,9 @@ struct DetrendConfig {
 };
 
 /// Reusable cross-call arena for detrend_into: owns every buffer the
-/// window loop needs (window starts, the two accumulation arrays, per-task
-/// fit scratch and per-task reduction slabs). A caller that threads one
-/// workspace through repeated calls — AnalysisService per channel task,
+/// window loop needs (window starts and per-task fit and ramp scratch,
+/// none of it signal-length). A caller that threads one workspace
+/// through repeated calls — AnalysisService per channel task,
 /// StreamingAnalyzer per block — detrends with zero per-call allocation
 /// once the buffers have grown to the workload's high-water mark.
 /// Contents are scratch: any state left by a previous call is
@@ -41,21 +43,18 @@ struct DetrendConfig {
 /// workspace per in-flight detrend (the internal window fan-out of a
 /// single call is fine — tasks use disjoint slots).
 struct DetrendWorkspace {
-  /// Per-task fit scratch: the fitted-baseline buffer plus polyfit sums.
-  struct FitScratch {
+  /// One window task's scratch: the fitted-baseline buffer and polyfit
+  /// sums, plus the weighted overlap ramps its windows leave for a
+  /// neighbour: `tail`, the last window's right ramp, and `head`, the
+  /// task's first window's left ramp (pooled path only).
+  struct TaskScratch {
     std::vector<double> fitted;
     PolyfitScratch poly;
-  };
-  /// Per-task private accumulation slab (parallel path reduction).
-  struct Slab {
-    std::size_t lo = 0;
-    std::vector<double> acc, weight_sum;
+    std::vector<double> head, tail;
   };
 
   std::vector<std::size_t> starts;
-  std::vector<double> acc, weight_sum;
-  std::vector<FitScratch> tasks;
-  std::vector<Slab> slabs;
+  std::vector<TaskScratch> tasks;
 };
 
 /// Detrend a raw signal; the result has baseline ~= 1.0 with peaks as
@@ -66,8 +65,10 @@ std::vector<double> detrend(std::span<const double> signal,
                             const DetrendConfig& config = {},
                             util::ThreadPool* pool = nullptr);
 
-/// Detrend into a caller-provided buffer (out.size() == signal.size();
-/// out may alias signal — it is written only after all fits complete).
+/// Detrend into a caller-provided buffer (out.size() == signal.size()).
+/// out may alias signal: a sample under one window is written after that
+/// window's fit, the only one that reads it, and a sample two windows
+/// share after both fits.
 void detrend_into(std::span<const double> signal, const DetrendConfig& config,
                   std::span<double> out, util::ThreadPool* pool = nullptr);
 

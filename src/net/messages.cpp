@@ -92,14 +92,29 @@ void merge_planes(
   }
 }
 
-/// Reads a channel's sample rate. util::TimeSeries refuses a
-/// non-positive rate with std::invalid_argument; off the wire that is
-/// malformed input like any other.
-double read_rate(util::ByteReader& in) {
-  const double rate = in.f64();
-  if (rate <= 0.0)
+/// The f64 fields that lead every channel in both series formats.
+struct ChannelTiming {
+  double carrier_hz = 0.0;
+  double rate = 0.0;
+  double start = 0.0;
+};
+
+/// Reads a channel's carrier, sample rate and start time. All three must
+/// be finite and the rate positive: a NaN or infinite rate or start time
+/// would reach every peak time the analysis reports, and util::TimeSeries
+/// refuses a non-positive rate with std::invalid_argument. Off the wire
+/// either is malformed input like any other.
+ChannelTiming read_timing(util::ByteReader& in) {
+  ChannelTiming t;
+  t.carrier_hz = in.f64();
+  t.rate = in.f64();
+  t.start = in.f64();
+  if (!std::isfinite(t.carrier_hz) || !std::isfinite(t.rate) ||
+      !std::isfinite(t.start))
+    throw std::runtime_error("series: channel header is not finite");
+  if (t.rate <= 0.0)
     throw std::runtime_error("series: sample rate must be positive");
-  return rate;
+  return t;
 }
 
 /// Order-0 entropy, in bits per byte, of `n` bytes with histogram `hist`.
@@ -263,10 +278,9 @@ util::MultiChannelSeries deserialize_series(
   // Each channel needs at least carrier + rate + start + count.
   const std::uint32_t n = in.count_u32(kChannelHeaderBytes);
   for (std::uint32_t i = 0; i < n; ++i) {
-    series.carrier_frequencies_hz.push_back(in.f64());
-    const double rate = read_rate(in);
-    const double start = in.f64();
-    series.channels.emplace_back(rate, in.f64_vec(), start);
+    const ChannelTiming t = read_timing(in);
+    series.carrier_frequencies_hz.push_back(t.carrier_hz);
+    series.channels.emplace_back(t.rate, in.f64_vec(), t.start);
   }
   in.expect_done("deserialize_series");
   return series;
@@ -348,9 +362,7 @@ util::MultiChannelSeries deserialize_packed_series(
     return deserialize_series(compress::decompress(bytes));
 
   struct ChannelHeader {
-    double carrier_hz = 0.0;
-    double rate = 0.0;
-    double start = 0.0;
+    ChannelTiming timing;
     std::uint32_t n = 0;
     std::uint8_t mask = 0;
   };
@@ -359,9 +371,7 @@ util::MultiChannelSeries deserialize_packed_series(
   std::uint64_t raw_bytes = 0;
   std::uint64_t coded_bytes = 0;
   for (auto& h : headers) {
-    h.carrier_hz = in.f64();
-    h.rate = read_rate(in);
-    h.start = in.f64();
+    h.timing = read_timing(in);
     h.n = in.u32();
     h.mask = in.u8();
     const auto coded_planes = static_cast<std::uint64_t>(std::popcount(h.mask));
@@ -397,8 +407,9 @@ util::MultiChannelSeries deserialize_packed_series(
     }
     std::vector<double> samples(h.n);
     merge_planes(plane, samples);
-    series.carrier_frequencies_hz.push_back(h.carrier_hz);
-    series.channels.emplace_back(h.rate, std::move(samples), h.start);
+    series.carrier_frequencies_hz.push_back(h.timing.carrier_hz);
+    series.channels.emplace_back(h.timing.rate, std::move(samples),
+                                 h.timing.start);
   }
   return series;
 }

@@ -118,7 +118,9 @@ struct AuthResponsePayload {
   static AuthResponsePayload deserialize(std::span<const std::uint8_t> bytes);
 };
 
-/// Binary serialization of a multi-channel acquisition.
+/// Binary serialization of a multi-channel acquisition. Both series
+/// decoders throw std::runtime_error on a channel whose carrier, sample
+/// rate or start time is not finite, or whose rate is not positive.
 std::vector<std::uint8_t> serialize_series(
     const util::MultiChannelSeries& series);
 util::MultiChannelSeries deserialize_series(

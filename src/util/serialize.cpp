@@ -1,27 +1,53 @@
 #include "util/serialize.h"
 
+#include <bit>
+
 namespace medsen::util {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// `v` with its bytes in wire order, least significant first: the value
+/// itself on a little-endian host, its byte reversal on a big-endian one.
+/// The mapping is its own inverse, so it both encodes and decodes.
+template <typename T>
+T wire_order(T v) {
+  if constexpr (kLittleEndian) {
+    return v;
+  } else {
+    T out = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      out = static_cast<T>(out << 8 | (v >> (8 * i) & 0xFF));
+    return out;
+  }
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename T>
+void append(std::vector<std::uint8_t>& buf, T v) {
+  v = wire_order(v);
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  std::memcpy(buf.data() + at, &v, sizeof(T));
 }
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename T>
+T load(const std::uint8_t* in) {
+  T v = 0;
+  std::memcpy(&v, in, sizeof(T));
+  return wire_order(v);
 }
+
+}  // namespace
+
+void ByteWriter::u16(std::uint16_t v) { append(buf_, v); }
+
+void ByteWriter::u32(std::uint32_t v) { append(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { append(buf_, v); }
 
 void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+  append(buf_, std::bit_cast<std::uint64_t>(v));
 }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
@@ -40,14 +66,13 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::f64_vec(std::span<const double> v) {
   u32(static_cast<std::uint32_t>(v.size()));
-  const std::size_t start = buf_.size();
-  buf_.resize(start + v.size() * sizeof(double));
-  std::uint8_t* out = buf_.data() + start;
-  for (const double x : v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-      *out++ = static_cast<std::uint8_t>(bits >> (8 * i));
+  if constexpr (kLittleEndian) {
+    if (v.empty()) return;
+    const std::size_t start = buf_.size();
+    buf_.resize(start + v.size_bytes());
+    std::memcpy(buf_.data() + start, v.data(), v.size_bytes());
+  } else {
+    for (const double x : v) f64(x);
   }
 }
 
@@ -58,34 +83,26 @@ std::uint8_t ByteReader::u8() {
 
 std::uint16_t ByteReader::u16() {
   need(2);
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i)
-    v = static_cast<std::uint16_t>(v | (static_cast<std::uint16_t>(data_[pos_++]) << (8 * i)));
+  const auto v = load<std::uint16_t>(data_.data() + pos_);
+  pos_ += 2;
   return v;
 }
 
 std::uint32_t ByteReader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+  const auto v = load<std::uint32_t>(data_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 std::uint64_t ByteReader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+  const auto v = load<std::uint64_t>(data_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 bool ByteReader::flag() {
   const std::uint8_t v = u8();
@@ -121,14 +138,13 @@ std::vector<double> ByteReader::f64_vec() {
   // count_u32 has checked that all n elements are in the buffer.
   const std::uint32_t n = count_u32(sizeof(double));
   std::vector<double> out(n);
-  const std::uint8_t* in = data_.data() + pos_;
-  for (double& x : out) {
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i)
-      bits |= static_cast<std::uint64_t>(*in++) << (8 * i);
-    std::memcpy(&x, &bits, sizeof(x));
+  if constexpr (kLittleEndian) {
+    if (n == 0) return out;
+    std::memcpy(out.data(), data_.data() + pos_, n * sizeof(double));
+    pos_ += n * sizeof(double);
+  } else {
+    for (double& x : out) x = f64();
   }
-  pos_ += std::size_t{n} * sizeof(double);
   return out;
 }
 

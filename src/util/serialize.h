@@ -2,7 +2,9 @@
 // Endian-safe binary serialization used by the MedSen wire protocol
 // (sensor -> phone -> cloud messages) and by key/identifier storage.
 // All multi-byte integers are encoded little-endian; doubles are encoded
-// via their IEEE-754 bit pattern.
+// via their IEEE-754 bit pattern. On a little-endian host each field is
+// one 2-, 4- or 8-byte copy and a whole f64 vector one memcpy; a
+// big-endian host swaps the bytes of each value.
 
 #include <cstdint>
 #include <cstring>

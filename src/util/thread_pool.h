@@ -13,9 +13,9 @@
 //     never observed mid-flight.
 //
 // Determinism is the callers' contract, not the pool's: work submitted
-// here must write to disjoint slots (or per-task slabs reduced serially)
-// so the result is bit-identical to a serial run — see dsp::detrend_into
-// and cloud::AnalysisService.
+// here must write to disjoint slots (and combine what tasks share
+// serially, in a fixed order) so the result is bit-identical to a serial
+// run — see dsp::detrend_into and cloud::AnalysisService.
 
 #include <condition_variable>
 #include <cstddef>

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 namespace medsen::cloud {
@@ -293,6 +295,47 @@ TEST(CloudServer, NonFiniteSamplesFailTheGateAsSaturated) {
     EXPECT_NE(error.channel_reasons[0] &
                   (1u << static_cast<unsigned>(QualityReason::kSaturated)),
               0u);
+  }
+}
+
+TEST(CloudServer, NonFiniteChannelHeaderIsMalformed) {
+  // Both series decoders used to refuse only a rate <= 0, so an upload
+  // whose rate was NaN came back as a normal analysis with NaN peak
+  // times. A NaN or infinite carrier, rate or start time is malformed,
+  // raw or MSP1.
+  auto server = make_server();
+  testkit::enroll(server, kDevice);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::uint64_t session = 1;
+  for (const bool packed : {false, true}) {
+    net::SignalUploadPayload payload;
+    payload.compressed = packed;
+    payload.sample_rate_hz = 450.0;
+    payload.data = packed ? net::pack_series(dip_series(3))
+                          : net::serialize_series(dip_series(3));
+    const auto ok = server.handle(
+        net::make_envelope(net::MessageType::kSignalUpload, session++,
+                           kDevice, payload.serialize(), kMacKey));
+    ASSERT_EQ(ok.type, net::MessageType::kAnalysisResult);
+    // Channel 0's carrier, rate and start time follow the channel count
+    // (and, in MSP1, the magic).
+    const std::size_t first = packed ? 8 : 4;
+    for (std::size_t field = 0; field < 3; ++field)
+      for (const double bad :
+           {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+        net::SignalUploadPayload patched = payload;
+        const auto bits = std::bit_cast<std::uint64_t>(bad);
+        for (std::size_t b = 0; b < 8; ++b)
+          patched.data[first + 8 * field + b] =
+              static_cast<std::uint8_t>(bits >> (8 * b));
+        const auto error = expect_error(
+            server.handle(net::make_envelope(
+                net::MessageType::kSignalUpload, session++, kDevice,
+                patched.serialize(), kMacKey)),
+            net::ErrorCode::kMalformed);
+        EXPECT_FALSE(error.detail.empty())
+            << "packed " << packed << " field " << field << " value " << bad;
+      }
   }
 }
 

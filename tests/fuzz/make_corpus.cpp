@@ -5,6 +5,7 @@
 //   cmake --build build --target make_corpus
 //   ./build/tests/fuzz/make_corpus tests/fuzz/corpus
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -213,6 +214,22 @@ int main(int argc, char** argv) {
     }
     write(root / "series", "planes_mixed.bin", mixed);
     write(root / "series", "planes_raw.bin", all_raw);
+    // Channel 0's sample rate patched to NaN (raw series, after the
+    // channel count) and to +inf (MSP1, after magic and count): both
+    // decoders must refuse a non-finite channel header.
+    const auto patch_f64 = [](std::vector<std::uint8_t> bytes,
+                              std::size_t at, double value) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (std::size_t b = 0; b < 8; ++b)
+        bytes.at(at + b) = static_cast<std::uint8_t>(bits >> (8 * b));
+      return bytes;
+    };
+    write(root / "series", "rate_nan.bin",
+          patch_f64(medsen::net::serialize_series(special), 12,
+                    std::numeric_limits<double>::quiet_NaN()));
+    write(root / "series", "planes_rate_inf.bin",
+          patch_f64(all_raw, 16, std::numeric_limits<double>::infinity()));
   }
 
   // --- crypto ---------------------------------------------------------

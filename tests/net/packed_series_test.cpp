@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -259,6 +260,34 @@ TEST(PackedSeries, NonPositiveSampleRateRejectedAsMalformed) {
     p.u32(0);
     EXPECT_THROW(deserialize_packed_series(p.data()), std::runtime_error);
   }
+}
+
+TEST(PackedSeries, NonFiniteChannelHeaderRejectedAsMalformed) {
+  // A NaN or infinite carrier, rate or start time would reach every peak
+  // time the analysis reports; both decoders refuse it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t field = 0; field < 3; ++field)
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+      std::array<double, 3> timing = {5.0e5, 450.0, 0.0};
+      timing[field] = bad;
+      util::ByteWriter w;
+      w.u32(1);
+      for (const double x : timing) w.f64(x);
+      w.u32(0);
+      EXPECT_THROW(deserialize_series(w.data()), std::runtime_error)
+          << field << " " << bad;
+
+      util::ByteWriter p;
+      p.u32(0x4D535031);
+      p.u32(1);
+      for (const double x : timing) p.f64(x);
+      p.u32(0);
+      p.u8(0x00);
+      p.u32(0);
+      EXPECT_THROW(deserialize_packed_series(p.data()), std::runtime_error)
+          << field << " " << bad;
+    }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 
 namespace medsen::util {
@@ -26,11 +27,35 @@ TEST(Serialize, PrimitiveRoundTrip) {
 }
 
 TEST(Serialize, LittleEndianLayout) {
+  // Literal wire bytes, least significant first, at odd offsets.
   ByteWriter w;
+  w.u8(0xAB);
+  w.u16(0x1234);
   w.u32(0x11223344);
-  ASSERT_EQ(w.size(), 4u);
-  EXPECT_EQ(w.data()[0], 0x44);
-  EXPECT_EQ(w.data()[3], 0x11);
+  w.u64(0x0123456789ABCDEFull);
+  w.f64(1.0);
+  w.f64(-0.0);
+  w.f64(std::bit_cast<double>(0x000FFFFFFFFFFFFFull));  // largest denormal
+  const std::vector<std::uint8_t> expected = {
+      0xAB,                                            // u8
+      0x34, 0x12,                                      // u16
+      0x44, 0x33, 0x22, 0x11,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00,  // denormal
+  };
+  EXPECT_EQ(w.data(), expected);
+
+  ByteReader r(expected);
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0x1234);
+  EXPECT_EQ(r.u32(), 0x11223344u);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x3FF0000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x8000000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x000FFFFFFFFFFFFFull);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Serialize, BlobAndStringRoundTrip) {
@@ -52,27 +77,48 @@ TEST(Serialize, F64VectorRoundTrip) {
 }
 
 TEST(Serialize, F64VectorLayoutMatchesPerElementEncoding) {
-  const std::vector<double> xs = {1.0, -0.0, 1e-310, 0.1,
-                                  std::numeric_limits<double>::quiet_NaN()};
-  ByteWriter vec;
-  vec.u8(7);
-  vec.f64_vec(xs);
-  vec.u8(9);
-  ByteWriter each;
-  each.u8(7);
-  each.u32(static_cast<std::uint32_t>(xs.size()));
-  for (const double x : xs) each.f64(x);
-  each.u8(9);
-  EXPECT_EQ(vec.data(), each.data());
+  // Each vector is a u32 count, then every element's bit pattern least
+  // significant byte first, between two marker bytes at odd offsets.
+  // NaN payloads (quiet, signaling, negative) must survive bit for bit.
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {},
+      {0x3FF0000000000000ull},  // 1.0
+      {0x8000000000000000ull,   // -0.0
+       0x0000000000000001ull,   // smallest denormal
+       0x7FF8000000000ABCull,   // quiet NaN, payload 0xABC
+       0x7FF0000000000001ull,   // signaling NaN
+       0xFFF8DEADBEEF0001ull},  // negative quiet NaN
+      {0x3FB999999999999Aull,   // 0.1
+       0x800FFFFFFFFFFFFFull,   // -(largest denormal)
+       0x7FF0000000000000ull},  // +inf
+  };
+  for (const auto& bits : cases) {
+    std::vector<double> xs;
+    std::vector<std::uint8_t> expected = {7};
+    for (int i = 0; i < 4; ++i)
+      expected.push_back(static_cast<std::uint8_t>(bits.size() >> (8 * i)));
+    for (const std::uint64_t b : bits) {
+      xs.push_back(std::bit_cast<double>(b));
+      for (int i = 0; i < 8; ++i)
+        expected.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
+    }
+    expected.push_back(9);
 
-  ByteReader r(vec.data());
-  EXPECT_EQ(r.u8(), 7);
-  const auto back = r.f64_vec();
-  ASSERT_EQ(back.size(), xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    EXPECT_EQ(std::memcmp(&back[i], &xs[i], sizeof(double)), 0) << i;
-  EXPECT_EQ(r.u8(), 9);
-  EXPECT_TRUE(r.done());
+    ByteWriter vec;
+    vec.u8(7);
+    vec.f64_vec(xs);
+    vec.u8(9);
+    EXPECT_EQ(vec.data(), expected) << bits.size() << " elements";
+
+    ByteReader r(expected);
+    EXPECT_EQ(r.u8(), 7);
+    const auto back = r.f64_vec();
+    ASSERT_EQ(back.size(), bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]), bits[i]) << i;
+    EXPECT_EQ(r.u8(), 9);
+    EXPECT_TRUE(r.done());
+  }
 }
 
 TEST(Serialize, TruncatedF64VectorThrows) {
