@@ -28,13 +28,18 @@
 // master key between rounds — every rotation stampedes the fleet
 // through kAuthRequired -> re-handshake -> resend — while a slice of
 // traffic replays burned command counters and must be rejected
-// (`session.counter_rejections`).
+// (`session.counter_rejections`). A duplicate storm closes the session
+// phases: every worker sends one identical AuthChallenge at once, then
+// one (device, session, counter) with its own payload at once, and each
+// must be processed exactly once (`session.duplicates_processed`, held
+// at zero).
 //
 // Everything is deterministic for a fixed seed and worker count except
 // wall-clock timing itself.
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -540,6 +545,10 @@ struct SessionPhaseResult {
   /// kSessionConflict or kAuthRequired (must stay 0).
   std::uint64_t stale_attacks_accepted = 0;
   std::uint64_t counter_rejections = 0;  ///< server-side, from stats()
+  std::uint64_t duplicate_rounds = 0;
+  /// Extra handshakes or analyses a duplicate round caused beyond the
+  /// one each (device, session, counter) gets (must stay 0).
+  std::uint64_t duplicates_processed = 0;
 };
 
 /// Phase 4+5: the EV2-style session plane under fleet load.
@@ -551,7 +560,10 @@ struct SessionPhaseResult {
 /// commands while the master key rotates every round, so each rotation
 /// stampedes every device through kAuthRequired -> re-handshake ->
 /// resend; a slice of traffic deliberately replays burned counters and
-/// must die with kStaleCounter (`counter_rejections`).
+/// must die with kStaleCounter (`counter_rejections`). Duplicate storm:
+/// every worker sends the same AuthChallenge, then the same counter, at
+/// once, and any second handshake or analysis counts in
+/// `duplicates_processed`.
 SessionPhaseResult run_session_phases(
     const Options& options, std::size_t workers,
     const std::vector<std::uint8_t>& upload_payload) {
@@ -702,6 +714,76 @@ SessionPhaseResult run_session_phases(
   result.commands_per_sec =
       static_cast<double>(result.commands_ok) / result.rekey_elapsed_s;
   result.counter_rejections = server.stats().counter_rejections;
+
+  // --- Duplicate storm --------------------------------------------------
+  // Each round, every racer is released by one barrier with the same
+  // AuthChallenge, then again with the same (device, session, counter)
+  // under its own payload. The server must run one handshake and one
+  // analysis per round; the other copies are told to retry, served the
+  // completed exchange, or refused as conflicts.
+  constexpr std::size_t kDuplicateRounds = 200;
+  const std::size_t racers = std::max<std::size_t>(workers, 2);
+  std::vector<std::vector<std::uint8_t>> variants;
+  for (std::size_t w = 0; w < racers; ++w) {
+    auto variant = net::SignalUploadPayload::deserialize(upload_payload);
+    auto series = net::deserialize_series(variant.data);
+    series.channels[0][0] += 1e-6 * static_cast<double>(w);
+    variant.data = net::serialize_series(series);
+    variants.push_back(variant.serialize());
+  }
+  std::vector<net::Envelope> sends(racers);
+  std::vector<net::Envelope> answers(racers);
+  std::barrier sync(static_cast<std::ptrdiff_t>(racers + 1));
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < racers; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t step = 0; step < 2 * kDuplicateRounds; ++step) {
+        sync.arrive_and_wait();
+        answers[w] = server.handle(sends[w]);
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  const auto send_all = [&] {
+    sync.arrive_and_wait();  // release the racers
+    sync.arrive_and_wait();  // every copy answered
+  };
+  for (std::size_t round = 0; round < kDuplicateRounds; ++round) {
+    auto& crypto = *cryptos[round % devices];
+    const std::uint64_t handshakes = server.stats().handshakes_completed;
+    crypto.invalidate();
+    std::fill(sends.begin(), sends.end(),
+              crypto.make_challenge((1ull << 53) + round));
+    send_all();
+    const std::uint64_t ran = server.stats().handshakes_completed - handshakes;
+    if (ran > 1) result.duplicates_processed += ran - 1;
+    // Every copy has been answered, so a retry of an in-flight refusal
+    // meets the completed slot.
+    const auto in_flight = [](const net::Envelope& e) {
+      return e.type == net::MessageType::kError &&
+             net::ErrorPayload::deserialize(e.payload).code ==
+                 net::ErrorCode::kOverloaded;
+    };
+    auto answer = answers[0];
+    for (int retry = 0; retry < 10 && in_flight(answer); ++retry)
+      answer = server.handle(sends[0]);
+    (void)crypto.complete(answer);
+
+    const std::uint32_t counter = crypto.next_counter();
+    for (std::size_t w = 0; w < racers; ++w)
+      sends[w] = net::make_envelope(net::MessageType::kSignalUpload,
+                                    crypto.session_id(), crypto.device_id(),
+                                    variants[w], crypto.session_mac_key(),
+                                    counter);
+    send_all();
+    const auto analyzed = static_cast<std::uint64_t>(std::count_if(
+        answers.begin(), answers.end(), [](const net::Envelope& e) {
+          return e.type == net::MessageType::kAnalysisResult;
+        }));
+    if (analyzed > 1) result.duplicates_processed += analyzed - 1;
+  }
+  for (auto& thread : threads) thread.join();
+  result.duplicate_rounds = kDuplicateRounds;
   return result;
 }
 
@@ -792,8 +874,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.replays_served),
       static_cast<unsigned long long>(stats.errors_returned),
       static_cast<unsigned long long>(stats.requests_shed),
-      server.session_cache().size(),
-      static_cast<unsigned long long>(server.session_cache().evictions()),
+      server.devices().cache_size(),
+      static_cast<unsigned long long>(server.devices().evictions()),
       static_cast<unsigned long long>(handshakes),
       static_cast<unsigned long long>(handshake_failures),
       static_cast<unsigned long long>(legacy_refused),
@@ -836,8 +918,8 @@ int main(int argc, char** argv) {
   json.set_count("replays", stats.replays_served);
   json.set_count("errors", stats.errors_returned);
   json.set_count("shed", stats.requests_shed);
-  json.set_count("cache_entries", server.session_cache().size());
-  json.set_count("cache_evictions", server.session_cache().evictions());
+  json.set_count("cache_entries", server.devices().cache_size());
+  json.set_count("cache_evictions", server.devices().evictions());
   json.set_count("transport_dropped", dropped);
   json.set_count("transport_garbled", garbled);
   json.set_count("mixed.handshakes", handshakes);
@@ -874,17 +956,20 @@ int main(int argc, char** argv) {
   // Phases 4+5: the session plane — handshake storm, then a rekey storm
   // with master rotations and deliberate stale-counter replays.
   std::uint64_t session_accepted = 0;
+  std::uint64_t duplicates = 0;
   if (options.session) {
     const auto session =
         run_session_phases(options, workers, upload_payload);
     session_accepted = session.stale_attacks_accepted;
+    duplicates = session.duplicates_processed;
     std::printf(
         "session: %zu devices, %zu commands, %zu rekey rounds\n"
         "  handshakes   %llu in %.2fs (%.0f/s)\n"
         "  commands ok  %llu (%.0f/s), rehandshakes %llu, "
         "auth-required %llu\n"
         "  stale attacks sent %llu (accepted %llu), counter rejections "
-        "%llu\n",
+        "%llu\n"
+        "  duplicate rounds %llu, duplicates processed %llu\n",
         options.session_devices, options.session_commands,
         options.rekey_rounds,
         static_cast<unsigned long long>(session.handshakes),
@@ -895,7 +980,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(session.auth_required_errors),
         static_cast<unsigned long long>(session.stale_attacks),
         static_cast<unsigned long long>(session.stale_attacks_accepted),
-        static_cast<unsigned long long>(session.counter_rejections));
+        static_cast<unsigned long long>(session.counter_rejections),
+        static_cast<unsigned long long>(session.duplicate_rounds),
+        static_cast<unsigned long long>(session.duplicates_processed));
     json.set_count("session.devices", options.session_devices);
     json.set_count("session.rekey_rounds", options.rekey_rounds);
     json.set_count("session.handshakes", session.handshakes);
@@ -909,6 +996,9 @@ int main(int argc, char** argv) {
                    session.stale_attacks_accepted);
     json.set_count("session.counter_rejections",
                    session.counter_rejections);
+    json.set_count("session.duplicate_rounds", session.duplicate_rounds);
+    json.set_count("session.duplicates_processed",
+                   session.duplicates_processed);
   }
 
   json.write(options.out);
@@ -917,6 +1007,11 @@ int main(int argc, char** argv) {
   if (session_accepted != 0) {
     std::fprintf(stderr, "FAIL: %llu stale-counter attacks were accepted\n",
                  static_cast<unsigned long long>(session_accepted));
+    return 1;
+  }
+  if (duplicates != 0) {
+    std::fprintf(stderr, "FAIL: %llu duplicate requests were processed\n",
+                 static_cast<unsigned long long>(duplicates));
     return 1;
   }
   return 0;

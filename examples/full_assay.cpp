@@ -193,7 +193,7 @@ int main() {
                 restarted->records().record_count(),
                 restarted->enrollments().lookup(code).value_or("?").c_str(),
                 restarted->devices().size(),
-                restarted->sessions().active_sessions());
+                restarted->devices().active_sessions());
   }
   std::filesystem::remove_all(state_dir);
   return 0;

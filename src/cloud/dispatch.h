@@ -1,30 +1,29 @@
 #pragma once
 // The cloud's service plumbing, independent of what the handlers do:
 //
-//  - DeviceRegistry: device_id -> per-device MAC key, so one server
-//    serves many sensors (multi-tenant). Each dongle's key is derived
-//    on demand from a per-epoch master key, so the registry holds no
-//    per-device secret. Sharded by device_id: a lookup only locks the
-//    key's shard, so a fleet of devices never serializes on one
-//    registry mutex.
+//  - DeviceRegistry: the one per-device table. Each shard holds the
+//    records of the devices that route to it (enrollment, revocation,
+//    the live session's MAC key and anti-replay window), that shard's
+//    LRU of cached exchanges, and its service counters. A request takes
+//    its device's shard lock in short sections (resolve, reserve,
+//    complete) and never across MAC verification or a handler, so
+//    requests for different devices never contend and each (device,
+//    session, counter) is processed at most once.
 //  - AdmissionGate: a bounded in-flight counter, lock-free. Past the
 //    limit the server sheds requests with an `overloaded` error instead
 //    of queueing unboundedly on the shared analysis pool.
-//  - ServiceCounters: per-shard relaxed std::atomic service counters,
-//    aggregated on read — the hot path never takes a stats lock, and a
-//    stats() snapshot is eventually consistent (it may miss an update
-//    racing the read, never report a torn one).
 //  - ServiceResult: a handler's outcome as data. Failures are values
 //    that become kError envelopes at the boundary; exceptions are
 //    reserved for programmer errors.
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,25 +47,87 @@ struct RegistrySnapshot {  // medsen: allow(secret-flow)
   std::vector<std::uint64_t> revoked;   ///< sorted device ids
 };
 
-/// Thread-safe, sharded device registry. It stores one 16-byte *master
-/// key per epoch* plus id-only enrollment and revocation sets, and
-/// derives a device's long-term key on demand as
-/// crypto::diversify_device_key(master[epoch], id, epoch). A
-/// million-device fleet holds zero per-device secrets, so a leaked
-/// registry leaks no device key, and rotating the master key — a new
-/// epoch — re-keys the whole fleet in one operation. Revoked devices
-/// resolve to nothing until re-enrolled.
+/// Aggregate service counters (all monotonic).
+struct ServiceStats {
+  std::uint64_t requests_processed = 0;  ///< cache-miss successes
+  std::uint64_t replays_served = 0;      ///< idempotent cache hits
+  std::uint64_t errors_returned = 0;     ///< kError responses sent
+  std::uint64_t requests_shed = 0;       ///< refused by the admission gate
+  std::uint64_t handshakes_completed = 0;  ///< sessions established
+  std::uint64_t counter_rejections = 0;  ///< stale/replayed command counters
+  double processing_time_s = 0.0;        ///< summed handler wall-clock
+};
+
+/// What a request learns about its device in the resolve section.
+struct DeviceStatus {
+  bool enrolled = false;  ///< enrolled and not revoked
+  bool revoked = false;
+  /// The live session's MAC key, when the request names that session.
+  std::optional<util::SecretBytes> session_key;
+};
+
+/// Outcome of reserving a request's (device, session, counter) slot.
+enum class SlotState : std::uint8_t {
+  kReserved,  ///< fresh: the caller owns a pending slot until
+              ///< complete() or release()
+  kReplay,    ///< byte-identical replay of a completed exchange
+  kInFlight,  ///< byte-identical copy of a pending exchange: retry later
+  kConflict,  ///< the slot holds a request with a different MAC
+  kStale,     ///< session-plane counter already seen, below the window,
+              ///< or its session is gone
+};
+
+struct Reservation {
+  SlotState state = SlotState::kReserved;
+  net::Envelope response;  ///< the cached response (kReplay only)
+};
+
+/// Thread-safe, sharded per-device table.
+///
+/// Keys: one 16-byte *master key per epoch*; a device's long-term key is
+/// derived on demand as crypto::diversify_device_key(master[epoch], id,
+/// epoch), so a million-device fleet holds zero per-device long-term
+/// secrets and rotating the master (a new epoch) re-keys the whole fleet
+/// in one operation. Revoked devices resolve to nothing until
+/// re-enrolled.
+///
+/// Sessions: after an AuthChallenge/AuthResponse handshake a device has
+/// one live session: its id, the negotiated MAC key and a DTLS/IPsec
+/// style anti-replay window over the command counter (`highest` is the
+/// largest committed counter, bit i of `window` marks `highest - i` as
+/// seen). A counter above `highest` is fresh; one inside the window is
+/// fresh exactly once; anything at or below `highest - 64` is stale. A
+/// new handshake replaces key, counter and window.
+///
+/// Exchanges: every request reserves its (device, session, counter) slot
+/// before its handler runs. The reservation is a *pending* cache entry
+/// carrying the request MAC, made in the same section as the cache
+/// lookup and the counter check, so a second copy of the request finds
+/// it: a different MAC is a conflict, the same MAC is in flight (or,
+/// once the slot is filled, a replay served from it). complete() fills
+/// the slot and burns the counter; release() frees it, so a failed
+/// command keeps its counter. Filled slots live in a per-shard LRU
+/// bounded at capacity / shards (at least 1; 0 = unbounded); pending
+/// slots neither count against the bound nor get evicted. An evicted
+/// legacy-plane exchange is simply processed again; an evicted
+/// session-plane one is refused by the window.
 ///
 /// Routing is deterministic (util::Sharded FNV-1a): the same device
 /// always lands on the same shard for a given shard count.
 class DeviceRegistry {
  public:
-  /// `shards` 0 = hardware default; rounded up to a power of two.
-  explicit DeviceRegistry(std::size_t shards = 0)
-      : shards_(shards), masters_(1) {}
+  static constexpr std::uint32_t kWindowSize = 64;
 
-  /// Remove a device from the enrollment set and put it on the
-  /// revocation list; returns false when it was never enrolled.
+  /// `shards` 0 = hardware default; rounded up to a power of two.
+  /// `cache_capacity` bounds the cached exchanges across all shards.
+  explicit DeviceRegistry(std::size_t shards = 0,
+                          std::size_t cache_capacity = 1u << 16);
+
+  // --- Enrollment and long-term keys ------------------------------------
+
+  /// Remove a device from the enrollment set, put it on the revocation
+  /// list and drop its live session; returns false when it was not
+  /// enrolled.
   bool revoke(std::uint64_t device_id);
   /// Diversified enrollment: record the id (no secret). Clears
   /// revocation. The device's key is derived on demand.
@@ -83,6 +144,12 @@ class DeviceRegistry {
   /// is not enrolled.
   [[nodiscard]] std::optional<util::SecretBytes> lookup_epoch(
       std::uint64_t device_id, std::uint32_t key_epoch) const;
+  /// The key under `key_epoch` (the current epoch when nullopt) without
+  /// consulting enrollment, for a caller that already resolved the
+  /// device; nullopt when that epoch's master is gone.
+  [[nodiscard]] std::optional<util::SecretBytes> derive_key(
+      std::uint64_t device_id,
+      std::optional<std::uint32_t> key_epoch = std::nullopt) const;
 
   /// Install the master key for an epoch (16 bytes) and make it
   /// current. Old epochs stay derivable until retire_epoch().
@@ -96,9 +163,57 @@ class DeviceRegistry {
   /// Enrolled devices (revoked ones excluded).
   [[nodiscard]] std::size_t size() const;
 
-  /// Deterministic full-state dump / restore for persistence.
+  /// Deterministic dump / restore of enrollment and keying state for
+  /// persistence. restore() replaces every device record (sessions
+  /// included); cached exchanges and counters are not persisted.
   [[nodiscard]] RegistrySnapshot snapshot() const;
   void restore(const RegistrySnapshot& snapshot);
+
+  // --- Sessions ----------------------------------------------------------
+
+  /// The session MAC key, if `session_id` is the device's live session.
+  [[nodiscard]] std::optional<util::SecretBytes> session_key(
+      std::uint64_t device_id, std::uint64_t session_id) const;
+  /// Tear down every session (master-key rotation re-keys the fleet).
+  /// Later session-plane envelopes get kAuthRequired until a new
+  /// handshake.
+  void drop_sessions();
+  [[nodiscard]] std::size_t active_sessions() const;
+
+  // --- The request path (CloudServer::handle) ---------------------------
+
+  /// Section 1: revocation, enrollment and the named session's key.
+  [[nodiscard]] DeviceStatus resolve(std::uint64_t device_id,
+                                     std::uint64_t session_id) const;
+  /// Section 2, once the MAC verified: cache lookup, counter check (on
+  /// the session plane) and the pending slot, in one critical section.
+  /// Counts replays and the refusals it returns.
+  [[nodiscard]] Reservation reserve(const net::Envelope& request,
+                                    bool session_plane);
+  /// Section 3 on success: fill the pending slot with `response` (if
+  /// there is one), burn the counter (session plane) or install
+  /// `new_session` (a handshake's key, replacing the device's session
+  /// and resetting its window; installed only while the device is still
+  /// enrolled), and count the request as processed.
+  void complete(const net::Envelope& request, const net::Envelope& response,
+                bool session_plane, double processing_time_s,
+                std::optional<util::SecretBytes> new_session = std::nullopt);
+  /// Section 3 on failure: free the slot and count the error.
+  void release(const net::Envelope& request);
+  /// Count an error decided outside reserve()/release() (and a shed).
+  void count_error(std::uint64_t device_id, bool shed = false);
+
+  // --- Observation ---------------------------------------------------------
+
+  /// Aggregated per shard on read: eventually consistent while requests
+  /// are in flight, exact once they drain.
+  [[nodiscard]] ServiceStats stats() const;
+  /// Cached exchanges, pending ones included, and LRU evictions.
+  [[nodiscard]] std::size_t cache_size() const;
+  [[nodiscard]] std::uint64_t evictions() const;
+  [[nodiscard]] std::size_t per_shard_capacity() const {
+    return per_shard_capacity_;
+  }
 
   [[nodiscard]] std::size_t shard_count() const {
     return shards_.shard_count();
@@ -110,10 +225,54 @@ class DeviceRegistry {
   }
 
  private:
-  /// Per-device state, sharded by device id.
-  struct DeviceShard {
-    std::unordered_set<std::uint64_t> enrolled;
-    std::unordered_set<std::uint64_t> revoked;
+  struct Session {
+    std::uint64_t id = 0;
+    util::SecretBytes mac_key;
+    std::uint32_t highest = 0;  ///< largest committed counter
+    std::uint64_t window = 0;   ///< seen-bitmap below `highest`
+
+    [[nodiscard]] bool fresh(std::uint32_t counter) const;
+    void burn(std::uint32_t counter);
+  };
+  struct DeviceRecord {
+    bool enrolled = false;
+    bool revoked = false;
+    /// Allocated only while the device has a live session, so an
+    /// enrolled fleet's records stay small.
+    std::unique_ptr<Session> session;
+
+    [[nodiscard]] bool live(std::uint64_t session_id) const {
+      return session != nullptr && session->id == session_id;
+    }
+  };
+
+  /// (device, session, counter): the session plane keeps one session id
+  /// across the retry ladder and tells attempts apart by counter, so
+  /// each counter is its own slot; counter-0 traffic is one slot per
+  /// (device, session).
+  using SlotKey = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
+  struct SlotHash {
+    std::size_t operator()(const SlotKey& key) const {
+      return static_cast<std::size_t>(util::fnv1a64(
+          util::fnv1a64(std::get<0>(key) ^ std::get<2>(key)) ^
+          std::get<1>(key)));
+    }
+  };
+  struct Exchange {
+    SlotKey key;
+    crypto::Sha256Digest request_mac{};
+    bool pending = true;
+    net::Envelope response;
+  };
+
+  struct Shard {
+    std::unordered_map<std::uint64_t, DeviceRecord> devices;
+    std::list<Exchange> lru;  ///< front = most recently touched
+    std::unordered_map<SlotKey, std::list<Exchange>::iterator, SlotHash>
+        slots;
+    std::size_t filled = 0;  ///< non-pending exchanges (the LRU bound)
+    ServiceStats counts;
+    std::uint64_t evictions = 0;
   };
   /// Fleet-wide keying state: tiny and rarely written, so it lives in a
   /// single-shard Sharded (routed with key 0) rather than a bare mutex.
@@ -122,7 +281,16 @@ class DeviceRegistry {
     std::uint32_t current_epoch = 0;
   };
 
-  util::Sharded<DeviceShard> shards_;
+  /// The device's record in its shard, or null.
+  template <typename ShardT>
+  static auto* find(ShardT& shard, std::uint64_t device_id) {
+    const auto it = shard.devices.find(device_id);
+    return it == shard.devices.end() ? nullptr : &it->second;
+  }
+  void evict(Shard& shard) const;
+
+  std::size_t per_shard_capacity_;
+  util::Sharded<Shard> shards_;
   util::Sharded<MasterState> masters_;
 };
 
@@ -175,57 +343,6 @@ class AdmissionGate {
   std::atomic<std::uint64_t> shed_{0};
 };
 
-/// Aggregate service counters (all monotonic).
-struct ServiceStats {
-  std::uint64_t requests_processed = 0;  ///< cache-miss successes
-  std::uint64_t replays_served = 0;      ///< idempotent cache hits
-  std::uint64_t errors_returned = 0;     ///< kError responses sent
-  std::uint64_t requests_shed = 0;       ///< refused by the admission gate
-  std::uint64_t handshakes_completed = 0;  ///< sessions established
-  std::uint64_t counter_rejections = 0;  ///< stale/replayed command counters
-  double processing_time_s = 0.0;        ///< summed handler wall-clock
-};
-
-/// Per-shard relaxed atomic counters behind ServiceStats. Increments
-/// route by device_id so a hot device's counters stay on one cache line
-/// and fleets spread across shards; aggregate() sums the shards, giving
-/// an eventually-consistent (never torn) snapshot. Wall-clock is summed
-/// in integer nanoseconds — atomic<double> accumulation isn't portable
-/// and the hot path must stay a plain fetch_add.
-class ServiceCounters {
- public:
-  explicit ServiceCounters(std::size_t shards = 0);
-
-  void count_processed(std::uint64_t device_id, double processing_time_s);
-  void count_replay(std::uint64_t device_id);
-  void count_error(std::uint64_t device_id);
-  void count_shed(std::uint64_t device_id);
-  void count_handshake(std::uint64_t device_id);
-  void count_counter_rejection(std::uint64_t device_id);
-
-  [[nodiscard]] ServiceStats aggregate() const;
-  [[nodiscard]] std::size_t shard_count() const { return count_; }
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> requests_processed{0};
-    std::atomic<std::uint64_t> replays_served{0};
-    std::atomic<std::uint64_t> errors_returned{0};
-    std::atomic<std::uint64_t> requests_shed{0};
-    std::atomic<std::uint64_t> handshakes_completed{0};
-    std::atomic<std::uint64_t> counter_rejections{0};
-    std::atomic<std::uint64_t> processing_time_ns{0};
-  };
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t device_id) {
-    return shards_[static_cast<std::size_t>(util::fnv1a64(device_id)) &
-                   (count_ - 1)];
-  }
-
-  std::size_t count_;
-  std::unique_ptr<Shard[]> shards_;
-};
-
 /// A handler's outcome. Success carries the response payload; failure
 /// carries the structured error that becomes a kError envelope.
 struct ServiceResult {
@@ -238,6 +355,9 @@ struct ServiceResult {
   /// Per-channel QualityReason bytes for quality failures (empty
   /// otherwise); copied into ErrorPayload::channel_reasons.
   std::vector<std::uint8_t> error_channel_reasons;
+  /// A handshake's negotiated session MAC key, installed when the
+  /// exchange completes (nullopt for every other handler).
+  std::optional<util::SecretBytes> session_key;
 
   static ServiceResult success(net::MessageType type,
                                std::vector<std::uint8_t> payload);

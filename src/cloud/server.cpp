@@ -21,12 +21,9 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
       db_(alphabet),
       verifier_(std::move(alphabet), std::move(classifier), verifier_config),
       store_(service.shards),
-      devices_(service.shards),
+      devices_(service.shards, service.session_cache_capacity),
       admission_(service.max_inflight),
       quality_gate_(service.quality_gate),
-      cache_({service.shards, service.session_cache_capacity}),
-      sessions_(service.shards),
-      counters_(service.shards),
       challenge_seed_(service.challenge_seed),
       allow_legacy_plane_(service.allow_legacy_plane) {}
 
@@ -52,10 +49,7 @@ void CloudServer::enroll_device(std::uint64_t device_id) {
 
 bool CloudServer::revoke_device(std::uint64_t device_id) {
   bool known = false;
-  const auto apply = [&] {
-    known = devices_.revoke(device_id);
-    sessions_.drop(device_id);
-  };
+  const auto apply = [&] { known = devices_.revoke(device_id); };
   if (durable_) {
     durable_->log_revoke(device_id, apply);
     durable_->maybe_compact(*this);
@@ -69,7 +63,7 @@ void CloudServer::rotate_master_key(std::uint32_t epoch,
                                     std::vector<std::uint8_t> master) {
   const auto apply = [&] {
     devices_.set_master_key(epoch, std::move(master));
-    sessions_.drop_all();
+    devices_.drop_sessions();
   };
   if (durable_) {
     durable_->log_master_rotated(epoch, master, apply);
@@ -127,71 +121,75 @@ util::MultiChannelSeries CloudServer::decode_series(
 
 net::Envelope CloudServer::error_response(
     const net::Envelope& request, std::span<const std::uint8_t> mac_key,
-    net::ErrorCode code, std::uint8_t subcode, std::string detail,
+    net::ErrorCode code, std::string detail, std::uint8_t subcode,
     std::vector<std::uint8_t> channel_reasons) {
   net::ErrorPayload payload;
   payload.code = code;
   payload.subcode = subcode;
   payload.detail = std::move(detail);
   payload.channel_reasons = std::move(channel_reasons);
-  counters_.count_error(request.device_id);
   return net::make_envelope(net::MessageType::kError, request.session_id,
                             request.device_id, payload.serialize(), mac_key,
                             request.counter);
 }
 
-ServiceStats CloudServer::stats() const { return counters_.aggregate(); }
-
 std::uint64_t CloudServer::requests_processed() const {
-  return counters_.aggregate().requests_processed;
+  return stats().requests_processed;
 }
 
 std::uint64_t CloudServer::replays_served() const {
-  return counters_.aggregate().replays_served;
+  return stats().replays_served;
 }
 
 CloudServer::ResolvedKey CloudServer::resolve_mac_key(
     const net::Envelope& request) {
   ResolvedKey resolved;
+  DeviceStatus device =
+      devices_.resolve(request.device_id, request.session_id);
+  // Errors to devices the server cannot key are unsigned (empty key):
+  // it has no credential to speak for them.
+  const auto fail = [&](std::span<const std::uint8_t> key,
+                        net::ErrorCode code, std::string detail) {
+    resolved.error = error_response(request, key, code, std::move(detail));
+    return std::move(resolved);
+  };
+  const auto longterm = [&] {
+    return device.enrolled ? devices_.derive_key(request.device_id)
+                           : std::nullopt;
+  };
+  const auto unknown = [&] {
+    return fail({}, net::ErrorCode::kUnknownDevice,
+                "device " + std::to_string(request.device_id) +
+                    " is not provisioned");
+  };
   // Revocation outranks every keying plane: a revoked device gets the
   // explicit kRevoked (unsigned — the server no longer speaks for it).
-  if (devices_.is_revoked(request.device_id)) {
-    resolved.error = error_response(
-        request, {}, net::ErrorCode::kRevoked, 0,
-        "device " + std::to_string(request.device_id) + " is revoked");
-    return resolved;
+  if (device.revoked) {
+    return fail({}, net::ErrorCode::kRevoked,
+                "device " + std::to_string(request.device_id) +
+                    " is revoked");
   }
 
   if (request.type == net::MessageType::kAuthChallenge) {
     // Handshakes verify under the long-term key of the epoch the device
     // was personalized under. The payload is decoded before MAC
     // verification only to learn that epoch; a forgery still dies at
-    // the MAC check below.
+    // the MAC check.
     std::uint32_t epoch = 0;
     try {
       epoch =
           net::AuthChallengePayload::deserialize(request.payload).key_epoch;
     } catch (const std::exception& e) {
-      resolved.error =
-          error_response(request, {}, net::ErrorCode::kMalformed, 0, e.what());
-      return resolved;
+      return fail({}, net::ErrorCode::kMalformed, e.what());
     }
-    auto key = devices_.lookup_epoch(request.device_id, epoch);
-    if (!key && devices_.lookup(request.device_id).has_value()) {
+    if (!device.enrolled) return unknown();
+    resolved.key = devices_.derive_key(request.device_id, epoch);
+    if (!resolved.key) {
       // Enrolled, but the named epoch's master is retired/unknown.
-      resolved.error = error_response(
-          request, {}, net::ErrorCode::kBadEpoch, 0,
-          "key epoch " + std::to_string(epoch) + " is not derivable");
-      return resolved;
+      return fail({}, net::ErrorCode::kBadEpoch,
+                  "key epoch " + std::to_string(epoch) +
+                      " is not derivable");
     }
-    if (!key) {
-      resolved.error = error_response(
-          request, {}, net::ErrorCode::kUnknownDevice, 0,
-          "device " + std::to_string(request.device_id) +
-              " is not provisioned");
-      return resolved;
-    }
-    resolved.key = std::move(key);
     return resolved;
   }
 
@@ -199,111 +197,95 @@ CloudServer::ResolvedKey CloudServer::resolve_mac_key(
     // Session plane: the envelope claims a negotiated session. Its MAC
     // key is the derived session key — never a registry key.
     resolved.session_plane = true;
-    auto key = sessions_.session_key(request.device_id, request.session_id);
-    if (!key) {
-      const auto longterm = devices_.lookup(request.device_id);
-      resolved.error = error_response(
-          request,
-          longterm ? std::span<const std::uint8_t>(*longterm)
-                   : std::span<const std::uint8_t>(),
-          net::ErrorCode::kAuthRequired, 0,
-          "no negotiated session for session_id " +
-              std::to_string(request.session_id));
-      return resolved;
+    if (!device.session_key) {
+      const auto key = longterm();
+      return fail(key ? std::span<const std::uint8_t>(*key)
+                      : std::span<const std::uint8_t>(),
+                  net::ErrorCode::kAuthRequired,
+                  "no negotiated session for session_id " +
+                      std::to_string(request.session_id));
     }
-    resolved.key = std::move(key);
+    resolved.key = std::move(device.session_key);
     return resolved;
   }
 
   // Counter-0 command plane: MAC'd with the device's long-term key, kept
   // as the incremental-upgrade fallback and closable per deployment.
   if (!allow_legacy_plane_) {
-    const auto longterm = devices_.lookup(request.device_id);
-    resolved.error = error_response(
-        request,
-        longterm ? std::span<const std::uint8_t>(*longterm)
-                 : std::span<const std::uint8_t>(),
-        net::ErrorCode::kAuthRequired, 0,
-        "legacy static-key plane is disabled; negotiate a session");
-    return resolved;
+    const auto key = longterm();
+    return fail(key ? std::span<const std::uint8_t>(*key)
+                    : std::span<const std::uint8_t>(),
+                net::ErrorCode::kAuthRequired,
+                "legacy static-key plane is disabled; negotiate a session");
   }
-  auto key = devices_.lookup(request.device_id);
-  if (!key) {
-    resolved.error = error_response(
-        request, {}, net::ErrorCode::kUnknownDevice, 0,
-        "device " + std::to_string(request.device_id) +
-            " is not provisioned");
-    return resolved;
-  }
-  resolved.key = std::move(key);
+  resolved.key = longterm();
+  if (!resolved.key) return unknown();
   return resolved;
 }
 
 net::Envelope CloudServer::handle(const net::Envelope& request) {
   // The whole request runs shard-local: admission is a lock-free atomic,
-  // and the registry lookup, session-cache traffic, and stats increments
-  // below all route on request.device_id — no cross-shard lock is ever
-  // taken while a request is in flight.
+  // and everything else routes on request.device_id to one registry
+  // shard, whose lock is taken in at most three short sections —
+  // resolve, reserve, complete — and never across the MAC check or the
+  // handler.
   //
   // 1. Admission: shed instead of queueing unboundedly on the pool. The
-  // error is signed with the device key when the sender is known (an
-  // unknown-device envelope would be shed before its key is resolved).
+  // error is signed with the device key when the sender is known.
   auto ticket = admission_.try_enter();
   if (!ticket.admitted()) {
-    counters_.count_shed(request.device_id);
     const auto key = devices_.lookup(request.device_id);
+    devices_.count_error(request.device_id, /*shed=*/true);
     return error_response(
         request, key ? std::span<const std::uint8_t>(*key)
                      : std::span<const std::uint8_t>(),
-        net::ErrorCode::kOverloaded, 0, "admission limit reached");
+        net::ErrorCode::kOverloaded, "admission limit reached");
   }
 
-  // 2. Key resolution: the MAC key comes from the registry (derived
-  // under a master-key epoch) or the negotiated-session table — never from the
-  // caller. Errors to unknown devices are unsigned (empty key) — the
-  // server has no credential to speak for them.
+  // 2. Resolve: the MAC key comes from the registry (derived under a
+  // master-key epoch) or the device's live session — never from the
+  // caller.
   auto resolved = resolve_mac_key(request);
-  if (resolved.error.has_value()) return *std::move(resolved.error);
-  const auto& mac_key = resolved.key;
+  if (resolved.error.has_value()) {
+    devices_.count_error(request.device_id);
+    return *std::move(resolved.error);
+  }
+  const util::SecretBytes& mac_key = *resolved.key;
 
   // 3. Integrity: a tampering relay is detected here.
-  if (!net::verify_envelope(request, *mac_key)) {
-    return error_response(request, *mac_key, net::ErrorCode::kBadMac, 0,
+  if (!net::verify_envelope(request, mac_key)) {
+    devices_.count_error(request.device_id);
+    return error_response(request, mac_key, net::ErrorCode::kBadMac,
                           "envelope MAC verification failed");
   }
 
-  // 4. Idempotency: the reliable transport re-uploads when a response is
-  // lost; byte-identical replays are served from the cache without a
-  // second analysis. The cache is LRU-bounded; what a miss means differs
-  // by plane — see the counter check below.
-  const auto cached = cache_.lookup(request);
-  if (cached.state == SessionCache::Lookup::kConflict) {
-    return error_response(request, *mac_key, net::ErrorCode::kSessionConflict,
-                          0,
-                          "session " + std::to_string(request.session_id) +
-                              " replayed with a different payload");
-  }
-  if (cached.state == SessionCache::Lookup::kReplay) {
-    counters_.count_replay(request.device_id);
-    return cached.response;
-  }
-
-  // 4b. Anti-replay: on the session plane every command counter is
-  // checked against the device's sliding window. A counter the window
-  // has already seen whose cached response was LRU-evicted is *not*
-  // reprocessed — unlike the legacy plane, replaying an old command is
-  // indistinguishable from an attack, so it dies here with
-  // kStaleCounter rather than re-running the analysis.
-  if (resolved.session_plane) {
-    const auto status = sessions_.classify(
-        request.device_id, request.session_id, request.counter);
-    if (status != CounterStatus::kFresh) {
-      counters_.count_counter_rejection(request.device_id);
+  // 4. Reserve (device, session, counter) before any handler runs. The
+  // reliable transport re-uploads when a response is lost, so a
+  // byte-identical copy of a completed exchange is served from its slot;
+  // a copy of one still in flight is told to retry, and a different
+  // request on a reserved slot is a protocol violation. On the session
+  // plane the counter must also be fresh in the device's window: a
+  // counter whose cached response was evicted is *not* reprocessed —
+  // replaying an old command is indistinguishable from an attack.
+  auto reservation = devices_.reserve(request, resolved.session_plane);
+  switch (reservation.state) {
+    case SlotState::kReserved:
+      break;
+    case SlotState::kReplay:
+      return std::move(reservation.response);
+    case SlotState::kInFlight:
+      return error_response(request, mac_key, net::ErrorCode::kOverloaded,
+                            "request in flight; retry");
+    case SlotState::kConflict:
+      return error_response(request, mac_key,
+                            net::ErrorCode::kSessionConflict,
+                            "session " + std::to_string(request.session_id) +
+                                " replayed with a different payload");
+    case SlotState::kStale:
       return error_response(
-          request, *mac_key, net::ErrorCode::kStaleCounter, 0,
+          request, mac_key, net::ErrorCode::kStaleCounter,
           "command counter " + std::to_string(request.counter) +
               " is outside the anti-replay window");
-    }
   }
 
   // 5. Route on the message type. Handlers report failures as
@@ -320,7 +302,7 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
         result = serve_auth_pass(request);
         break;
       case net::MessageType::kAuthChallenge:
-        result = serve_handshake(request, *mac_key);
+        result = serve_handshake(request, mac_key);
         break;
       default:
         result = ServiceResult::failure(
@@ -336,22 +318,20 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
                                     started)
           .count();
 
+  // 6. Complete: a failure frees the slot, so the command stays
+  // retryable with the same counter; a success fills the slot and burns
+  // the counter (or installs the handshake's session) in one section.
   if (!result.ok) {
-    return error_response(request, *mac_key, result.error,
-                          result.error_subcode, std::move(result.detail),
+    devices_.release(request);
+    return error_response(request, mac_key, result.error,
+                          std::move(result.detail), result.error_subcode,
                           std::move(result.error_channel_reasons));
   }
-
-  const auto response = net::make_envelope(
+  auto response = net::make_envelope(
       result.response_type, request.session_id, request.device_id,
-      std::move(result.response_payload), *mac_key, request.counter);
-  cache_.insert(request, response);
-  // Burn the counter only now that the exchange is cached: a shed or
-  // rejected command keeps its counter retryable, and an ARQ
-  // retransmission of this one finds the cached response above.
-  if (resolved.session_plane)
-    sessions_.commit(request.device_id, request.session_id, request.counter);
-  counters_.count_processed(request.device_id, processing_time_s);
+      std::move(result.response_payload), mac_key, request.counter);
+  devices_.complete(request, response, resolved.session_plane,
+                    processing_time_s, std::move(result.session_key));
   return response;
 }
 
@@ -451,13 +431,11 @@ ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
   response.proof = crypto::session_proof(mac_key, challenge.challenge,
                                          response.challenge);
 
-  sessions_.establish(
-      request.device_id, request.session_id,
-      crypto::derive_session_mac_key(mac_key, challenge.challenge,
-                                     response.challenge));
-  counters_.count_handshake(request.device_id);
-  return ServiceResult::success(net::MessageType::kAuthResponse,
-                                response.serialize());
+  auto result = ServiceResult::success(net::MessageType::kAuthResponse,
+                                       response.serialize());
+  result.session_key = util::SecretBytes(crypto::derive_session_mac_key(
+      mac_key, challenge.challenge, response.challenge));
+  return result;
 }
 
 }  // namespace medsen::cloud

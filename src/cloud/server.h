@@ -10,10 +10,10 @@
 // cytometry.
 //
 // The service layer is sharded by device_id (see DESIGN.md "Sharded
-// service layer"): the registry, the session cache, and the stats
-// counters all route a request to per-device shards, so handling a
-// request never takes a process-wide lock and never touches a shard
-// another device's request is using.
+// service layer"): one DeviceRegistry shard holds a device's record,
+// its cached exchanges and its counters, so handling a request never
+// takes a process-wide lock and never touches a shard another device's
+// request is using.
 
 #include <atomic>
 #include <cstdint>
@@ -25,8 +25,6 @@
 #include "cloud/analysis_service.h"
 #include "cloud/dispatch.h"
 #include "cloud/quality.h"
-#include "cloud/session_auth.h"
-#include "cloud/session_cache.h"
 #include "cloud/storage.h"
 #include "net/messages.h"
 
@@ -96,7 +94,8 @@ class CloudServer {
   /// before serving traffic. Returns what recovery found.
   RecoveryStats attach_durability(DurableState& durable);
 
-  /// The device registry: enroll each dongle before it may talk to
+  /// The per-device table: enrollment, keys, sessions, cached
+  /// exchanges and counters. Enroll each dongle before it may talk to
   /// this server.
   [[nodiscard]] DeviceRegistry& devices() { return devices_; }
   /// Diversified enrollment: the registry records only the id; the
@@ -135,16 +134,13 @@ class CloudServer {
   [[nodiscard]] auth::EnrollmentDatabase& enrollments() { return db_; }
   [[nodiscard]] const auth::Verifier& verifier() const { return verifier_; }
   [[nodiscard]] RecordStore& records() { return store_; }
-  /// The idempotent session cache (exposed so tests and capacity
-  /// planners can watch occupancy and evictions).
-  [[nodiscard]] SessionCache& session_cache() { return cache_; }
-  /// The negotiated-session table (keys + anti-replay windows).
-  [[nodiscard]] SessionAuthTable& sessions() { return sessions_; }
+  /// The same table as devices(), under the names the benchmark
+  /// harness in perfbench/ still calls.
+  [[nodiscard]] DeviceRegistry& session_cache() { return devices_; }
+  [[nodiscard]] DeviceRegistry& sessions() { return devices_; }
 
-  /// Snapshot of the aggregate counters. Aggregated from per-shard
-  /// atomics on read: eventually consistent while requests are in
-  /// flight, exact once they drain.
-  [[nodiscard]] ServiceStats stats() const;
+  /// Snapshot of the aggregate counters (DeviceRegistry::stats()).
+  [[nodiscard]] ServiceStats stats() const { return devices_.stats(); }
   /// Requests fully processed (cache misses) and replays served from the
   /// session cache. The reliable transport retries lost responses by
   /// re-uploading, so duplicate session_ids are expected in normal
@@ -172,11 +168,11 @@ class CloudServer {
 
   util::MultiChannelSeries decode_series(
       const net::SignalUploadPayload& payload) const;
-  net::Envelope error_response(const net::Envelope& request,
-                               std::span<const std::uint8_t> mac_key,
-                               net::ErrorCode code, std::uint8_t subcode,
-                               std::string detail,
-                               std::vector<std::uint8_t> channel_reasons = {});
+  /// Build a kError envelope (the caller has counted it).
+  static net::Envelope error_response(
+      const net::Envelope& request, std::span<const std::uint8_t> mac_key,
+      net::ErrorCode code, std::string detail, std::uint8_t subcode = 0,
+      std::vector<std::uint8_t> channel_reasons = {});
 
   AnalysisService analysis_;
   auth::EnrollmentDatabase db_;
@@ -185,9 +181,6 @@ class CloudServer {
   DeviceRegistry devices_;
   AdmissionGate admission_;
   const bool quality_gate_;
-  SessionCache cache_;
-  SessionAuthTable sessions_;
-  ServiceCounters counters_;
   std::uint64_t challenge_seed_;
   bool allow_legacy_plane_;
   /// Handshake ordinals: this boot's epoch (0 without durability) and

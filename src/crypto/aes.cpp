@@ -179,25 +179,38 @@ Aes128Ctr::Aes128Ctr(std::span<const std::uint8_t, Aes128::kKeySize> key,
 Aes128Ctr::~Aes128Ctr() { util::secure_wipe(buf_); }
 
 void Aes128Ctr::refill() {
-  std::array<std::uint8_t, Aes128::kBlockSize> block{};
-  for (int i = 0; i < 8; ++i)
-    block[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(nonce_ >> (8 * (7 - i)));
-  for (int i = 0; i < 8; ++i)
-    block[static_cast<std::size_t>(8 + i)] =
-        static_cast<std::uint8_t>(counter_ >> (8 * (7 - i)));
-  cipher_.encrypt_block(std::span<std::uint8_t, 16>(block));
-  buf_ = block;
-  util::secure_wipe(block);
+  // The counter block is encrypted in place into the keystream buffer:
+  // no temporary copy of keystream to wipe.
+  for (std::size_t i = 0; i < 8; ++i) {
+    buf_[i] = static_cast<std::uint8_t>(nonce_ >> (8 * (7 - i)));
+    buf_[8 + i] = static_cast<std::uint8_t>(counter_ >> (8 * (7 - i)));
+  }
+  cipher_.encrypt_block(std::span<std::uint8_t, Aes128::kBlockSize>(buf_));
   ++counter_;
   pos_ = 0;
 }
 
 void Aes128Ctr::apply(std::span<std::uint8_t> data) {
-  for (auto& byte : data) {
-    if (pos_ == buf_.size()) refill();
-    byte ^= buf_[pos_++];
+  std::uint8_t* out = data.data();
+  std::size_t left = data.size();
+  // Finish the block a previous call left partly used...
+  for (; left != 0 && pos_ != buf_.size(); --left) *out++ ^= buf_[pos_++];
+  // ...then XOR whole keystream blocks, 16 bytes per step...
+  for (; left >= buf_.size(); left -= buf_.size(), out += buf_.size()) {
+    refill();
+    std::uint64_t lanes[2];
+    std::uint64_t stream[2];
+    std::memcpy(lanes, out, sizeof lanes);
+    std::memcpy(stream, buf_.data(), sizeof stream);
+    lanes[0] ^= stream[0];
+    lanes[1] ^= stream[1];
+    std::memcpy(out, lanes, sizeof lanes);
+    pos_ = buf_.size();
   }
+  // ...and start a new block for the tail.
+  if (left == 0) return;
+  refill();
+  for (; pos_ != left; ++pos_) out[pos_] ^= buf_[pos_];
 }
 
 }  // namespace medsen::crypto

@@ -40,7 +40,7 @@ struct Envelope {
   /// Monotonic command counter, MAC-covered. 0 marks the legacy
   /// static-key plane (and the handshake itself); session-keyed
   /// commands count from 1 and the server validates them against a
-  /// sliding anti-replay window (see cloud::SessionAuthTable).
+  /// sliding anti-replay window (see cloud::DeviceRegistry).
   std::uint32_t counter = 0;
   std::vector<std::uint8_t> payload;
   crypto::Sha256Digest mac{};  ///< HMAC over type|session|device|ctr|payload

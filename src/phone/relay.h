@@ -45,7 +45,7 @@ struct RelayTiming {
 
 struct RelayConfig {
   /// Tenant identity stamped on every envelope; the server only accepts
-  /// devices enrolled in its DeviceRegistry under this id.
+  /// devices enrolled in its cloud::DeviceRegistry under this id.
   std::uint64_t device_id = 1;
   bool compress_uploads = true;
   /// Uploads smaller than this skip compression (not worth the cycles).

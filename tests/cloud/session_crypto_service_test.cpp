@@ -100,11 +100,11 @@ TEST(SessionService, DiversifiedHandshakeEstablishesSession) {
   DiversifiedRig rig;
   ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
   EXPECT_TRUE(rig.crypto.active());
-  EXPECT_EQ(rig.server.sessions().active_sessions(), 1u);
+  EXPECT_EQ(rig.server.devices().active_sessions(), 1u);
   EXPECT_EQ(rig.server.stats().handshakes_completed, 1u);
 
   // Both ends hold the same derived session key.
-  const auto server_key = rig.server.sessions().session_key(kDevice, 100);
+  const auto server_key = rig.server.devices().session_key(kDevice, 100);
   ASSERT_TRUE(server_key.has_value());
   EXPECT_EQ(*server_key, rig.crypto.session_mac_key());
 }
@@ -268,7 +268,7 @@ TEST(SessionService, MasterRotationForcesRehandshakeWithGraceWindow) {
 
   // Retiring epoch 1 closes the window: the old personalization is dead.
   ASSERT_TRUE(rig.server.devices().retire_epoch(1));
-  rig.server.sessions().drop_all();
+  rig.server.devices().drop_sessions();
   rig.crypto.invalidate();
   expect_error(rig.server.handle(rig.crypto.make_challenge(102)),
                net::ErrorCode::kBadEpoch);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cloud/server.h"
-#include "cloud/session_cache.h"
 #include "test_devices.h"
 #include "util/sharded.h"
 
@@ -80,7 +79,9 @@ TEST(ShardedService, ServerHonorsConfiguredShardCount) {
   service.shards = 8;
   auto server = make_server(service);
   EXPECT_EQ(server.devices().shard_count(), 8u);
-  EXPECT_EQ(server.session_cache().shard_count(), 8u);
+  // The exchange cache's bound is split across the same shards.
+  EXPECT_EQ(server.devices().per_shard_capacity(),
+            service.session_cache_capacity / 8);
   EXPECT_EQ(server.records().shard_count(), 8u);
 
   ServiceConfig single;
@@ -145,76 +146,65 @@ TEST(ShardedService, SessionIdsAreScopedPerDevice) {
 
 // --- Session-cache LRU bounding ------------------------------------------
 
-TEST(SessionCacheLru, CapacityBoundsOccupancyAndCountsEvictions) {
-  SessionCacheConfig config;
-  config.shards = 1;  // single shard: the bound is exact
-  config.capacity = 4;
-  SessionCache cache(config);
-  ASSERT_EQ(cache.per_shard_capacity(), 4u);
+net::Envelope envelope_for(std::uint64_t session, std::uint8_t byte) {
+  return net::make_envelope(net::MessageType::kSignalUpload, session, 1,
+                            {byte}, kMacKey);
+}
 
-  const auto envelope_for = [](std::uint64_t session, std::uint8_t byte) {
-    return net::make_envelope(net::MessageType::kSignalUpload, session, 1,
-                              {byte}, kMacKey);
-  };
-  for (std::uint64_t session = 0; session < 10; ++session) {
-    const auto request =
-        envelope_for(session, static_cast<std::uint8_t>(session));
-    ASSERT_EQ(cache.lookup(request).state, SessionCache::Lookup::kMiss);
-    cache.insert(request, envelope_for(session, 0xEE));
-  }
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.evictions(), 6u);
+/// Reserve and complete one counter-0 exchange, as handle() does for a
+/// request that succeeded.
+void serve(DeviceRegistry& registry, const net::Envelope& request,
+           const net::Envelope& response) {
+  ASSERT_EQ(registry.reserve(request, false).state, SlotState::kReserved);
+  registry.complete(request, response, false, 0.0);
+}
+
+TEST(SessionCacheLru, CapacityBoundsOccupancyAndCountsEvictions) {
+  DeviceRegistry registry(/*shards=*/1, /*cache_capacity=*/4);
+  ASSERT_EQ(registry.per_shard_capacity(), 4u);  // one shard: exact
+
+  for (std::uint64_t session = 0; session < 10; ++session)
+    serve(registry, envelope_for(session, static_cast<std::uint8_t>(session)),
+          envelope_for(session, 0xEE));
+  EXPECT_EQ(registry.cache_size(), 4u);
+  EXPECT_EQ(registry.evictions(), 6u);
 }
 
 TEST(SessionCacheLru, ReplayRefreshesRecency) {
-  SessionCacheConfig config;
-  config.shards = 1;
-  config.capacity = 2;
-  SessionCache cache(config);
-  const auto envelope_for = [](std::uint64_t session, std::uint8_t byte) {
-    return net::make_envelope(net::MessageType::kSignalUpload, session, 1,
-                              {byte}, kMacKey);
-  };
-  cache.insert(envelope_for(1, 1), envelope_for(1, 0xEE));
-  cache.insert(envelope_for(2, 2), envelope_for(2, 0xEE));
-  // Touch session 1: it becomes most recent, so inserting session 3
+  DeviceRegistry registry(1, 2);
+  serve(registry, envelope_for(1, 1), envelope_for(1, 0xEE));
+  serve(registry, envelope_for(2, 2), envelope_for(2, 0xEE));
+  // Touch session 1: it becomes most recent, so completing session 3
   // evicts session 2, not 1.
-  EXPECT_EQ(cache.lookup(envelope_for(1, 1)).state,
-            SessionCache::Lookup::kReplay);
-  cache.insert(envelope_for(3, 3), envelope_for(3, 0xEE));
-  EXPECT_EQ(cache.lookup(envelope_for(1, 1)).state,
-            SessionCache::Lookup::kReplay);
-  EXPECT_EQ(cache.lookup(envelope_for(2, 2)).state,
-            SessionCache::Lookup::kMiss);
+  EXPECT_EQ(registry.reserve(envelope_for(1, 1), false).state,
+            SlotState::kReplay);
+  serve(registry, envelope_for(3, 3), envelope_for(3, 0xEE));
+  EXPECT_EQ(registry.reserve(envelope_for(1, 1), false).state,
+            SlotState::kReplay);
+  EXPECT_EQ(registry.reserve(envelope_for(2, 2), false).state,
+            SlotState::kReserved);
 }
 
-// The satellite's contract: eviction must never cause a *different*
-// payload under a recycled session id to be answered from stale cache
-// state. Once the original exchange is evicted, a new payload on that
-// session id is a fresh request — processed, not conflicted, and
-// certainly not answered with the old response.
+// Eviction must never cause a *different* payload under a recycled
+// session id to be answered from stale cache state. Once the original
+// exchange is evicted, a new payload on that session id is a fresh
+// request — reserved, not conflicted, and certainly not answered with
+// the old response.
 TEST(SessionCacheLru, EvictedSessionWithNewPayloadIsAFreshMiss) {
-  SessionCacheConfig config;
-  config.shards = 1;
-  config.capacity = 2;
-  SessionCache cache(config);
-  const auto envelope_for = [](std::uint64_t session, std::uint8_t byte) {
-    return net::make_envelope(net::MessageType::kSignalUpload, session, 1,
-                              {byte}, kMacKey);
-  };
-  const auto original = envelope_for(7, 0x01);
-  cache.insert(original, envelope_for(7, 0xAA));
+  DeviceRegistry registry(1, 2);
+  serve(registry, envelope_for(7, 0x01), envelope_for(7, 0xAA));
   // While cached, a different payload on session 7 is a conflict...
-  EXPECT_EQ(cache.lookup(envelope_for(7, 0x02)).state,
-            SessionCache::Lookup::kConflict);
+  EXPECT_EQ(registry.reserve(envelope_for(7, 0x02), false).state,
+            SlotState::kConflict);
   // ...then two new sessions evict it...
-  cache.insert(envelope_for(8, 0x08), envelope_for(8, 0xEE));
-  cache.insert(envelope_for(9, 0x09), envelope_for(9, 0xEE));
-  EXPECT_EQ(cache.evictions(), 1u);
+  serve(registry, envelope_for(8, 0x08), envelope_for(8, 0xEE));
+  serve(registry, envelope_for(9, 0x09), envelope_for(9, 0xEE));
+  EXPECT_EQ(registry.evictions(), 1u);
   // ...after which the same different-payload request is a clean miss:
   // no conflict, and no stale 0xAA response.
-  const auto hit = cache.lookup(envelope_for(7, 0x02));
-  EXPECT_EQ(hit.state, SessionCache::Lookup::kMiss);
+  const auto hit = registry.reserve(envelope_for(7, 0x02), false);
+  EXPECT_EQ(hit.state, SlotState::kReserved);
+  EXPECT_TRUE(hit.response.payload.empty());
 }
 
 // End-to-end: a tiny cache on a live server stays bounded, serves
@@ -238,8 +228,8 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   // Evict session 100 with two newer sessions.
   (void)server.handle(upload_of(dip_series(1), 101, 1, kMacKey));
   (void)server.handle(upload_of(dip_series(1), 102, 1, kMacKey));
-  EXPECT_LE(server.session_cache().size(), 2u);
-  EXPECT_GE(server.session_cache().evictions(), 1u);
+  EXPECT_LE(server.devices().cache_size(), 2u);
+  EXPECT_GE(server.devices().evictions(), 1u);
 
   // Session 100 returns with a *different* acquisition: must be analyzed
   // fresh (3 peaks, not the cached 1-peak report) — not a conflict, not
@@ -299,7 +289,7 @@ TEST(ShardedService, ManyThreadHammer) {
       const auto stats = server.stats();
       EXPECT_GE(stats.processing_time_s, 0.0);
       (void)server.records().snapshot();
-      (void)server.session_cache().size();
+      (void)server.devices().cache_size();
       std::this_thread::yield();
     }
   });

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
+#include <vector>
 
 namespace medsen::crypto {
 namespace {
@@ -59,6 +62,37 @@ TEST(Aes128Ctr, StreamingMatchesOneShot) {
   c2.apply(std::span<std::uint8_t>(streamed.data(), 37));
   c2.apply(std::span<std::uint8_t>(streamed.data() + 37, 63));
   EXPECT_EQ(oneshot, streamed);
+}
+
+// Every split of a buffer into equal chunks of 1..33 bytes (partial
+// blocks, whole blocks and block-crossing runs, with a ragged last chunk)
+// produces the same bytes as one call.
+TEST(Aes128Ctr, AnyChunkingMatchesOneCall) {
+  std::array<std::uint8_t, 16> key{};
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(0x30 + 7 * i);
+  std::vector<std::uint8_t> plain(203);
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    plain[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  auto oneshot = plain;
+  Aes128Ctr whole(key, 0x0123456789abcdefull);
+  whole.apply(oneshot);
+
+  for (std::size_t chunk = 1; chunk <= 33; ++chunk) {
+    auto chunked = plain;
+    Aes128Ctr ctr(key, 0x0123456789abcdefull);
+    for (std::size_t at = 0; at < chunked.size(); at += chunk)
+      ctr.apply(std::span<std::uint8_t>(chunked).subspan(
+          at, std::min(chunk, chunked.size() - at)));
+    EXPECT_EQ(chunked, oneshot) << "chunk " << chunk;
+  }
+  // An empty call changes nothing, wherever it falls.
+  auto gaps = plain;
+  Aes128Ctr ctr(key, 0x0123456789abcdefull);
+  ctr.apply(std::span<std::uint8_t>(gaps).first(5));
+  ctr.apply({});
+  ctr.apply(std::span<std::uint8_t>(gaps).subspan(5));
+  EXPECT_EQ(gaps, oneshot);
 }
 
 }  // namespace

@@ -265,7 +265,7 @@ TEST(PhoneRelay, EstablishSessionDerivesMatchingKeys) {
   ASSERT_NE(crypto, nullptr);
   EXPECT_TRUE(crypto->active());
   const auto server_key =
-      server.sessions().session_key(relay.config().device_id, 100);
+      server.devices().session_key(relay.config().device_id, 100);
   ASSERT_TRUE(server_key.has_value());
   EXPECT_EQ(*server_key, crypto->session_mac_key());
 }
@@ -308,7 +308,7 @@ TEST(PhoneRelay, SessionLossSurfacesAuthRequired) {
   auto* crypto = controller.session_crypto();
 
   // The server forgets the session (restart / rotation)...
-  server.sessions().drop(relay.config().device_id);
+  server.devices().drop_sessions();
   const auto response =
       relay.relay_analysis(dip_series(3), 0, server, {}, crypto);
   ASSERT_EQ(response.type, net::MessageType::kError);
@@ -360,7 +360,7 @@ TEST(PhoneRelay, DiagnosticSessionRekeysAfterServerSessionLoss) {
   const AcquireFn acquire =
       [&](std::span<const sim::ControlSegment>, double, std::size_t) {
         if (!dropped) {
-          server.sessions().drop(relay.config().device_id);
+          server.devices().drop_sessions();
           dropped = true;
         }
         return dip_series(3);

@@ -6,7 +6,8 @@ Compares the smoke run's throughput against the checked-in floor
 than the allowed fraction. The floor is deliberately conservative — a
 single-core container measurement — so the check catches "someone
 reintroduced a global lock" (an integer-factor collapse), not runner
-jitter. It also holds `session.stale_attacks_accepted` at hard zero.
+jitter. It also holds `session.stale_attacks_accepted` and
+`session.duplicates_processed` at hard zero.
 
 Usage: check_fleet_floor.py BENCH_fleet_load.json [--floor FLOOR.json]
 Exit status: 0 ok, 1 regression or malformed artifact, 2 usage error.
@@ -31,6 +32,7 @@ REQUIRED_KEYS = (
     "session.rehandshakes",
     "session.counter_rejections",
     "session.stale_attacks_accepted",
+    "session.duplicates_processed",
 )
 
 
@@ -94,6 +96,15 @@ def main() -> int:
         print(f"check_fleet_floor: session.stale_attacks_accepted is "
               f"{accepted} — the server accepted a replayed counter",
               file=sys.stderr)
+        failed = True
+
+    # Each (device, session, counter) of the duplicate storm, and each
+    # of its handshakes, must be processed once: hard zero.
+    duplicates = int(counters["session.duplicates_processed"])
+    if duplicates != 0:
+        print(f"check_fleet_floor: session.duplicates_processed is "
+              f"{duplicates} — concurrent copies of one request were "
+              f"processed more than once", file=sys.stderr)
         failed = True
 
     if failed:

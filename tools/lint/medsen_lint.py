@@ -38,7 +38,8 @@ Enforces project-specific correctness contracts that generic tooling
   cloud-mutex       No `std::mutex` (or timed/recursive/shared variants)
                     members or globals in `src/cloud`. The service layer
                     is sharded: all locking lives behind util::Sharded's
-                    per-shard mutexes, and counters are relaxed atomics.
+                    per-shard mutexes (DeviceRegistry keeps records,
+                    cached exchanges and counters under one shard lock).
                     A stray mutex member reintroduces exactly the
                     process-wide serialization point the sharding refactor
                     removed, and it does so silently — throughput decays,
