@@ -19,9 +19,10 @@
 //   4. Counters monotonic across restart: the journal LSN never rewinds
 //      past an acknowledged write.
 //   5. No plaintext secret bytes on disk: device keys and the master
-//      key never appear in any state file (the store is sealed).
+//      key never appear in any file of the state directory (the store
+//      is sealed).
 //   6. No sealing-nonce reuse: across every file a crash leaves behind
-//      (including stranded .tmp snapshots recovery never reads), no
+//      (segments, the journal and its torn tail, any leftover), no
 //      AES-CTR nonce ever covers two different ciphertexts — keystream
 //      reuse would leak the sealed secrets (XOR of ciphertexts = XOR of
 //      plaintexts) without any plaintext substring for invariant 5's
@@ -29,9 +30,10 @@
 //
 // The long mode adds seeded random crash schedules (arm_random) on top
 // of the exhaustive sweep; the same --seed replays the same schedule. A
-// separate no-crash sizing phase measures recovery itself and exports
-// recovery.replay_ms / recovery.records_replayed for the CI floor check
-// (tools/bench/check_crash_floor.py).
+// separate no-crash sizing phase measures recovery across several
+// segments and the journal, and exports recovery.replay_ms /
+// recovery.records_replayed / recovery.segments_replayed for the CI
+// floor check (tools/bench/check_crash_floor.py).
 //
 // In-process limits, stated honestly: a SimulatedCrash unwinds the stack
 // instead of killing the process, so destructors close file descriptors
@@ -46,6 +48,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -149,32 +152,27 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   return code;
 }
 
-const char* kStateFiles[] = {"/journal.wal", "/records.snap", "/enroll.snap",
-                             "/registry.snap"};
-
 void remove_state(const std::string& dir) {
-  for (const char* file : kStateFiles) {
-    std::remove((dir + file).c_str());
-    std::remove((dir + file + ".tmp").c_str());
-  }
-  std::remove((dir + "/seal.epoch").c_str());
-  std::remove((dir + "/seal.epoch.tmp").c_str());
+  std::filesystem::remove_all(dir);
 }
 
-/// Is `needle` a contiguous byte run in any state file (including torn
-/// .tmp leftovers a crash may have abandoned)?
+/// The contents of every regular file in the state directory: journal,
+/// segments, seal.epoch and whatever leftover a crash abandoned.
+std::vector<std::vector<std::uint8_t>> state_files(const std::string& dir) {
+  std::vector<std::vector<std::uint8_t>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.is_regular_file())
+      files.push_back(util::read_file(entry.path().string()));
+  return files;
+}
+
+/// Is `needle` a contiguous byte run in any file of the state directory?
 bool on_disk(const std::string& dir,
              const std::vector<std::uint8_t>& needle) {
-  for (const char* file : kStateFiles) {
-    for (const char* suffix : {"", ".tmp"}) {
-      const auto path = dir + file + suffix;
-      if (!util::file_exists(path)) continue;
-      const auto bytes = util::read_file(path);
-      if (std::search(bytes.begin(), bytes.end(), needle.begin(),
-                      needle.end()) != bytes.end())
-        return true;
-    }
-  }
+  for (const auto& bytes : state_files(dir))
+    if (std::search(bytes.begin(), bytes.end(), needle.begin(),
+                    needle.end()) != bytes.end())
+      return true;
   return false;
 }
 
@@ -213,8 +211,8 @@ void note_flagged(std::span<const std::uint8_t> flagged,
                  compress::crc32(flagged.subspan(9)), flagged.size() - 9});
 }
 
-/// Walk a journal's frames, collecting the sealed payload of every
-/// CRC-complete record. A torn tail is skipped: its ciphertext cannot
+/// Walk a journal's or segment's frames, collecting the sealed payload
+/// of every CRC-complete record. A torn tail is skipped: its ciphertext cannot
 /// be fingerprinted — the nonce it consumed is exactly why sealing uses
 /// per-boot epoch partitions instead of max(observed)+1.
 void scan_journal(const std::vector<std::uint8_t>& bytes,
@@ -231,9 +229,11 @@ void scan_journal(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-/// Parse one snapshot container (live or stranded .tmp): u32 magic |
-/// u32 version | u32 crc | blob(u64 applied_lsn | blob(flagged)). A
-/// torn prefix that does not reach the flagged payload is skipped.
+/// Parse one snapshot container as older builds wrote them (live or a
+/// stranded .tmp): u32 magic | u32 version | u32 crc | blob(u64
+/// applied_lsn | blob(flagged)). A torn prefix that does not reach the
+/// flagged payload is skipped, and so is seal.epoch, whose body is too
+/// short to hold a sealed payload.
 void scan_snapshot(const std::vector<std::uint8_t>& bytes,
                    std::vector<SealedSighting>& out) {
   if (bytes.size() < 16) return;
@@ -313,26 +313,21 @@ struct Invariants {
   }
 };
 
-/// Invariant 6: fold every sealed payload currently on disk (state
-/// files AND stranded .tmp snapshots) into the lineage's nonce map. The
-/// dangerous case this exists for: a crash after a snapshot tmp is
-/// fsync'd but before its rename leaves ciphertext under nonces that
-/// recovery never reads — a counter rebuilt from observed payloads
-/// would hand those nonces out again, and the reused keystream leaks
-/// the sealed secrets with no plaintext substring for invariant 5.
+/// Invariant 6: fold every sealed payload currently on disk (every
+/// file of the state directory) into the lineage's nonce map. The
+/// dangerous case this exists for: sealed bytes recovery never reads —
+/// a torn final journal record, a stranded temp file — still burned
+/// their nonces, and a counter rebuilt from observed payloads would
+/// hand those nonces out again; the reused keystream leaks the sealed
+/// secrets with no plaintext substring for invariant 5.
 std::size_t check_seal_nonces(const std::string& dir, Ledger& led,
                               Invariants& inv, const char* label) {
   std::vector<SealedSighting> sightings;
-  for (const char* file : kStateFiles) {
-    for (const char* suffix : {"", ".tmp"}) {
-      const auto path = dir + file + suffix;
-      if (!util::file_exists(path)) continue;
-      const auto bytes = util::read_file(path);
-      if (bytes.size() >= 4 && le32(bytes.data()) == 0x4D534A4CU)  // "MSJL"
-        scan_journal(bytes, sightings);
-      else
-        scan_snapshot(bytes, sightings);
-    }
+  for (const auto& bytes : state_files(dir)) {
+    if (bytes.size() >= 4 && le32(bytes.data()) == 0x4D534A4CU)  // "MSJL"
+      scan_journal(bytes, sightings);
+    else
+      scan_snapshot(bytes, sightings);
   }
   std::size_t failures = 0;
   for (const auto& sighting : sightings) {
@@ -617,8 +612,9 @@ RunOutcome run_once(const Options& options,
   rig.reset();  // process death
 
   // Snapshot the nonce map from the crash wreckage BEFORE rebooting:
-  // recovery unlinks stranded .tmp files, so this is the only moment
-  // their sealed ciphertext (and the nonces it burned) is observable.
+  // recovery truncates a torn journal tail and unlinks stranded .tmp
+  // files, so this is the only moment their sealed ciphertext (and the
+  // nonces it burned) is observable.
   // A post-recovery append that recycled one of those nonces is then
   // caught by the verify()-time scans against the same map.
   out.failures += check_seal_nonces(options.dir, led, inv, "pre-reboot");
@@ -692,8 +688,9 @@ std::vector<std::pair<std::string, std::uint64_t>> discover_sites(
   return sites;
 }
 
-/// No-crash recovery sizing: N records through the WAL (no compaction),
-/// one restart, report how long replay took.
+/// No-crash recovery sizing: N records through the WAL, compacted
+/// into segments twice along the way, one restart that replays both
+/// segments and the journal; report how long replay took.
 cloud::RecoveryStats measure_recovery(const Options& options) {
   const auto dir = options.dir + "_sizing";
   remove_state(dir);
@@ -703,10 +700,14 @@ cloud::RecoveryStats measure_recovery(const Options& options) {
     rig.server->rotate_master_key(kEpoch, pattern_key(0xC0));
     rig.server->enroll_device(kEnrolled);
     rig.server->enroll_user("carol", code);
-    for (std::uint64_t i = 0; i < options.replay_records; ++i)
+    for (std::uint64_t i = 0; i < options.replay_records; ++i) {
+      if (i == options.replay_records / 3 ||
+          i == 2 * options.replay_records / 3)
+        rig.durable->compact(*rig.server);
       rig.server->store_result(
           code, {1000 + i, std::vector<std::uint8_t>(
                                32, static_cast<std::uint8_t>(i & 0xFF))});
+    }
   }
   Rig rig(dir, /*compact_after=*/0);
   const auto stats = rig.recovery;
@@ -782,8 +783,10 @@ int main(int argc, char** argv) {
 
   // Phase 4: recovery sizing (the CI floor input).
   const auto sizing = measure_recovery(options);
-  std::printf("recovery: %llu records replayed in %.2f ms (%.1f rec/ms)\n",
+  std::printf("recovery: %llu records from %llu segments and the journal "
+              "replayed in %.2f ms (%.1f rec/ms)\n",
               static_cast<unsigned long long>(sizing.records_replayed),
+              static_cast<unsigned long long>(sizing.segments_replayed),
               sizing.replay_ms,
               sizing.replay_ms > 0.0
                   ? static_cast<double>(sizing.records_replayed) /
@@ -807,6 +810,7 @@ int main(int argc, char** argv) {
   json.set_count("invariants.recovery_errors", inv.recovery_errors);
   json.set_count("invariants.total_failures", inv.total());
   json.set_count("recovery.records_replayed", sizing.records_replayed);
+  json.set_count("recovery.segments_replayed", sizing.segments_replayed);
   json.set("recovery.replay_ms", sizing.replay_ms);
   json.set("recovery.ms_per_1k_records",
            sizing.records_replayed > 0

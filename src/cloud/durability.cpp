@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
+#include <filesystem>
 #include <utility>
 
 #include "cloud/persistence.h"
@@ -18,8 +18,8 @@ namespace medsen::cloud {
 
 namespace {
 
-// Durable-snapshot magics (the bodies carry an applied_lsn and a sealed
-// payload).
+// The snapshot magics of older builds (the bodies carry an applied_lsn
+// and a sealed payload), and the seal.epoch container's.
 constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
 constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
 constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
@@ -36,17 +36,23 @@ std::string journal_file_for(const DurabilityConfig& config) {
   return config.dir + "/journal.wal";
 }
 
-template <typename Fn>
-auto replay_guard(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const PersistenceError&) {
-    throw;
-  } catch (const util::SimulatedCrash&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw PersistenceError(std::string(what) + ": " + e.what());
+std::string segment_file(const std::string& dir, std::uint64_t n) {
+  return dir + "/seg-" + std::to_string(n) + ".wal";
+}
+
+/// How many segments `dir` holds. They must be seg-1.wal .. seg-<n>.wal
+/// without a gap: a missing number is a lost segment.
+std::uint64_t count_segments(const std::string& dir) {
+  std::uint64_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("seg-") && name.ends_with(".wal")) ++n;
   }
+  for (std::uint64_t k = 1; k <= n; ++k)
+    if (!util::file_exists(segment_file(dir, k)))
+      throw PersistenceError("durability: segment " + std::to_string(k) +
+                             " is missing from " + dir);
+  return n;
 }
 
 }  // namespace
@@ -54,17 +60,17 @@ auto replay_guard(const char* what, Fn&& fn) {
 DurableState::DurableState(DurabilityConfig config)
     : config_(require_storage_key(std::move(config))),
       journal_(journal_file_for(config_),
-               Journal::Config{config_.fsync}) {
-  // A crash between write_file_atomic's tmp fsync and its rename
-  // strands a fully sealed <store>.snap.tmp whose nonces recovery never
-  // reads; drop stale tmps before anything else so the stranded
-  // ciphertext cannot outlive the nonce accounting.
+               Journal::Config{config_.fsync}),
+      segments_(count_segments(config_.dir)) {
+  // An older build's crash between write_file_atomic's tmp fsync and
+  // its rename strands a fully sealed <store>.snap.tmp whose nonces
+  // recovery never reads; drop stale tmps before anything else so the
+  // stranded ciphertext cannot outlive the nonce accounting.
   bool removed_tmp = false;
-  for (const auto& path :
-       {records_snapshot_path(), enroll_snapshot_path(),
-        registry_snapshot_path()})
-    removed_tmp |= util::remove_file(path + ".tmp");
-  if (removed_tmp) util::sync_parent_dir(records_snapshot_path());
+  for (const char* name : {"records", "enroll", "registry"})
+    removed_tmp |=
+        util::remove_file(config_.dir + "/" + name + ".snap.tmp");
+  if (removed_tmp) util::sync_parent_dir(journal_path());
   auto normalized =
       crypto::normalize_cmac_key(config_.storage_key);  // medsen: secret
   seal_key_.adopt(crypto::kdf_cmac(normalized, "medsen-store", {},
@@ -85,7 +91,7 @@ void DurableState::bump_seal_epoch() {
   const auto path = seal_epoch_path();
   if (util::file_exists(path)) {
     const auto body = unseal_blob(kSealEpochMagic, util::read_file(path));
-    prior = replay_guard("seal epoch", [&] {
+    prior = decode_guard("seal epoch", [&] {
       util::ByteReader in(body);
       const std::uint64_t epoch = in.u64();
       in.expect_done("seal epoch");
@@ -104,14 +110,8 @@ void DurableState::bump_seal_epoch() {
 std::string DurableState::journal_path() const {
   return config_.dir + "/journal.wal";
 }
-std::string DurableState::records_snapshot_path() const {
-  return config_.dir + "/records.snap";
-}
-std::string DurableState::enroll_snapshot_path() const {
-  return config_.dir + "/enroll.snap";
-}
-std::string DurableState::registry_snapshot_path() const {
-  return config_.dir + "/registry.snap";
+std::string DurableState::segment_path(std::uint64_t n) const {
+  return segment_file(config_.dir, n);
 }
 std::string DurableState::seal_epoch_path() const {
   return config_.dir + "/seal.epoch";
@@ -142,7 +142,7 @@ std::vector<std::uint8_t> DurableState::seal_payload(
 
 std::vector<std::uint8_t> DurableState::unseal_payload(
     std::span<const std::uint8_t> flagged) {
-  return replay_guard("unseal_payload", [&]() -> std::vector<std::uint8_t> {
+  return decode_guard("unseal_payload", [&]() -> std::vector<std::uint8_t> {
     util::ByteReader in(flagged);
     if (in.u8() != 1)
       throw PersistenceError("durability: payload is not sealed");
@@ -167,21 +167,12 @@ std::vector<std::uint8_t> DurableState::unseal_payload(
   });
 }
 
-void DurableState::write_snapshot(const std::string& path,
-                                  std::uint32_t magic,
-                                  std::uint64_t applied_lsn,
-                                  std::vector<std::uint8_t> body) {
-  util::ByteWriter outer;
-  outer.u64(applied_lsn);
-  outer.blob(seal_payload(std::move(body)));
-  util::write_file_atomic(path, seal_blob(magic, outer.take()));
-}
-
 std::pair<std::uint64_t, std::vector<std::uint8_t>>
-DurableState::read_snapshot(const std::string& path, std::uint32_t magic) {
+DurableState::read_snapshot(const char* name, std::uint32_t magic) {
+  const std::string path = config_.dir + "/" + name;
   if (!util::file_exists(path)) return {0, {}};
   const auto outer = unseal_blob(magic, util::read_file(path));
-  return replay_guard("read_snapshot", [&] {
+  return decode_guard("read_snapshot", [&] {
     util::ByteReader in(outer);
     const std::uint64_t applied_lsn = in.u64();
     const auto flagged = in.blob();
@@ -193,124 +184,134 @@ DurableState::read_snapshot(const std::string& path, std::uint32_t magic) {
 RecoveryStats DurableState::recover_into(CloudServer& server) {
   const auto started = std::chrono::steady_clock::now();
   RecoveryStats stats;
-  stats.tail_truncated = journal_.open_stats().tail_truncated;
+  stats.tail_truncated = journal_.tail_truncated();
 
-  // Snapshots first. Each store is gated on its own applied_lsn, so a
-  // crash between compaction's snapshot writes (mixed generations) still
-  // replays exactly the missing suffix per store.
-  // Each apply loop runs under replay_guard like journal replay below:
-  // a snapshot/server mismatch (wrong alphabet, duplicate user) must
-  // surface as the typed PersistenceError the persistence contract
-  // documents, not a raw invalid_argument out of recovery.
+  // An older build's snapshots first; this build only reads them. Each
+  // store is gated on its own applied_lsn, so snapshots from different
+  // compactions, and a log that repeats what they hold, still replay
+  // exactly the missing suffix per store. The restores run under
+  // decode_guard like the log replay below: a snapshot/server mismatch
+  // (wrong alphabet, duplicate user) must surface as the typed
+  // PersistenceError the persistence contract documents, not a raw
+  // invalid_argument out of recovery.
   const auto [records_lsn, records_body] =
-      read_snapshot(records_snapshot_path(), kSnapRecordMagic);
-  if (records_lsn != 0 || !records_body.empty()) {
-    replay_guard("snapshot restore (records)", [&] {
+      read_snapshot("records.snap", kSnapRecordMagic);
+  const auto [enroll_lsn, enroll_body] =
+      read_snapshot("enroll.snap", kSnapEnrollMagic);
+  const auto [registry_lsn, registry_body] =
+      read_snapshot("registry.snap", kSnapRegistryMagic);
+  decode_guard("snapshot restore", [&] {
+    if (!records_body.empty())
       for (auto& [key, records] : decode_records_body(records_body))
         server.records().restore(key, std::move(records));
-    });
-    stats.snapshots_loaded = true;
-  }
-  const auto [enroll_lsn, enroll_body] =
-      read_snapshot(enroll_snapshot_path(), kSnapEnrollMagic);
-  if (enroll_lsn != 0 || !enroll_body.empty()) {
-    replay_guard("snapshot restore (enrollments)", [&] {
+    if (!enroll_body.empty()) {
       const auto db = decode_enrollments_body(enroll_body);
       for (const auto& record : db.records())
         server.enrollments().enroll(record.user_id, record.code);
-    });
-    stats.snapshots_loaded = true;
-  }
-  const auto [registry_lsn, registry_body] =
-      read_snapshot(registry_snapshot_path(), kSnapRegistryMagic);
-  if (registry_lsn != 0 || !registry_body.empty()) {
-    replay_guard("snapshot restore (registry)", [&] {
+    }
+    if (!registry_body.empty())
       server.devices().restore(decode_registry_body(registry_body));
-    });
-    stats.snapshots_loaded = true;
-  }
+  });
+  stats.snapshots_loaded = !records_body.empty() || !enroll_body.empty() ||
+                           !registry_body.empty();
 
-  // The snapshots are the only carrier of the LSN sequence across a
-  // crash that lands between compaction's truncate and the next append:
-  // push their high-water mark back into the journal before anything new
-  // is appended, or fresh records would reuse gated-out LSNs.
-  journal_.raise_lsn_floor(std::max({records_lsn, enroll_lsn, registry_lsn}));
-
-  // Journal replay, LSN-gated per store.
-  for (const auto& record : journal_.take_recovered()) {
-    const auto payload = unseal_payload(record.payload);
-    replay_guard("journal replay", [&] {
-      util::ByteReader in(payload);
-      switch (record.type) {
-        case JournalRecordType::kRecordStored: {
-          const std::string key = in.str();
-          StoredRecord stored;
-          stored.session_id = in.u64();
-          stored.encrypted_result = in.blob();
-          in.expect_done("replay kRecordStored");
-          if (record.lsn <= records_lsn) return;
-          server.records().append(key, std::move(stored));
-          ++stats.stored_records;
-          break;
+  // Then the log, LSN-gated per store: the segments in order, then the
+  // journal. Each file's LSNs must lie above the previous file's.
+  std::uint64_t log_lsn = 0;
+  const auto replay = [&](const std::vector<JournalRecord>& records,
+                          const std::string& path) {
+    if (!records.empty() && records.front().lsn <= log_lsn)
+      throw PersistenceError("durability: LSN " +
+                             std::to_string(records.front().lsn) + " in " +
+                             path + " is not above the previous file's");
+    for (const auto& record : records) {
+      const auto payload = unseal_payload(record.payload);
+      decode_guard("journal replay", [&] {
+        util::ByteReader in(payload);
+        switch (record.type) {
+          case JournalRecordType::kRecordStored: {
+            const std::string key = in.str();
+            StoredRecord stored;
+            stored.session_id = in.u64();
+            stored.encrypted_result = in.blob();
+            in.expect_done("replay kRecordStored");
+            if (record.lsn <= records_lsn) return;
+            server.records().append(key, std::move(stored));
+            ++stats.stored_records;
+            break;
+          }
+          case JournalRecordType::kUserEnrolled: {
+            const std::string user = in.str();
+            const auto code = auth::deserialize_code(in.blob());
+            in.expect_done("replay kUserEnrolled");
+            if (record.lsn <= enroll_lsn) return;
+            server.enrollments().enroll(user, code);
+            ++stats.user_enrollments;
+            break;
+          }
+          case JournalRecordType::kDeviceEnrolled: {
+            const std::uint64_t id = in.u64();
+            in.expect_done("replay kDeviceEnrolled");
+            if (record.lsn <= registry_lsn) return;
+            server.devices().enroll(id);
+            ++stats.registry_events;
+            break;
+          }
+          case JournalRecordType::kDeviceRevoked: {
+            const std::uint64_t id = in.u64();
+            in.expect_done("replay kDeviceRevoked");
+            if (record.lsn <= registry_lsn) return;
+            server.devices().revoke(id);
+            ++stats.registry_events;
+            break;
+          }
+          case JournalRecordType::kMasterRotated: {
+            const std::uint32_t epoch = in.u32();
+            auto master = in.blob();
+            in.expect_done("replay kMasterRotated");
+            if (record.lsn <= registry_lsn) return;
+            server.devices().set_master_key(epoch, std::move(master));
+            ++stats.registry_events;
+            break;
+          }
+          case JournalRecordType::kEpochRetired: {
+            const std::uint32_t epoch = in.u32();
+            in.expect_done("replay kEpochRetired");
+            if (record.lsn <= registry_lsn) return;
+            server.devices().retire_epoch(epoch);
+            ++stats.registry_events;
+            break;
+          }
+          case JournalRecordType::kRetiredHandshake:
+            // An older build's per-device ordinal (u64 device, u64
+            // ordinal), checked for that shape and skipped: every ordinal
+            // this build issues is at least 2^32, above all of them.
+            in.u64();
+            in.u64();
+            in.expect_done("replay retired type 8");
+            return;
+          default:
+            throw PersistenceError(
+                "journal: unknown record type " +
+                std::to_string(static_cast<unsigned>(record.type)));
         }
-        case JournalRecordType::kUserEnrolled: {
-          const std::string user = in.str();
-          const auto code = auth::deserialize_code(in.blob());
-          in.expect_done("replay kUserEnrolled");
-          if (record.lsn <= enroll_lsn) return;
-          server.enrollments().enroll(user, code);
-          ++stats.user_enrollments;
-          break;
-        }
-        case JournalRecordType::kDeviceEnrolled: {
-          const std::uint64_t id = in.u64();
-          in.expect_done("replay kDeviceEnrolled");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().enroll(id);
-          ++stats.registry_events;
-          break;
-        }
-        case JournalRecordType::kDeviceRevoked: {
-          const std::uint64_t id = in.u64();
-          in.expect_done("replay kDeviceRevoked");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().revoke(id);
-          ++stats.registry_events;
-          break;
-        }
-        case JournalRecordType::kMasterRotated: {
-          const std::uint32_t epoch = in.u32();
-          auto master = in.blob();
-          in.expect_done("replay kMasterRotated");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().set_master_key(epoch, std::move(master));
-          ++stats.registry_events;
-          break;
-        }
-        case JournalRecordType::kEpochRetired: {
-          const std::uint32_t epoch = in.u32();
-          in.expect_done("replay kEpochRetired");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().retire_epoch(epoch);
-          ++stats.registry_events;
-          break;
-        }
-        case JournalRecordType::kRetiredHandshake:
-          // An older build's per-device ordinal (u64 device, u64
-          // ordinal), checked for that shape and skipped: every ordinal
-          // this build issues is at least 2^32, above all of them.
-          in.u64();
-          in.u64();
-          in.expect_done("replay retired type 8");
-          return;
-        default:
-          throw PersistenceError(
-              "journal: unknown record type " +
-              std::to_string(static_cast<unsigned>(record.type)));
-      }
-      ++stats.records_replayed;
-    });
+        ++stats.records_replayed;
+      });
+    }
+    if (!records.empty()) log_lsn = records.back().lsn;
+  };
+  for (std::uint64_t n = 1; n <= segments_; ++n) {
+    replay(Journal::read_segment(segment_path(n)), segment_path(n));
+    ++stats.segments_replayed;
   }
+  replay(journal_.take_recovered(), journal_path());
+
+  // A fresh journal does not carry the LSN sequence: after a rotation
+  // or an upgrade the segments and snapshots are its only carriers.
+  // Push their high-water mark into the journal before anything new is
+  // appended, or fresh records would reuse gated-out LSNs.
+  journal_.raise_lsn_floor(
+      std::max({records_lsn, enroll_lsn, registry_lsn, log_lsn}));
 
   stats.last_lsn = journal_.last_lsn();
   stats.replay_ms =
@@ -343,6 +344,10 @@ void DurableState::append_and_apply(JournalRecordType type,
     if (validate) validate();
     journal_.append(type, sealed);
     apply();
+    // Auto-compaction: the append that reaches the threshold rotates.
+    if (config_.compact_after_records != 0 &&
+        journal_.appended_since_compaction() >= config_.compact_after_records)
+      rotate_journal();
   });
 }
 
@@ -397,29 +402,15 @@ void DurableState::log_epoch_retired(std::uint32_t epoch,
   append_and_apply(JournalRecordType::kEpochRetired, payload.take(), apply);
 }
 
-void DurableState::compact(CloudServer& server) {
+void DurableState::compact(CloudServer& /*server*/) {
   gate_.with(0, [&](Gate&) {
-    if (journal_.appended_since_compaction() == 0) return;
-    util::crash_point("durability.compact.begin");
-    const std::uint64_t lsn = journal_.last_lsn();
-    write_snapshot(records_snapshot_path(), kSnapRecordMagic, lsn,
-                   encode_records_body(server.records()));
-    util::crash_point("durability.compact.records_written");
-    write_snapshot(enroll_snapshot_path(), kSnapEnrollMagic, lsn,
-                   encode_enrollments_body(server.enrollments()));
-    write_snapshot(registry_snapshot_path(), kSnapRegistryMagic, lsn,
-                   encode_registry_body(server.devices()));
-    util::crash_point("durability.compact.snapshots_written");
-    journal_.truncate_all();
-    util::crash_point("durability.compact.done");
+    if (journal_.appended_since_compaction() != 0) rotate_journal();
   });
 }
 
-void DurableState::maybe_compact(CloudServer& server) {
-  if (config_.compact_after_records == 0) return;
-  if (journal_.appended_since_compaction() < config_.compact_after_records)
-    return;
-  compact(server);
+void DurableState::rotate_journal() {
+  journal_.rotate(segment_path(segments_ + 1));
+  ++segments_;
 }
 
 }  // namespace medsen::cloud

@@ -1,31 +1,31 @@
 #pragma once
 // cloud::DurableState — the crash-consistency layer for one CloudServer.
-// It owns a write-ahead journal plus three LSN-stamped compaction
-// snapshots (records, enrollments, registry), and enforces the
-// ack ⇒ durable contract: every server-side mutation is appended (and
-// fsync'd) to the journal *and applied to memory under the same lock*
-// before the caller may acknowledge it, so a compaction snapshot can
-// never observe memory ahead of or behind the LSN it stamps.
+// The log is the state: a write-ahead journal plus the immutable
+// segments compaction renames it into (seg-<n>.wal), so no step of a
+// compaction grows with the store and a stored record is written once.
+// It enforces the ack ⇒ durable contract: every server-side mutation is
+// appended (and fsync'd) to the journal *and applied to memory under
+// the same lock* before the caller may acknowledge it.
 //
-// Recovery = load snapshots, then replay every journal record whose LSN
-// is newer than the matching snapshot's applied_lsn. Replay is
-// idempotent across mixed-generation snapshots because each store is
-// gated on its own applied_lsn.
+// Recovery = load the snapshots an older build may have left
+// (records.snap, enroll.snap, registry.snap; never written any more),
+// then replay the segments in order and then the journal, each store
+// gated on its own snapshot's applied_lsn.
 //
-// Secrets at rest: every journal payload and every snapshot body is
-// sealed with AES-128-CTR under a key derived once from the storage key,
-// which is required. Nonces are epoch-partitioned: a boot
-// counter persisted in seal.epoch is durably bumped at every open and
-// forms the high 32 bits of each nonce, so every process lifetime seals
-// in a disjoint nonce space. Counting only nonces *observed* during
-// recovery is not enough — a crash between write_file_atomic's tmp
-// fsync and its rename strands a fully sealed <store>.snap.tmp that
-// recovery never reads, and a torn final journal record consumes a
-// nonce the tail-truncation hides; either way a restart that resumed at
-// max(observed)+1 would re-issue a live nonce and two ciphertexts under
-// one keystream would coexist on disk (XOR of ciphertexts = XOR of
-// plaintexts). Stale .snap.tmp files are also unlinked at open so the
-// stranded ciphertext itself cannot linger.
+// Secrets at rest: every journal payload is sealed with AES-128-CTR
+// under a key derived once from the storage key, which is required.
+// Nonces are epoch-partitioned: a boot counter persisted in seal.epoch
+// is durably bumped at every open and forms the high 32 bits of each
+// nonce, so every process lifetime seals in a disjoint nonce space.
+// Counting only nonces *observed* during recovery is not enough — a
+// torn final journal record consumes a nonce the tail-truncation hides,
+// and an older build's crash between write_file_atomic's tmp fsync and
+// its rename strands a fully sealed <store>.snap.tmp that recovery
+// never reads; either way a restart that resumed at max(observed)+1
+// would re-issue a live nonce and two ciphertexts under one keystream
+// would coexist on disk (XOR of ciphertexts = XOR of plaintexts). Stale
+// .snap.tmp files are also unlinked at open so the stranded ciphertext
+// itself cannot linger.
 //
 // The boot epoch also partitions the server's handshake ordinals
 // (boot_epoch()): RndB is derived deterministically, so its freshness
@@ -52,26 +52,27 @@ namespace medsen::cloud {
 class CloudServer;
 
 struct DurabilityConfig {
-  /// State directory (created if missing). Holds journal.wal,
-  /// records.snap, enroll.snap, registry.snap and seal.epoch.
+  /// State directory (created if missing). Holds journal.wal, the
+  /// segments seg-1.wal, seg-2.wal, ... and seal.epoch.
   std::string dir;
   /// fsync each journal append (the ack ⇒ durable contract); off only
   /// for benches measuring the in-memory path.
   bool fsync = true;
-  /// Compact (snapshot + truncate the journal) once this many records
-  /// have been appended since the last compaction (0 = manual only).
+  /// Compact (rotate the journal into the next segment) once this many
+  /// records have been appended since the last compaction (0 = manual
+  /// only).
   std::uint64_t compact_after_records = 4096;
-  /// Seals journal payloads and snapshot bodies (AES-128-CTR under a
-  /// derived key). Required: DurableState refuses an empty key with
-  /// PersistenceError.
+  /// Seals journal payloads (AES-128-CTR under a derived key).
+  /// Required: DurableState refuses an empty key with PersistenceError.
   std::vector<std::uint8_t> storage_key;
 };
 
 /// What recovery found and how long replay took (the chaos harness
 /// exports these as recovery.replay_ms / recovery.records_replayed).
 struct RecoveryStats {
-  bool snapshots_loaded = false;
-  std::uint64_t records_replayed = 0;  ///< journal records applied
+  bool snapshots_loaded = false;  ///< an older build's snapshots were read
+  std::uint64_t segments_replayed = 0;
+  std::uint64_t records_replayed = 0;  ///< segment + journal records applied
   std::uint64_t stored_records = 0;
   std::uint64_t registry_events = 0;
   std::uint64_t user_enrollments = 0;
@@ -86,14 +87,15 @@ class DurableState {
   /// PersistenceError on an empty storage key or corrupt on-disk state.
   explicit DurableState(DurabilityConfig config);
 
-  /// Load snapshots and replay the journal into the server's stores.
+  /// Load legacy snapshots, then replay the segments and the journal
+  /// into the server's stores.
   /// Call exactly once, before any log_* hook (CloudServer::
   /// attach_durability does both in order).
   RecoveryStats recover_into(CloudServer& server);
 
   // Append hooks. Each one journals the event durably and then runs
-  // `apply` (the in-memory mutation) under the same lock, so snapshots
-  // taken by compact() are always consistent with the journal LSN.
+  // `apply` (the in-memory mutation) under the same lock, so memory is
+  // never ahead of or behind the journal.
   void log_record(const std::string& key, const StoredRecord& record,
                   const std::function<void()>& apply);
   /// `validate` runs under the gate, immediately before the journal
@@ -115,12 +117,12 @@ class DurableState {
   void log_epoch_retired(std::uint32_t epoch,
                          const std::function<void()>& apply);
 
-  /// Snapshot all stores (stamped with the journal's current LSN)
-  /// and truncate the journal. Blocks concurrent log_* calls for the
-  /// duration; crash-safe at every intermediate point.
+  /// Rename the journal, frames as appended, to the next segment and
+  /// start a fresh one (a no-op when nothing was appended since the
+  /// last compaction). Blocks concurrent log_* calls for the duration;
+  /// crash-safe at every intermediate point. The append that reaches
+  /// compact_after_records does the same.
   void compact(CloudServer& server);
-  /// compact() iff the auto-compaction threshold has been reached.
-  void maybe_compact(CloudServer& server);
 
   [[nodiscard]] std::uint64_t last_lsn() const { return journal_.last_lsn(); }
   /// This boot's epoch, durably bumped in seal.epoch at construction
@@ -130,9 +132,8 @@ class DurableState {
     return recovery_;
   }
   [[nodiscard]] std::string journal_path() const;
-  [[nodiscard]] std::string records_snapshot_path() const;
-  [[nodiscard]] std::string enroll_snapshot_path() const;
-  [[nodiscard]] std::string registry_snapshot_path() const;
+  /// Segment `n` (numbered from 1, in LSN order).
+  [[nodiscard]] std::string segment_path(std::uint64_t n) const;
   /// The persisted sealing-nonce boot epoch.
   [[nodiscard]] std::string seal_epoch_path() const;
 
@@ -159,13 +160,12 @@ class DurableState {
       std::vector<std::uint8_t> payload);
   [[nodiscard]] std::vector<std::uint8_t> unseal_payload(
       std::span<const std::uint8_t> flagged);
-  void write_snapshot(const std::string& path, std::uint32_t magic,
-                      std::uint64_t applied_lsn,
-                      std::vector<std::uint8_t> body);
-  /// Returns (applied_lsn, body) or applied_lsn 0 when the file is
-  /// absent.
+  /// Reads an older build's snapshot `name`: returns (applied_lsn, body)
+  /// or applied_lsn 0 when the file is absent.
   [[nodiscard]] std::pair<std::uint64_t, std::vector<std::uint8_t>>
-  read_snapshot(const std::string& path, std::uint32_t magic);
+  read_snapshot(const char* name, std::uint32_t magic);
+  /// Rotate the journal into segment segments_ + 1. Under the gate.
+  void rotate_journal();
 
   DurabilityConfig config_;
   Journal journal_;
@@ -177,6 +177,8 @@ class DurableState {
   /// per process lifetime — see the header comment.
   std::atomic<std::uint64_t> nonce_{1};
   util::Sharded<Gate> gate_{1};
+  /// Segments on disk (seg-1 .. seg-<segments_>), under the gate.
+  std::uint64_t segments_ = 0;
   RecoveryStats recovery_;
 };
 

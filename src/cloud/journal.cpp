@@ -1,5 +1,6 @@
 #include "cloud/journal.h"
 
+#include <filesystem>
 #include <utility>
 
 #include "compress/crc32.h"
@@ -34,79 +35,96 @@ std::vector<std::uint8_t> make_header() {
 /// A record body must hold at least its LSN and type byte.
 constexpr std::size_t kMinBodySize = 8 + 1;
 
+/// Scan a journal or segment image (at least a header long) into `out`
+/// and return the length of its valid prefix. A damaged record that
+/// reaches EOF ends the scan when `torn_tail_ok` (a torn append);
+/// anywhere else, or in a strict scan, it throws PersistenceError.
+std::size_t scan(const std::vector<std::uint8_t>& bytes,
+                 const std::string& path, bool torn_tail_ok,
+                 std::vector<JournalRecord>& out) {
+  if (read_u32le(bytes.data()) != Journal::kMagic)
+    throw PersistenceError("journal: bad magic in " + path);
+  if (read_u32le(bytes.data() + 4) != Journal::kVersion)
+    throw PersistenceError("journal: unsupported version in " + path);
+  std::uint64_t last_lsn = 0;
+  std::size_t offset = Journal::kHeaderSize;
+  while (offset < bytes.size()) {
+    const std::size_t rem = bytes.size() - offset;
+    const std::size_t len = rem >= 8 ? read_u32le(bytes.data() + offset) : 0;
+    const bool complete = rem >= 8 && len <= rem - 8;
+    const auto body = complete
+                          ? std::span<const std::uint8_t>(bytes).subspan(
+                                offset + 8, len)
+                          : std::span<const std::uint8_t>{};
+    if (!complete || len < kMinBodySize ||
+        compress::crc32(body) != read_u32le(bytes.data() + offset + 4)) {
+      // A short length/CRC prefix, a body past EOF or a broken final
+      // record is what a torn append leaves; anything earlier is not.
+      if (torn_tail_ok && (!complete || len == rem - 8)) break;
+      throw PersistenceError("journal: corrupt record at offset " +
+                             std::to_string(offset) + " in " + path);
+    }
+    const std::uint64_t lsn = read_u64le(body.data());
+    if (lsn <= last_lsn)
+      throw PersistenceError("journal: non-monotonic LSN " +
+                             std::to_string(lsn) + " in " + path);
+    JournalRecord record;
+    record.lsn = lsn;
+    record.type = static_cast<JournalRecordType>(body[8]);
+    record.payload.assign(body.begin() + 9, body.end());
+    out.push_back(std::move(record));
+    last_lsn = lsn;
+    offset += 8 + len;
+  }
+  return offset;
+}
+
 }  // namespace
 
 Journal::Journal(std::string path, Config config)
     : path_(std::move(path)), config_(config) {
   util::crash_point("journal.open");
-  const bool existed = util::file_exists(path_);
   std::vector<std::uint8_t> bytes;
-  if (existed) bytes = util::read_file(path_);
+  if (util::file_exists(path_)) bytes = util::read_file(path_);
 
   // Scan phase: find the valid prefix. A file smaller than the header
   // can only be a creation the crash interrupted before anything was
   // acknowledged — reinitialize it. A *wrong* header is foreign or
   // corrupt state and must not be silently wiped.
-  bool reinit = !existed || bytes.size() < kHeaderSize;
-  std::uint64_t scan_last_lsn = 0;
-  std::size_t keep = kHeaderSize;
-  if (!reinit) {
-    if (read_u32le(bytes.data()) != kMagic)
-      throw PersistenceError("journal: bad magic in " + path_);
-    if (read_u32le(bytes.data() + 4) != kVersion)
-      throw PersistenceError("journal: unsupported version in " + path_);
-    std::size_t offset = kHeaderSize;
-    while (offset < bytes.size()) {
-      const std::size_t rem = bytes.size() - offset;
-      if (rem < 8) break;  // torn length/CRC prefix
-      const std::uint32_t len = read_u32le(bytes.data() + offset);
-      const std::uint32_t crc = read_u32le(bytes.data() + offset + 4);
-      if (len > rem - 8) break;  // body extends past EOF: torn append
-      const std::span<const std::uint8_t> body{bytes.data() + offset + 8,
-                                               len};
-      const bool is_last = offset + 8 + len == bytes.size();
-      const bool valid =
-          len >= kMinBodySize && compress::crc32(body) == crc;
-      if (!valid) {
-        if (is_last) break;  // torn final record
-        throw PersistenceError(
-            "journal: interior corruption at offset " +
-            std::to_string(offset) + " in " + path_);
-      }
-      const std::uint64_t lsn = read_u64le(body.data());
-      if (lsn <= scan_last_lsn)
-        throw PersistenceError("journal: non-monotonic LSN " +
-                               std::to_string(lsn) + " in " + path_);
-      JournalRecord record;
-      record.lsn = lsn;
-      record.type = static_cast<JournalRecordType>(body[8]);
-      record.payload.assign(body.begin() + 9, body.end());
-      recovered_.push_back(std::move(record));
-      scan_last_lsn = lsn;
-      offset += 8 + len;
-    }
-    keep = offset;
-  }
-
-  stats_.records_recovered = recovered_.size();
-  stats_.last_lsn = scan_last_lsn;
-  stats_.tail_truncated = !reinit && keep < bytes.size();
-  stats_.truncated_bytes =
-      stats_.tail_truncated ? bytes.size() - keep : 0;
+  const bool reinit = bytes.size() < kHeaderSize;
+  const std::size_t keep =
+      reinit ? 0 : scan(bytes, path_, /*torn_tail_ok=*/true, recovered_);
+  tail_truncated_ = !reinit && keep < bytes.size();
 
   state_.with(0, [&](State& state) {
-    state.file = util::DurableFile::open_append(path_);
     if (reinit) {
-      state.file.truncate(0);
-      state.file.append(make_header());
-      state.file.sync();
-    } else if (stats_.tail_truncated) {
-      util::crash_point("journal.open.truncate_tail");
-      state.file.truncate(keep);
+      start_file(state);
+    } else {
+      state.file = util::DurableFile::open_append(path_);
+      if (tail_truncated_) {
+        util::crash_point("journal.open.truncate_tail");
+        state.file.truncate(keep);
+      }
     }
-    state.next_lsn = scan_last_lsn + 1;
+    state.next_lsn = recovered_.empty() ? 1 : recovered_.back().lsn + 1;
     state.appended = recovered_.size();
   });
+}
+
+void Journal::start_file(State& state) const {
+  state.file = util::DurableFile::open_append(path_);
+  state.file.truncate(0);
+  state.file.append(make_header());
+  state.file.sync();
+}
+
+std::vector<JournalRecord> Journal::read_segment(const std::string& path) {
+  const auto bytes = util::read_file(path);
+  if (bytes.size() < kHeaderSize)
+    throw PersistenceError("journal: short segment " + path);
+  std::vector<JournalRecord> records;
+  scan(bytes, path, /*torn_tail_ok=*/false, records);
+  return records;
 }
 
 std::vector<JournalRecord> Journal::take_recovered() {
@@ -139,10 +157,13 @@ std::uint64_t Journal::append(JournalRecordType type,
   });
 }
 
-void Journal::truncate_all() {
+void Journal::rotate(const std::string& segment) {
   state_.with(0, [&](State& state) {
-    util::crash_point("journal.compact.before_truncate");
-    state.file.truncate(kHeaderSize);
+    util::crash_point("journal.rotate.begin");
+    std::filesystem::rename(path_, segment);
+    util::crash_point("journal.rotate.renamed");
+    start_file(state);
+    util::crash_point("journal.rotate.header_written");
     state.appended = 0;
   });
 }

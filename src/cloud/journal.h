@@ -3,25 +3,31 @@
 // behind the cloud's ack ⇒ durable contract. Every state mutation the
 // server acknowledges (stored record, enrollment, registry event) is
 // appended — and fsync'd — here *before* the acknowledgement leaves the
-// building; recovery replays the journal over the last snapshots. See
-// DESIGN.md "Durability model" and PROTOCOL.md for the wire format.
+// building. Compaction renames the journal into an immutable segment
+// and starts a fresh one; recovery replays the segments, then the
+// journal. See DESIGN.md "Durability model" and PROTOCOL.md for the
+// wire format.
 //
-// On-disk layout (all integers little-endian):
+// On-disk layout (all integers little-endian; a segment is a journal
+// file renamed, byte for byte):
 //
 //   header   u32 magic "MSJL" | u32 version | u32 flags | u32 reserved
 //   record*  u32 body_len | u32 crc32(body) | body
 //   body     u64 lsn | u8 type | payload bytes
 //
-// LSNs are strictly increasing and survive compaction (truncate_all
+// LSNs are strictly increasing and survive rotation (the next journal
 // keeps counting), so "counters monotonic across restart" is checkable
 // from the log alone.
 //
-// Torn-tail tolerance: a crash can tear only the *final* record (appends
-// are sequential), so a partial or CRC-broken record that reaches EOF is
-// truncated away — it was never acknowledged, because the ack waits for
-// fsync. A CRC-broken record with more records *after* it cannot be a
-// torn append; that is real corruption and open() throws
-// PersistenceError rather than silently dropping acknowledged state.
+// Torn-tail tolerance: a crash can tear only the *final* record of the
+// live journal (appends are sequential), so a partial or CRC-broken
+// record that reaches EOF is truncated away — it was never
+// acknowledged, because the ack waits for fsync. A CRC-broken record
+// with more records *after* it cannot be a torn append; that is real
+// corruption and open() throws PersistenceError rather than silently
+// dropping acknowledged state. A segment was complete when it was
+// renamed, so read_segment() tolerates no damage at all, its last
+// record included, and never truncates.
 
 #include <cstdint>
 #include <span>
@@ -57,14 +63,6 @@ struct JournalRecord {
   std::vector<std::uint8_t> payload;
 };
 
-/// What open() found on disk.
-struct JournalOpenStats {
-  std::uint64_t records_recovered = 0;
-  std::uint64_t last_lsn = 0;
-  bool tail_truncated = false;      ///< a torn final record was dropped
-  std::uint64_t truncated_bytes = 0;
-};
-
 class Journal {
  public:
   struct Config {
@@ -86,28 +84,36 @@ class Journal {
   /// The records recovered at open, in LSN order (moved out — call
   /// once, during recovery).
   [[nodiscard]] std::vector<JournalRecord> take_recovered();
-  [[nodiscard]] const JournalOpenStats& open_stats() const { return stats_; }
+  /// Did open() drop a torn final record?
+  [[nodiscard]] bool tail_truncated() const { return tail_truncated_; }
 
   /// Append one record durably and return its LSN. Thread-safe. When
   /// this returns, the record survives a crash (fsync_each_append).
   std::uint64_t append(JournalRecordType type,
                        std::span<const std::uint8_t> payload);
 
-  /// Compaction: durably drop every record (the caller has just written
-  /// snapshots covering them). The LSN sequence continues.
-  void truncate_all();
+  /// Compaction: rename the journal to `segment` (its frames byte for
+  /// byte) and start a fresh journal at path(). The LSN sequence
+  /// continues. The fresh file's creation fsyncs the directory, which
+  /// makes the rename durable too.
+  void rotate(const std::string& segment);
 
-  /// Raise the next-LSN floor so appends continue above `last_lsn`. The
-  /// journal file does not persist the sequence across truncate_all —
-  /// after a crash that lands between compaction's truncate and the next
-  /// append, the snapshots are the only carrier of the LSN high-water
-  /// mark, and recovery must push it back in here or the next acked
-  /// record would reuse LSN 1 and be replay-gated out behind the
-  /// snapshot. No-op when the journal already scanned past it.
+  /// Read a segment strictly: a short or CRC-broken record anywhere,
+  /// the last one included, a foreign header or a non-monotonic LSN
+  /// throws PersistenceError. The file is never modified.
+  [[nodiscard]] static std::vector<JournalRecord> read_segment(
+      const std::string& path);
+
+  /// Raise the next-LSN floor so appends continue above `last_lsn`. A
+  /// fresh journal does not carry the sequence: after a rotation (or an
+  /// upgrade from snapshots) the segments and snapshots are its only
+  /// carriers, and recovery must push their high-water mark in here or
+  /// the next acked record would reuse LSN 1 and be replay-gated out.
+  /// No-op when the journal already scanned past it.
   void raise_lsn_floor(std::uint64_t last_lsn);
 
   [[nodiscard]] std::uint64_t last_lsn() const;
-  /// Records appended since open or the last truncate_all (feeds the
+  /// Records appended since open or the last rotation (feeds the
   /// auto-compaction threshold).
   [[nodiscard]] std::uint64_t appended_since_compaction() const;
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -119,9 +125,12 @@ class Journal {
     std::uint64_t appended = 0;
   };
 
+  /// Create (or empty) the file at path_ and give it a synced header.
+  void start_file(State& state) const;
+
   std::string path_;
   Config config_;
-  JournalOpenStats stats_;
+  bool tail_truncated_ = false;
   std::vector<JournalRecord> recovered_;
   /// Single-shard Sharded instead of a bare mutex (the cloud-mutex
   /// rule): appends serialize here, which is also the fsync cost model.

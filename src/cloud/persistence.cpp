@@ -1,6 +1,5 @@
 #include "cloud/persistence.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "compress/crc32.h"
@@ -11,20 +10,6 @@ namespace medsen::cloud {
 namespace {
 
 constexpr std::uint32_t kVersion = 1;
-
-/// Run a decoder, converting any low-level throw (ByteReader underflow,
-/// hostile counts, code deserialization) into the typed PersistenceError
-/// so corrupt bytes never surface as an untyped internal error.
-template <typename Fn>
-auto decode_guard(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const PersistenceError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw PersistenceError(std::string(what) + ": " + e.what());
-  }
-}
 
 void write_alphabet(util::ByteWriter& out, const auth::CytoAlphabet& a) {
   out.u32(static_cast<std::uint32_t>(a.bead_types.size()));
@@ -97,22 +82,6 @@ auth::EnrollmentDatabase decode_enrollments_body(
     in.expect_done("decode_enrollments_body");
     return db;
   });
-}
-
-std::vector<std::uint8_t> encode_records_body(const RecordStore& store) {
-  util::ByteWriter body;
-  // snapshot(): a consistent copy even while the server keeps serving.
-  const auto entries = store.snapshot();
-  body.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [key, records] : entries) {
-    body.str(key);
-    body.u32(static_cast<std::uint32_t>(records.size()));
-    for (const auto& record : records) {
-      body.u64(record.session_id);
-      body.blob(record.encrypted_result);
-    }
-  }
-  return body.take();
 }
 
 std::map<std::string, std::vector<StoredRecord>> decode_records_body(

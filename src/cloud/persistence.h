@@ -1,12 +1,14 @@
 #pragma once
 // Persistence codecs for the cloud's state: the enrollment database
 // (user -> cyto-code), the record store (cyto-code -> encrypted results)
-// and the device registry's keying state. The durability layer
-// (cloud/durability.h) frames these bodies in LSN-stamped, sealed
-// compaction snapshots. Containers carry a magic, a version and a
-// CRC-32 so partial writes and corruption are rejected on load — all
-// decode failures surface as the typed PersistenceError, never as UB or
-// a silent partial load.
+// and the device registry's keying state. Older builds framed these
+// bodies in LSN-stamped, sealed compaction snapshots, which the
+// durability layer (cloud/durability.h) still reads but no longer
+// writes; the encoders that remain are the reference the tests pin the
+// readers against. Containers carry a magic, a version and a CRC-32 so
+// partial writes and corruption are rejected on load — all decode
+// failures surface as the typed PersistenceError, never as UB or a
+// silent partial load.
 
 #include <cstdint>
 #include <map>
@@ -35,7 +37,6 @@ std::vector<std::uint8_t> encode_enrollments_body(
     const auth::EnrollmentDatabase& db);
 auth::EnrollmentDatabase decode_enrollments_body(
     std::span<const std::uint8_t> body);
-std::vector<std::uint8_t> encode_records_body(const RecordStore& store);
 std::map<std::string, std::vector<StoredRecord>> decode_records_body(
     std::span<const std::uint8_t> body);
 std::vector<std::uint8_t> encode_registry_body(const DeviceRegistry& registry);

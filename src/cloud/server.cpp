@@ -41,7 +41,6 @@ void CloudServer::enroll_device(std::uint64_t device_id) {
   const auto apply = [&] { devices_.enroll(device_id); };
   if (durable_) {
     durable_->log_enroll_device(device_id, apply);
-    durable_->maybe_compact(*this);
   } else {
     apply();
   }
@@ -52,7 +51,6 @@ bool CloudServer::revoke_device(std::uint64_t device_id) {
   const auto apply = [&] { known = devices_.revoke(device_id); };
   if (durable_) {
     durable_->log_revoke(device_id, apply);
-    durable_->maybe_compact(*this);
   } else {
     apply();
   }
@@ -67,7 +65,6 @@ void CloudServer::rotate_master_key(std::uint32_t epoch,
   };
   if (durable_) {
     durable_->log_master_rotated(epoch, master, apply);
-    durable_->maybe_compact(*this);
   } else {
     apply();
   }
@@ -78,7 +75,6 @@ bool CloudServer::retire_epoch(std::uint32_t epoch) {
   const auto apply = [&] { known = devices_.retire_epoch(epoch); };
   if (durable_) {
     durable_->log_epoch_retired(epoch, apply);
-    durable_->maybe_compact(*this);
   } else {
     apply();
   }
@@ -99,7 +95,6 @@ void CloudServer::enroll_user(const std::string& user_id,
   durable_->log_user_enrolled(
       user_id, code, [&] { db_.check_enrollable(user_id, code); },
       [&] { db_.enroll(user_id, code); });
-  durable_->maybe_compact(*this);
 }
 
 void CloudServer::store_result(const auth::CytoCode& code,
@@ -110,7 +105,6 @@ void CloudServer::store_result(const auth::CytoCode& code,
   }
   durable_->log_record(code.to_string(), record,
                        [&] { store_.store(code, std::move(record)); });
-  durable_->maybe_compact(*this);
 }
 
 util::MultiChannelSeries CloudServer::decode_series(

@@ -84,9 +84,9 @@ class CloudServer {
   /// method only throws on programmer errors.
   net::Envelope handle(const net::Envelope& request);
 
-  /// Attach a durability layer: first recovers the journal + snapshots
-  /// under `durable` into this server's stores, then journals every
-  /// subsequent mutation (enroll/revoke/rotate/retire, user
+  /// Attach a durability layer: first recovers the log (segments and
+  /// journal) under `durable` into this server's stores, then journals
+  /// every subsequent mutation (enroll/revoke/rotate/retire, user
   /// enrollment, stored record) before it is applied — the
   /// ack ⇒ durable contract. It also moves handshake ordinals into
   /// this boot's range, `durable.boot_epoch() << 32 | n`; handshakes

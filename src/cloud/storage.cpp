@@ -48,15 +48,6 @@ std::size_t RecordStore::record_count() const {
   return total;
 }
 
-std::map<std::string, std::vector<StoredRecord>> RecordStore::snapshot()
-    const {
-  Entries merged;
-  shards_.for_each_shard([&](const Entries& entries) {
-    for (const auto& [key, records] : entries) merged[key] = records;
-  });
-  return merged;
-}
-
 void RecordStore::append(std::string key, StoredRecord record) {
   const std::uint64_t route_key = route(key);
   shards_.with(route_key, [&](Entries& entries) {

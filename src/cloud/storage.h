@@ -7,10 +7,10 @@
 // Thread-safe and sharded: identifiers route deterministically to one of
 // N independently-locked shards (util::Sharded, FNV-1a over the code's
 // text form), so concurrent stores for different patients never contend.
-// Readers only ever see snapshots — the internal maps are never leaked
-// by reference. Cross-shard reads (snapshot, counts) lock one
-// shard at a time: each shard's view is consistent, the whole is
-// eventually consistent while writers are active.
+// Readers only ever see copies — the internal maps are never leaked by
+// reference. The counts lock one shard at a time: each shard's view is
+// consistent, the whole is eventually consistent while writers are
+// active.
 
 #include <cstdint>
 #include <map>
@@ -47,12 +47,8 @@ class RecordStore {
   [[nodiscard]] std::size_t identifier_count() const;
   [[nodiscard]] std::size_t record_count() const;
 
-  /// Consistent-per-shard copy of all entries, keyed by the code's text
-  /// form and merged in key order (persistence layer; replaces the old
-  /// by-reference entries()).
-  [[nodiscard]] std::map<std::string, std::vector<StoredRecord>> snapshot()
-      const;
-  /// Reinstall one identifier's record list (persistence layer).
+  /// Reinstall one identifier's record list (an older build's
+  /// records.snap).
   void restore(std::string key, std::vector<StoredRecord> records);
   /// Append one record under a pre-keyed identifier (journal replay —
   /// unlike restore(), existing records for the key are kept).

@@ -1,7 +1,7 @@
 #pragma once
 // util::CrashPoints — deterministic, seeded crash injection for the
 // persistence layer. Every durability-critical boundary (journal append,
-// fsync, rename, truncate, snapshot write) names a *crash site* by
+// fsync, rename, truncate, atomic file write) names a *crash site* by
 // calling util::crash_point("name"). In production nothing is armed and
 // a site costs one relaxed atomic load. A test or chaos harness arms the
 // registry — "crash at the 3rd hit of journal.append.partial", or "crash

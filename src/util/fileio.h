@@ -58,7 +58,7 @@ void ensure_directory(const std::string& path);
 
 /// An append-only file handle with explicit durability: append() writes,
 /// sync() makes everything written so far durable, truncate() durably
-/// discards a suffix (journal compaction). Move-only; closes on
+/// discards a suffix (a torn journal tail). Move-only; closes on
 /// destruction. All failures throw std::system_error.
 class DurableFile {
  public:

@@ -74,10 +74,15 @@ void SecretBytes::adopt(std::vector<std::uint8_t>&& bytes) {
 }
 
 void SecretBytes::wipe() noexcept {
-  secure_wipe(inline_);
+  // Inline bytes past size_ are always zero (assign stages into a zeroed
+  // array, take_from copies size_ bytes into a fresh or wiped target),
+  // so only the live ones need the barrier-pinned store, and an empty
+  // object needs none.
   if (spill_) {
     secure_zero(spill_.get(), spill_capacity_);
     spill_.reset();
+  } else if (size_ != 0) {
+    secure_zero(inline_.data(), size_);
   }
   spill_capacity_ = 0;
   size_ = 0;

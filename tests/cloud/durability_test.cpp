@@ -1,7 +1,8 @@
 // cloud::DurableState end-to-end: WAL-backed server state survives
-// restart, compaction preserves exactly the journal's effects, handshake
-// ordinals never rewind yet cost no I/O, sealing keeps secret bytes off
-// the disk, and corrupt snapshots surface as the typed PersistenceError.
+// restart, compaction seals the journal into segments it never rewrites,
+// handshake ordinals never rewind yet cost no I/O, sealing keeps secret
+// bytes off the disk, and damaged segments or snapshots surface as the
+// typed PersistenceError.
 
 #include "cloud/durability.h"
 
@@ -10,15 +11,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
+#include <filesystem>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cloud/journal.h"
 #include "cloud/persistence_error.h"
 #include "cloud/server.h"
 #include "compress/crc32.h"
@@ -32,6 +33,8 @@
 namespace medsen::cloud {
 namespace {
 
+namespace fs = std::filesystem;
+
 constexpr std::uint64_t kDevice = 7;
 
 std::string temp_dir(const char* name) {
@@ -40,12 +43,17 @@ std::string temp_dir(const char* name) {
   return dir;
 }
 
-void remove_state(const std::string& dir) {
-  for (const char* file : {"/journal.wal", "/records.snap", "/enroll.snap",
-                           "/registry.snap", "/seal.epoch"}) {
-    std::remove((dir + file).c_str());
-    std::remove((dir + file + ".tmp").c_str());
-  }
+void remove_state(const std::string& dir) { fs::remove_all(dir); }
+
+/// A fresh copy of the state directory an older build wrote
+/// (tests/cloud/data/parent_state/, see parent_state_test.cpp): three
+/// snapshots at LSN 10 and a journal tail. Its storage key is
+/// config_for()'s.
+std::string copy_parent_state(const char* name) {
+  const auto dir = temp_dir(name);
+  remove_state(dir);
+  fs::copy(fs::path(MEDSEN_CLOUD_TEST_DATA) / "parent_state", dir);
+  return dir;
 }
 
 std::vector<std::uint8_t> master_key(std::uint8_t fill) {
@@ -83,13 +91,12 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   return code;
 }
 
-/// Is `needle` a contiguous subsequence of any of the state files?
+/// Is `needle` a contiguous subsequence of any file in the state
+/// directory (journal, segments, seal.epoch, leftovers alike)?
 bool on_disk(const std::string& dir, std::span<const std::uint8_t> needle) {
-  for (const char* file : {"/journal.wal", "/records.snap", "/enroll.snap",
-                           "/registry.snap"}) {
-    const auto path = dir + file;
-    if (!util::file_exists(path)) continue;
-    const auto bytes = util::read_file(path);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const auto bytes = util::read_file(entry.path().string());
     if (std::search(bytes.begin(), bytes.end(), needle.begin(),
                     needle.end()) != bytes.end())
       return true;
@@ -111,22 +118,8 @@ std::uint64_t le64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(le32(p + 4)) << 32);
 }
 
-/// The CTR nonce of a snapshot container's sealed body
-/// (u32 magic | u32 ver | u32 crc | blob(u64 lsn | blob(u8 1 | u64
-/// nonce | ct))), or nullopt if the file is torn or unsealed.
-std::optional<std::uint64_t> snapshot_nonce(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 16) return std::nullopt;
-  const std::uint32_t outer_len = le32(bytes.data() + 12);
-  if (outer_len < 12 || outer_len > bytes.size() - 16) return std::nullopt;
-  const std::uint8_t* outer = bytes.data() + 16;
-  const std::uint32_t flagged_len = le32(outer + 8);
-  if (flagged_len < 9 || flagged_len > outer_len - 12) return std::nullopt;
-  if (outer[12] != 1) return std::nullopt;  // not sealed
-  return le64(outer + 13);
-}
-
-/// Every CTR nonce in a journal's CRC-complete sealed records.
+/// Every CTR nonce in a journal's or segment's CRC-complete sealed
+/// records.
 std::vector<std::uint64_t> journal_nonces(
     const std::vector<std::uint8_t>& bytes) {
   std::vector<std::uint64_t> nonces;
@@ -142,6 +135,15 @@ std::vector<std::uint64_t> journal_nonces(
     offset += 8 + len;
   }
   return nonces;
+}
+
+/// Where each record of a journal or segment image starts.
+std::vector<std::size_t> record_offsets(const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = Journal::kHeaderSize; at + 8 <= bytes.size();
+       at += 8 + le32(bytes.data() + at))
+    offsets.push_back(at);
+  return offsets;
 }
 
 TEST(Durability, StateSurvivesRestartViaJournalReplay) {
@@ -193,15 +195,21 @@ TEST(Durability, CompactionPreservesStateAndTruncatesJournal) {
     rig.server->enroll_user("bob", code);
     rig.server->store_result(code, {21, {0x01}});
     rig.durable->compact(*rig.server);
-    EXPECT_TRUE(util::file_exists(rig.durable->records_snapshot_path()));
-    // Post-compaction mutations land in the (now short) journal.
+    // The four records moved to segment 1; the fresh journal holds only
+    // its header.
+    EXPECT_EQ(Journal::read_segment(rig.durable->segment_path(1)).size(), 4u);
+    EXPECT_EQ(util::read_file(rig.durable->journal_path()).size(),
+              Journal::kHeaderSize);
+    // Post-compaction mutations land in the fresh journal.
     rig.server->store_result(code, {22, {0x02}});
   }
 
   Rig rig(config_for(dir));
-  EXPECT_TRUE(rig.recovery.snapshots_loaded);
-  // Only the post-compaction record replays from the journal.
-  EXPECT_EQ(rig.recovery.stored_records, 1u);
+  EXPECT_FALSE(rig.recovery.snapshots_loaded);
+  EXPECT_EQ(rig.recovery.segments_replayed, 1u);
+  // Each store replays once: one from the segment, one from the journal.
+  EXPECT_EQ(rig.recovery.stored_records, 2u);
+  EXPECT_EQ(rig.recovery.records_replayed, 5u);
   const auto records = rig.server->records().fetch(code);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].session_id, 21u);
@@ -222,12 +230,138 @@ TEST(Durability, AutoCompactionTriggersAtThreshold) {
     rig.server->enroll_device(kDevice);
     rig.server->enroll_user("carol", code);
     rig.server->store_result(code, {1, {0x01}});  // 4th append: compacts
-    EXPECT_TRUE(util::file_exists(rig.durable->records_snapshot_path()));
+    EXPECT_TRUE(util::file_exists(rig.durable->segment_path(1)));
+    EXPECT_FALSE(util::file_exists(rig.durable->segment_path(2)));
     EXPECT_EQ(rig.durable->last_recovery().records_replayed, 0u);
   }
   Rig rig(config);
-  EXPECT_TRUE(rig.recovery.snapshots_loaded);
+  EXPECT_EQ(rig.recovery.segments_replayed, 1u);
   EXPECT_EQ(rig.server->records().record_count(), 1u);
+  remove_state(dir);
+}
+
+TEST(Durability, CompactedSegmentsAreNeverRewritten) {
+  // Compaction renames the journal into the next segment and never
+  // touches an earlier one: across four compactions and a restart each
+  // segment keeps exactly the bytes it was appended with, recovery
+  // replays all of them in order, and no snapshot is ever written.
+  const auto dir = temp_dir("segments");
+  remove_state(dir);
+  const auto code = code_of({2, 1});
+  std::vector<std::vector<std::uint8_t>> sealed;
+  std::uint64_t session = 0;
+  auto rig = std::make_unique<Rig>(config_for(dir));
+  rig->server->rotate_master_key(1, master_key(0x5A));
+  rig->server->enroll_user("ivan", code);
+  for (std::uint64_t n = 1; n <= 4; ++n) {
+    if (n == 3) {  // a restart between compactions
+      rig.reset();
+      rig = std::make_unique<Rig>(config_for(dir));
+    }
+    for (int i = 0; i < 3; ++i) {
+      ++session;
+      rig->server->store_result(
+          code, {session, std::vector<std::uint8_t>(
+                              16, static_cast<std::uint8_t>(session))});
+    }
+    const auto journal = util::read_file(rig->durable->journal_path());
+    rig->durable->compact(*rig->server);
+    sealed.push_back(util::read_file(rig->durable->segment_path(n)));
+    EXPECT_EQ(sealed.back(), journal) << "segment " << n;
+    for (std::uint64_t k = 1; k < n; ++k)
+      EXPECT_EQ(util::read_file(rig->durable->segment_path(k)), sealed[k - 1])
+          << "segment " << k << " after compaction " << n;
+  }
+  rig.reset();
+
+  Rig reopened(config_for(dir));
+  EXPECT_EQ(reopened.recovery.segments_replayed, 4u);
+  EXPECT_EQ(reopened.recovery.stored_records, 12u);
+  const auto records = reopened.server->records().fetch(code);
+  ASSERT_EQ(records.size(), 12u);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    EXPECT_EQ(records[i].session_id, i + 1);
+  for (std::uint64_t k = 1; k <= 4; ++k)
+    EXPECT_EQ(util::read_file(reopened.durable->segment_path(k)),
+              sealed[k - 1]);
+  for (const auto& entry : fs::directory_iterator(dir))
+    EXPECT_NE(entry.path().extension(), ".snap") << entry.path();
+  remove_state(dir);
+}
+
+TEST(Durability, DamagedSegmentThrowsTypedAndIsNeverTruncated) {
+  // A torn tail is forgiven only in the live journal. A segment was
+  // complete when it was renamed, so a bit flip in any of its records,
+  // the last one included, or a record cut short refuses recovery with
+  // the typed error and leaves the segment as it was.
+  const auto dir = temp_dir("badsegment");
+  remove_state(dir);
+  const auto code = code_of({1, 2});
+  {
+    Rig rig(config_for(dir));
+    rig.server->enroll_user("judy", code);
+    rig.server->store_result(code, {51, {0x51}});
+    rig.server->store_result(code, {52, {0x52}});
+    rig.durable->compact(*rig.server);
+  }
+  const auto segment = dir + "/seg-1.wal";
+  const auto good = util::read_file(segment);
+  const auto offsets = record_offsets(good);
+  ASSERT_EQ(offsets.size(), 3u);
+  std::vector<std::vector<std::uint8_t>> damaged;
+  for (const std::size_t at : offsets) {
+    auto flipped = good;
+    flipped[at + 8 + 9 + 4] ^= 0x10;  // inside the sealed payload
+    damaged.push_back(std::move(flipped));
+  }
+  damaged.emplace_back(good.begin(), good.end() - 1);
+  for (const auto& bytes : damaged) {
+    util::write_file(segment, bytes);
+    EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);
+    EXPECT_EQ(util::read_file(segment), bytes);
+  }
+  util::write_file(segment, good);
+  Rig rig(config_for(dir));
+  EXPECT_EQ(rig.server->records().fetch(code).size(), 2u);
+  remove_state(dir);
+}
+
+TEST(Durability, MissingOrReorderedSegmentThrowsTyped) {
+  // Segments must be numbered 1..n and each file's LSNs must lie above
+  // the previous file's: a lost segment or a swapped pair is refused,
+  // never replayed around.
+  const auto dir = temp_dir("segmentgap");
+  remove_state(dir);
+  const auto code = code_of({2, 2});
+  {
+    Rig rig(config_for(dir));
+    rig.server->enroll_user("kim", code);
+    for (std::uint64_t session = 61; session <= 63; ++session) {
+      rig.server->store_result(code, {session, {0x61}});
+      rig.durable->compact(*rig.server);
+    }
+    rig.server->store_result(code, {64, {0x64}});
+  }
+  const auto seg = [&](int n) {
+    return dir + "/seg-" + std::to_string(n) + ".wal";
+  };
+  const auto swap = [&](const std::string& a, const std::string& b) {
+    fs::rename(a, dir + "/swap");
+    fs::rename(b, a);
+    fs::rename(dir + "/swap", b);
+  };
+  fs::rename(seg(2), dir + "/seg-2.saved");
+  EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);  // a gap at 2
+  fs::rename(dir + "/seg-2.saved", seg(2));
+  swap(seg(1), seg(3));
+  EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);  // out of order
+  swap(seg(1), seg(3));
+  swap(seg(3), dir + "/journal.wal");
+  EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);  // journal behind
+  swap(seg(3), dir + "/journal.wal");
+  Rig rig(config_for(dir));
+  EXPECT_EQ(rig.recovery.segments_replayed, 3u);
+  EXPECT_EQ(rig.server->records().fetch(code).size(), 4u);
   remove_state(dir);
 }
 
@@ -309,8 +443,8 @@ TEST(Durability, StorageKeySealsSecretsOnDisk) {
     rig.server->rotate_master_key(1, master);
     rig.server->enroll_device(kDevice);
     rig.durable->compact(*rig.server);
-    // Journal after compact: the master travels in a kMasterRotated
-    // record as well as in registry.snap.
+    // The master travels in kMasterRotated records, in segment 1 and in
+    // the journal.
     rig.server->rotate_master_key(2, master);
     rig.server->enroll_device(4);
   }
@@ -416,12 +550,11 @@ TEST(Durability, RetiredHandshakeRecordSkippedOnlyInItsOldShape) {
 }
 
 TEST(Durability, LsnSequenceSurvivesCrashRightAfterCompaction) {
-  // A crash between compaction's truncate and the next append leaves an
-  // EMPTY journal next to snapshots stamped with LSN N. The restarted
-  // journal must continue above N (the snapshots carry the sequence):
-  // without the floor, the next acked record would reuse LSN 1 and a
-  // later recovery would gate it out behind the snapshot — a silently
-  // lost acknowledged write.
+  // A crash right after compaction's rename leaves no journal at all,
+  // only a segment holding LSNs 1..N. The restarted journal starts
+  // empty and must continue above N (the segment carries the sequence):
+  // without the floor, the next acked record would reuse LSN 1 and
+  // every later recovery would refuse the journal as out of order.
   const auto dir = temp_dir("lsnfloor");
   remove_state(dir);
   const auto code = code_of({1, 1});
@@ -429,8 +562,10 @@ TEST(Durability, LsnSequenceSurvivesCrashRightAfterCompaction) {
     Rig rig(config_for(dir));
     rig.server->enroll_user("frank", code);
     rig.server->store_result(code, {31, {0x31}});
-    rig.durable->compact(*rig.server);  // journal now empty, snaps at LSN 2
+    util::ScopedCrashArm armed("journal.rotate.renamed");
+    EXPECT_THROW(rig.durable->compact(*rig.server), util::SimulatedCrash);
   }
+  ASSERT_FALSE(util::file_exists(dir + "/journal.wal"));
   {
     Rig rig(config_for(dir));  // the post-crash restart
     EXPECT_EQ(rig.durable->last_lsn(), 2u);
@@ -445,13 +580,9 @@ TEST(Durability, LsnSequenceSurvivesCrashRightAfterCompaction) {
 }
 
 TEST(Durability, CorruptSnapshotThrowsTyped) {
-  const auto dir = temp_dir("corruptsnap");
-  remove_state(dir);
-  {
-    Rig rig(config_for(dir));
-    rig.server->enroll_user("dave", code_of({2, 1}));
-    rig.durable->compact(*rig.server);
-  }
+  // This build writes no snapshots but still reads the ones an older
+  // build left behind; a damaged one is refused with the typed error.
+  const auto dir = copy_parent_state("corruptsnap");
   auto bytes = util::read_file(dir + "/enroll.snap");
   bytes[bytes.size() / 2] ^= 0xFF;
   util::write_file(dir + "/enroll.snap", bytes);
@@ -460,48 +591,48 @@ TEST(Durability, CorruptSnapshotThrowsTyped) {
 }
 
 TEST(Durability, CrashDuringCompactionNeverReusesSealingNonces) {
-  // The reuse hole this pins: compaction crashes after records.snap.tmp
-  // is fully written and fsync'd but before the rename. The stranded
-  // tmp holds ciphertext under a nonce recovery never reads (it only
-  // unseals committed snapshots + the journal), so a counter rebuilt
-  // from observed payloads would re-issue that nonce on the next append
-  // — two ciphertexts under one AES-CTR keystream, XOR of ciphertexts =
-  // XOR of plaintexts. The fix is the per-boot epoch partition in
-  // seal.epoch plus dropping stale tmps at open.
-  const auto dir = temp_dir("noncereuse");
-  remove_state(dir);
-  DurabilityConfig config = config_for(dir);
+  // Compaction crashes at each step of its rotation, and the restarted
+  // server seals more records, compacts and seals again. The sealed
+  // records of the crashed boot sit in a segment (or a journal) written
+  // under nonces the new boot must never issue again — two ciphertexts
+  // under one AES-CTR keystream, XOR of ciphertexts = XOR of
+  // plaintexts. The per-boot epoch partition in seal.epoch guarantees
+  // it whatever recovery happens to read.
+  DurabilityConfig config = config_for(temp_dir("noncereuse"));
   config.storage_key = std::vector<std::uint8_t>(32, 0x42);
   const auto code = code_of({2, 1});
-  {
-    Rig rig(config);
-    rig.server->enroll_user("grace", code);
-    rig.server->store_result(code, {41, {0x41}});
-    util::ScopedCrashArm armed("fileio.atomic.tmp_synced");
-    EXPECT_THROW(rig.durable->compact(*rig.server), util::SimulatedCrash);
-  }
-  const auto tmp = dir + "/records.snap.tmp";
-  ASSERT_TRUE(util::file_exists(tmp));
-  const auto stranded = snapshot_nonce(util::read_file(tmp));
-  ASSERT_TRUE(stranded.has_value());
+  for (const char* site : {"journal.rotate.begin", "journal.rotate.renamed",
+                           "journal.rotate.header_written"}) {
+    remove_state(config.dir);
+    {
+      Rig rig(config);
+      rig.server->enroll_user("grace", code);
+      rig.server->store_result(code, {41, {0x41}});
+      util::ScopedCrashArm armed(site);
+      EXPECT_THROW(rig.durable->compact(*rig.server), util::SimulatedCrash)
+          << site;
+    }
+    {
+      Rig rig(config);
+      EXPECT_EQ(rig.server->records().fetch(code).size(), 1u) << site;
+      rig.server->store_result(code, {42, {0x42}});
+      rig.durable->compact(*rig.server);
+      rig.server->store_result(code, {43, {0x43}});
+    }
 
-  {
-    Rig rig(config);
-    // Stale tmps are dropped at open, so the stranded ciphertext cannot
-    // outlive the nonce accounting either.
-    EXPECT_FALSE(util::file_exists(tmp));
-    rig.server->store_result(code, {42, {0x42}});
+    // Every sealed record in every log file, old boot and new, carries
+    // a nonce of its own.
+    std::vector<std::uint64_t> nonces;
+    for (const auto& entry : fs::directory_iterator(config.dir)) {
+      if (entry.path().extension() != ".wal") continue;
+      const auto found = journal_nonces(util::read_file(entry.path().string()));
+      nonces.insert(nonces.end(), found.begin(), found.end());
+    }
+    ASSERT_EQ(nonces.size(), 4u) << site;  // enroll, stores 41, 42, 43
+    const std::set<std::uint64_t> unique(nonces.begin(), nonces.end());
+    EXPECT_EQ(unique.size(), nonces.size()) << "nonce reused after " << site;
   }
-
-  // Every sealed journal record — old boot and new — carries a nonce
-  // distinct from the stranded one and from each other.
-  const auto nonces = journal_nonces(util::read_file(dir + "/journal.wal"));
-  ASSERT_GE(nonces.size(), 3u);  // enroll, store 41, store 42
-  const std::set<std::uint64_t> unique(nonces.begin(), nonces.end());
-  EXPECT_EQ(unique.size(), nonces.size()) << "nonce reused inside journal";
-  EXPECT_EQ(unique.count(*stranded), 0u)
-      << "stranded snapshot nonce re-issued after restart";
-  remove_state(dir);
+  remove_state(config.dir);
 }
 
 TEST(Durability, RacingEnrollmentsNeverPoisonTheJournal) {
@@ -546,10 +677,22 @@ TEST(Durability, RacingEnrollmentsNeverPoisonTheJournal) {
 }
 
 TEST(Durability, SnapshotServerMismatchSurfacesTyped) {
-  // A snapshot written under one alphabet recovered into a server with
-  // another makes enroll() throw std::invalid_argument mid-restore;
-  // the persistence contract says every recovery failure is the typed
-  // PersistenceError.
+  // State written under one alphabet recovered into a server with
+  // another makes enroll() throw std::invalid_argument mid-recovery,
+  // whether the enrollment comes from an older build's snapshot or from
+  // a segment; the persistence contract says every recovery failure is
+  // the typed PersistenceError.
+  auth::CytoAlphabet small;
+  small.concentration_levels_per_ul = {0.0, 150.0};  // levels 2+ invalid
+  const auto recover_into_small = [&](const std::string& dir) {
+    DurableState durable(config_for(dir));
+    CloudServer server(AnalysisConfig{}, small,
+                       auth::ParticleClassifier::train({}));
+    EXPECT_THROW(server.attach_durability(durable), PersistenceError) << dir;
+  };
+  const auto legacy = copy_parent_state("snapmismatch_legacy");
+  recover_into_small(legacy);  // enroll.snap holds alice at {2, 1}
+
   const auto dir = temp_dir("snapmismatch");
   remove_state(dir);
   {
@@ -557,12 +700,8 @@ TEST(Durability, SnapshotServerMismatchSurfacesTyped) {
     rig.server->enroll_user("heidi", code_of({4, 4}));
     rig.durable->compact(*rig.server);
   }
-  DurableState durable(config_for(dir));
-  auth::CytoAlphabet small;
-  small.concentration_levels_per_ul = {0.0, 150.0};  // level 4 invalid
-  CloudServer server(AnalysisConfig{}, small,
-                     auth::ParticleClassifier::train({}));
-  EXPECT_THROW(server.attach_durability(durable), PersistenceError);
+  recover_into_small(dir);
+  remove_state(legacy);
   remove_state(dir);
 }
 

@@ -1,15 +1,17 @@
 // cloud::Journal: append/replay round trips, LSN continuity across
-// compaction, and the two corruption sweeps the issue demands — every
-// truncation prefix and every single-bit flip of a populated journal
-// must either recover cleanly (torn tail) or throw the typed
-// PersistenceError (interior damage), never crash, hang, or silently
-// load garbage.
+// rotation, and the corruption sweeps — every truncation prefix and
+// every single-bit flip of a populated journal must either recover
+// cleanly (torn tail) or throw the typed PersistenceError (interior
+// damage), never crash, hang, or silently load garbage, and a segment
+// forgives no damage at all.
 
 #include "cloud/journal.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +43,7 @@ TEST(Journal, AppendThenReopenReplaysInOrder) {
   write_three_records(path);
 
   Journal reopened(path);
-  EXPECT_FALSE(reopened.open_stats().tail_truncated);
+  EXPECT_FALSE(reopened.tail_truncated());
   const auto records = reopened.take_recovered();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].lsn, 1u);
@@ -56,22 +58,74 @@ TEST(Journal, AppendThenReopenReplaysInOrder) {
 
 TEST(Journal, LsnsSurviveCompaction) {
   const auto path = temp_path("compact.wal");
+  const auto segment = temp_path("compact.seg");
   std::remove(path.c_str());
+  std::vector<std::uint8_t> before;
   {
     Journal journal(path);
     journal.append(JournalRecordType::kDeviceEnrolled, payload_of({1}));
     journal.append(JournalRecordType::kDeviceEnrolled, payload_of({2}));
-    journal.truncate_all();
+    before = util::read_file(path);
+    journal.rotate(segment);
     EXPECT_EQ(journal.appended_since_compaction(), 0u);
-    // The sequence continues past the truncation.
+    EXPECT_EQ(util::read_file(path).size(), Journal::kHeaderSize);
+    // The sequence continues past the rotation.
     EXPECT_EQ(journal.append(JournalRecordType::kDeviceRevoked,
                              payload_of({3})),
               3u);
   }
+  // The segment is the old journal, byte for byte.
+  EXPECT_EQ(util::read_file(segment), before);
+  const auto sealed = Journal::read_segment(segment);
+  ASSERT_EQ(sealed.size(), 2u);
+  EXPECT_EQ(sealed[1].lsn, 2u);
+  EXPECT_EQ(sealed[1].payload, payload_of({2}));
   Journal reopened(path);
   const auto records = reopened.take_recovered();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].lsn, 3u);
+  std::remove(path.c_str());
+  std::remove(segment.c_str());
+}
+
+TEST(Journal, SegmentReadIsStrict) {
+  // A segment was complete when it was renamed, so unlike the live
+  // journal it has no torn tail to forgive: every bit flip and every
+  // cut inside a record throws, the final record included, and the
+  // file is left as it was.
+  const auto path = temp_path("strict.wal");
+  write_three_records(path);
+  const auto full = util::read_file(path);
+  std::vector<std::size_t> boundaries;  // where each record starts
+  for (std::size_t at = Journal::kHeaderSize; at < full.size();) {
+    boundaries.push_back(at);
+    at += 8 + (full[at] | (full[at + 1] << 8));
+  }
+  boundaries.push_back(full.size());
+  ASSERT_EQ(boundaries.size(), 4u);
+
+  for (std::size_t byte = 0; byte < full.size(); ++byte) {
+    // The header's flags and reserved words are not checked.
+    if (byte >= 8 && byte < Journal::kHeaderSize) continue;
+    auto corrupt = full;
+    corrupt[byte] ^= static_cast<std::uint8_t>(1u << (byte % 8));
+    util::write_file(path, corrupt);
+    EXPECT_THROW((void)Journal::read_segment(path), PersistenceError)
+        << "byte " << byte;
+    EXPECT_EQ(util::read_file(path), corrupt);
+  }
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    util::write_file(path, std::span(full).first(len));
+    if (std::find(boundaries.begin(), boundaries.end(), len) !=
+        boundaries.end()) {
+      // A cut between records leaves a shorter, valid segment; only an
+      // authenticated log could tell.
+      EXPECT_NO_THROW((void)Journal::read_segment(path)) << "len " << len;
+    } else {
+      EXPECT_THROW((void)Journal::read_segment(path), PersistenceError)
+          << "len " << len;
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -166,7 +220,7 @@ TEST(Journal, TornAppendCrashLeavesRecoverableTail) {
                  util::SimulatedCrash);
   }
   Journal reopened(path);
-  EXPECT_TRUE(reopened.open_stats().tail_truncated);
+  EXPECT_TRUE(reopened.tail_truncated());
   const auto records = reopened.take_recovered();
   ASSERT_EQ(records.size(), 1u);  // the torn append was never acked
   EXPECT_EQ(records[0].lsn, 1u);

@@ -79,7 +79,9 @@ Nonce handshake(CloudServer& server, std::uint64_t session) {
   return net::AuthResponsePayload::deserialize(response.payload).challenge;
 }
 
-void expect_parent_stores(CloudServer& server) {
+/// The parent's stores, plus `later` records stored since under the
+/// same code with sessions 14, 15, ...
+void expect_parent_stores(CloudServer& server, std::size_t later = 0) {
   auth::CytoCode code;
   code.levels = {2, 1};
   EXPECT_EQ(server.devices().current_epoch(), 1u);
@@ -96,7 +98,7 @@ void expect_parent_stores(CloudServer& server) {
   EXPECT_EQ(server.enrollments().lookup(code), "alice");
 
   const auto records = server.records().fetch(code);
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 3u + later);
   EXPECT_EQ(records[0].session_id, 11u);
   EXPECT_EQ(records[0].encrypted_result,
             (std::vector<std::uint8_t>{0xAA, 0xBB}));
@@ -104,7 +106,9 @@ void expect_parent_stores(CloudServer& server) {
   EXPECT_EQ(records[1].encrypted_result, (std::vector<std::uint8_t>{0xCC}));
   EXPECT_EQ(records[2].session_id, 13u);
   EXPECT_EQ(records[2].encrypted_result, (std::vector<std::uint8_t>{0xDD}));
-  EXPECT_EQ(server.records().record_count(), 3u);
+  for (std::size_t i = 0; i < later; ++i)
+    EXPECT_EQ(records[3 + i].session_id, 14u + i);
+  EXPECT_EQ(server.records().record_count(), 3u + later);
 }
 
 TEST(Durability, RecoversStateDirectoryWrittenByParent) {
@@ -133,13 +137,43 @@ TEST(Durability, RecoversStateDirectoryWrittenByParent) {
     durable.compact(server);
   }
   {
-    // Compaction dropped the old tail; the directory keeps booting.
+    // Compaction renamed the old tail into segment 1, next to the
+    // parent's snapshots; the directory keeps booting. The tail's
+    // store (LSN 12, above the snapshots' 10) replays from the segment.
     DurableState durable(parent_config(dir));
     CloudServer server(AnalysisConfig{}, auth::CytoAlphabet{},
                        auth::ParticleClassifier::train({}));
     const RecoveryStats recovery = server.attach_durability(durable);
-    EXPECT_EQ(recovery.records_replayed, 0u);
+    EXPECT_EQ(recovery.segments_replayed, 1u);
+    EXPECT_EQ(recovery.records_replayed, 1u);
     expect_parent_stores(server);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Durability, ParentStateDirectoryCompactsIntoSegments) {
+  // The upgrade path under compaction: the parent's snapshots stay as
+  // they are, each compaction renames the journal into the next segment,
+  // and every store recovers exactly once and in order across two
+  // compactions and three boots.
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "medsen_parent_state_segments";
+  fs::remove_all(dir);
+  fs::copy(fs::path(MEDSEN_CLOUD_TEST_DATA) / "parent_state", dir);
+  auth::CytoCode code;
+  code.levels = {2, 1};
+
+  for (std::size_t later = 0; later <= 2; ++later) {
+    DurableState durable(parent_config(dir));
+    CloudServer server(AnalysisConfig{}, auth::CytoAlphabet{},
+                       auth::ParticleClassifier::train({}));
+    const RecoveryStats recovery = server.attach_durability(durable);
+    EXPECT_TRUE(recovery.snapshots_loaded);
+    EXPECT_EQ(recovery.segments_replayed, later);
+    expect_parent_stores(server, later);
+    if (later == 2) break;
+    server.store_result(code, {14 + later, {0xEE}});
+    durable.compact(server);
   }
   fs::remove_all(dir);
 }

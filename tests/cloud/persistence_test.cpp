@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "util/fileio.h"
+#include "util/serialize.h"
 
 namespace medsen::cloud {
 namespace {
 
-/// The body codecs DurableState frames in its snapshots, plus the
-/// magic | version | CRC container around them.
+/// The body codecs of the snapshots older builds wrote (DurableState
+/// still reads them), plus the magic | version | CRC container around
+/// them.
 class PersistenceTest : public ::testing::Test {};
 
 constexpr std::uint32_t kEnrollMagic = 0x54454E52;  // test-only magics
@@ -20,6 +25,24 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   auth::CytoCode code;
   code.levels = levels;
   return code;
+}
+
+/// A records.snap body as older builds wrote it (docs/PROTOCOL.md):
+/// u32 identifiers | (str key | u32 n | (u64 session | blob result)*)*,
+/// keys in order. This build only reads the format.
+std::vector<std::uint8_t> legacy_records_body(
+    const std::map<std::string, std::vector<StoredRecord>>& entries) {
+  util::ByteWriter body;
+  body.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [key, records] : entries) {
+    body.str(key);
+    body.u32(static_cast<std::uint32_t>(records.size()));
+    for (const auto& record : records) {
+      body.u64(record.session_id);
+      body.blob(record.encrypted_result);
+    }
+  }
+  return body.take();
 }
 
 RecordStore rebuild(std::span<const std::uint8_t> body) {
@@ -52,12 +75,9 @@ TEST_F(PersistenceTest, CustomAlphabetSurvives) {
 }
 
 TEST_F(PersistenceTest, RecordsRoundTrip) {
-  RecordStore store;
-  store.store(code_of({1, 1}), {10, {1, 2, 3}});
-  store.store(code_of({1, 1}), {11, {4}});
-  store.store(code_of({0, 2}), {12, {}});
-
-  const auto loaded = rebuild(encode_records_body(store));
+  const auto loaded = rebuild(legacy_records_body(
+      {{code_of({1, 1}).to_string(), {{10, {1, 2, 3}}, {11, {4}}}},
+       {code_of({0, 2}).to_string(), {{12, {}}}}}));
   EXPECT_EQ(loaded.record_count(), 3u);
   EXPECT_EQ(loaded.fetch(code_of({1, 1})).size(), 2u);
   EXPECT_EQ(loaded.latest(code_of({1, 1}))->session_id, 11u);
@@ -70,7 +90,7 @@ TEST_F(PersistenceTest, EmptyStoresRoundTrip) {
                 auth::EnrollmentDatabase{auth::CytoAlphabet{}}))
                 .size(),
             0u);
-  EXPECT_EQ(rebuild(encode_records_body(RecordStore{})).record_count(), 0u);
+  EXPECT_EQ(rebuild(legacy_records_body({})).record_count(), 0u);
 }
 
 TEST_F(PersistenceTest, CorruptedFileRejected) {
@@ -82,9 +102,9 @@ TEST_F(PersistenceTest, CorruptedFileRejected) {
 }
 
 TEST_F(PersistenceTest, WrongMagicRejected) {
-  RecordStore store;
-  store.store(code_of({1, 1}), {1, {9}});
-  const auto bytes = seal_blob(kRecordMagic, encode_records_body(store));
+  const auto bytes = seal_blob(
+      kRecordMagic, legacy_records_body({{code_of({1, 1}).to_string(),
+                                          {{1, {9}}}}}));
   // A records container opened as enrollments must be refused.
   EXPECT_THROW((void)unseal_blob(kEnrollMagic, bytes), std::runtime_error);
 }

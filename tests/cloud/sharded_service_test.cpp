@@ -243,7 +243,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
 
 // --- Many-thread hammer (the TSan target) --------------------------------
 
-// Concurrent enroll / revoke / upload / stats / snapshot traffic over
+// Concurrent enroll / revoke / upload / stats / count traffic over
 // a sharded server. Assertions are deliberately loose — the point is
 // that TSan observes the full mixed workload with no data races and the
 // aggregate counters stay coherent.
@@ -283,12 +283,12 @@ TEST(ShardedService, ManyThreadHammer) {
       (void)server.devices().revoke(device);
     }
   });
-  // Observer: stats + record snapshots while everything else runs.
+  // Observer: stats + record counts while everything else runs.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto stats = server.stats();
       EXPECT_GE(stats.processing_time_s, 0.0);
-      (void)server.records().snapshot();
+      (void)server.records().record_count();
       (void)server.devices().cache_size();
       std::this_thread::yield();
     }

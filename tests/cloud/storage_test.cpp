@@ -55,26 +55,31 @@ TEST(RecordStore, BlobContentPreserved) {
 }
 
 TEST(RecordStore, SnapshotIsAConsistentCopy) {
+  // Readers get copies, never references into the store: what fetch()
+  // returned is a snapshot later stores do not change, and changing it
+  // does not reach the store.
   RecordStore store;
   store.store(code_of({1, 2}), {10, {0xAA}});
-  auto snapshot = store.snapshot();
+  auto snapshot = store.fetch(code_of({1, 2}));
   ASSERT_EQ(snapshot.size(), 1u);
-  // Mutating the snapshot (or the store) must not affect the other.
-  snapshot.begin()->second.push_back({99, {}});
+  snapshot.push_back({99, {}});
   store.store(code_of({1, 2}), {11, {0xBB}});
-  EXPECT_EQ(snapshot.begin()->second.size(), 2u);
+  EXPECT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot.back().session_id, 99u);
   EXPECT_EQ(store.fetch(code_of({1, 2})).size(), 2u);
   EXPECT_EQ(store.fetch(code_of({1, 2})).back().session_id, 11u);
 }
 
 TEST(RecordStore, RestoreRebuildsStateFromSnapshot) {
-  RecordStore original;
-  original.store(code_of({1, 1}), {5, {0xCC}});
+  // restore() reinstalls an identifier's list as an older build's
+  // records.snap holds it, replacing what was there; append() adds to it.
   RecordStore rebuilt;
-  for (auto& [key, records] : original.snapshot())
-    rebuilt.restore(key, std::move(records));
-  EXPECT_EQ(rebuilt.record_count(), 1u);
-  EXPECT_EQ(rebuilt.latest(code_of({1, 1}))->session_id, 5u);
+  rebuilt.store(code_of({1, 1}), {4, {0xBB}});
+  rebuilt.restore(code_of({1, 1}).to_string(), {{5, {0xCC}}});
+  rebuilt.append(code_of({1, 1}).to_string(), {6, {0xDD}});
+  EXPECT_EQ(rebuilt.record_count(), 2u);
+  EXPECT_EQ(rebuilt.fetch(code_of({1, 1})).front().session_id, 5u);
+  EXPECT_EQ(rebuilt.latest(code_of({1, 1}))->session_id, 6u);
 }
 
 TEST(RecordStore, ConcurrentStoreAndReadIsRaceFree) {
@@ -86,7 +91,7 @@ TEST(RecordStore, ConcurrentStoreAndReadIsRaceFree) {
         store.store(code_of({static_cast<std::uint8_t>(t), 1}),
                     {static_cast<std::uint64_t>(i), {0xEE}});
         (void)store.record_count();
-        (void)store.snapshot();
+        (void)store.fetch(code_of({static_cast<std::uint8_t>(3 - t), 1}));
       }
     });
   }

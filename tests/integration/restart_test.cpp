@@ -172,45 +172,43 @@ TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
   std::filesystem::remove_all(dir);
 }
 
-// A crash between opening the output file and finishing the write must
-// not destroy the previous good database. Compaction writes each
-// snapshot to a sibling .tmp and renames it into place, so the worst a
-// crash can leave behind is a truncated .tmp next to an intact live
-// snapshot.
+// A crash between opening an output file and finishing the write must
+// not destroy the previous good database. Compaction renames the
+// journal into a segment and writes no file of its own; older builds
+// wrote each snapshot to a sibling .tmp and renamed it into place, so
+// the worst a crash left behind there was a truncated .tmp next to
+// intact live state. A directory carrying such a leftover must still
+// load, and the leftover is dropped at open.
 TEST(Restart, TornWriteLeavesPreviousDatabaseLoadable) {
   const auto dir = state_dir("medsen_torn_enroll");
 
   auth::CytoAlphabet alphabet;
   auth::CytoCode code;
   code.levels = {1, 2};
-  std::string snapshot;
+  const std::string leftover = dir + "/enroll.snap.tmp";
   {
     Lifetime first(dir, alphabet);
     first.server->enroll_user("bob", code);
     first.durable->compact(*first.server);
-    snapshot = first.durable->enroll_snapshot_path();
-  }
-
-  // Simulate a crash mid-compaction: a later snapshot got as far as
-  // writing a truncated temp file and died before the rename.
-  {
-    const auto good = util::read_file(snapshot);
+    // The older build's torn temp file: half of a sealed log's bytes.
+    const auto good = util::read_file(first.durable->segment_path(1));
     std::vector<std::uint8_t> torn(good.begin(),
                                    good.begin() + good.size() / 2);
-    util::write_file(snapshot + ".tmp", torn);
+    util::write_file(leftover, torn);
   }
 
-  // The live snapshot is untouched and still recovers; the torn temp
-  // file is dropped at open, leaving no stale .tmp behind.
+  // The live state is untouched and still recovers; the torn temp file
+  // is dropped at open, leaving no stale .tmp behind.
   Lifetime second(dir, alphabet);
   EXPECT_EQ(second.server->enrollments().lookup(code), "bob");
-  EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
+  EXPECT_FALSE(util::file_exists(leftover));
 
-  // A subsequent compaction replaces the snapshot; the state still
-  // recovers with both users.
+  // A subsequent compaction adds a segment and no snapshot; the state
+  // still recovers with both users.
   second.server->enroll_user("carol", auth::CytoCode{{2, 2}});
   second.durable->compact(*second.server);
-  EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
+  EXPECT_FALSE(util::file_exists(leftover));
+  EXPECT_FALSE(util::file_exists(dir + "/enroll.snap"));
   second.server.reset();
   second.durable.reset();
   Lifetime third(dir, alphabet);

@@ -142,6 +142,34 @@ TEST(SecretBytes, WipeIsIdempotentAndReusable) {
   EXPECT_EQ(secret.size(), 8u);
 }
 
+// wipe() zeroes only the live bytes, which is enough because inline
+// bytes past size() are always zero. Pin that invariant through every
+// way an object's contents change.
+TEST(SecretBytes, InlineBytesPastSizeStayZero) {
+  const auto tail_is_zero = [](const SecretBytes& secret) {
+    // Not spilled: data() is the whole inline array.
+    return std::all_of(secret.data() + secret.size(),
+                       secret.data() + SecretBytes::kInlineCapacity,
+                       [](std::uint8_t b) { return b == 0; });
+  };
+  SecretBytes secret(pattern(32));
+  secret.assign(pattern(8));  // assign shorter
+  EXPECT_TRUE(tail_is_zero(secret));
+  SecretBytes copy(secret);  // copy
+  EXPECT_TRUE(tail_is_zero(copy));
+  SecretBytes moved(std::move(copy));  // move
+  EXPECT_TRUE(tail_is_zero(moved));
+  EXPECT_TRUE(tail_is_zero(copy));  // NOLINT(bugprone-use-after-move): pinned
+  SecretBytes target(pattern(48));
+  target = std::move(moved);  // move-assign over a longer key
+  EXPECT_TRUE(target == pattern(8));
+  EXPECT_TRUE(tail_is_zero(target));
+  EXPECT_TRUE(tail_is_zero(moved));  // NOLINT(bugprone-use-after-move)
+  SecretBytes shrunk(pattern(200));  // spilled, then back inline
+  shrunk.assign(pattern(4));
+  EXPECT_TRUE(tail_is_zero(shrunk));
+}
+
 TEST(SecretBytes, SpillPathHoldsOversizedKeys) {
   // Legacy free-form provisioning keys may exceed the inline capacity.
   const auto big = pattern(200);

@@ -8,7 +8,10 @@ Two kinds of assertion over BENCH_crash_chaos.json:
                 counter rewound, a secret on disk — any of these is a
                 real recovery bug, never jitter), and the sweep must
                 actually have discovered crash sites and fired crashes,
-                or the harness silently tested nothing.
+                or the harness silently tested nothing. The recovery
+                sizing phase must have replayed at least two segments
+                (tools/bench/crash_chaos_floor.json), or the ceiling
+                below would time the journal alone.
 
   recovery time The replay cost per 1k journal records must stay below
                 the checked-in ceiling (tools/bench/crash_chaos_floor.json)
@@ -44,6 +47,7 @@ REQUIRED_KEYS = INVARIANT_KEYS + (
     "sweep.runs",
     "sweep.crashes_fired",
     "recovery.records_replayed",
+    "recovery.segments_replayed",
     "recovery.ms_per_1k_records",
 )
 
@@ -97,6 +101,14 @@ def main() -> int:
     if crashes == 0:
         print("check_crash_floor: the sweep fired no crashes — the "
               "harness tested nothing", file=sys.stderr)
+        failed = True
+    min_segments = int(floor.get("min_segments_replayed", 2))
+    segments = int(counters["recovery.segments_replayed"])
+    print(f"recovery.segments_replayed {segments} (minimum {min_segments})")
+    if segments < min_segments:
+        print(f"check_crash_floor: recovery replayed only {segments} "
+              f"segments — the sizing phase no longer measures segment "
+              f"replay", file=sys.stderr)
         failed = True
 
     # Recovery time: ceiling on replay cost per 1k records.
