@@ -33,7 +33,11 @@
 // separate no-crash sizing phase measures recovery across several
 // segments and the journal, and exports recovery.replay_ms /
 // recovery.records_replayed / recovery.segments_replayed for the CI
-// floor check (tools/bench/check_crash_floor.py).
+// floor check (tools/bench/check_crash_floor.py). A memory phase stores
+// report-sized records and exports the resident memory each one costs
+// (store.rss_bytes_per_record: the log holds the reports, so memory
+// grows by an index entry), then fetches records back after a restart
+// (store.fetch_mismatches, store.fetch_us).
 //
 // In-process limits, stated honestly: a SimulatedCrash unwinds the stack
 // instead of killing the process, so destructors close file descriptors
@@ -49,6 +53,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -59,6 +64,8 @@
 
 #include <span>
 #include <utility>
+
+#include <malloc.h>
 
 #include "bench_common.h"
 #include "cloud/durability.h"
@@ -252,9 +259,11 @@ struct Rig {
   std::unique_ptr<cloud::CloudServer> server;
   cloud::RecoveryStats recovery;
 
-  explicit Rig(const std::string& dir, std::uint64_t compact_after = 5) {
+  explicit Rig(const std::string& dir, std::uint64_t compact_after = 5,
+               bool fsync = true) {
     cloud::DurabilityConfig config;
     config.dir = dir;
+    config.fsync = fsync;
     config.compact_after_records = compact_after;
     config.storage_key = storage_key();
     durable = std::make_unique<cloud::DurableState>(std::move(config));
@@ -715,6 +724,79 @@ cloud::RecoveryStats measure_recovery(const Options& options) {
   return stats;
 }
 
+/// Resident memory now (VmRSS in /proc/self/status), in bytes, after
+/// malloc_trim has handed freed heap back, so only live memory counts.
+double resident_bytes() {
+  malloc_trim(0);
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0)
+      return std::stod(line.substr(6)) * 1024.0;  // the line is in kB
+  return 0.0;
+}
+
+struct StoreMemory {
+  double rss_bytes_per_record = 0.0;
+  std::uint64_t fetched = 0;
+  std::uint64_t fetch_mismatches = 0;
+  double fetch_us = 0.0;  ///< per fetched record
+};
+
+/// Memory per stored report, apart from the replay sizing so that
+/// phase keeps its 32-byte records: 8,192 stores of a clinical report's
+/// size (5,592 B) under 64 identifiers, compacted every 4,096 appends,
+/// fsync off (only memory is measured). After a restart one identifier's
+/// history, every 64th record, is fetched back from the log and
+/// compared byte for byte.
+StoreMemory measure_store_memory(const Options& options) {
+  constexpr std::uint64_t kRecords = 8192;
+  constexpr std::uint64_t kIdentifiers = 64;
+  constexpr std::size_t kReportBytes = 5592;
+  const auto dir = options.dir + "_memory";
+  remove_state(dir);
+  const auto identifier = [](std::uint64_t i) {
+    const auto n = static_cast<std::uint8_t>(i % kIdentifiers);
+    return code_of({static_cast<std::uint8_t>(1 + n / 8),
+                    static_cast<std::uint8_t>(n % 8)});
+  };
+  const auto report = [](std::uint64_t i) {
+    std::vector<std::uint8_t> bytes(kReportBytes);
+    for (std::size_t k = 0; k < bytes.size(); ++k)
+      bytes[k] = static_cast<std::uint8_t>(i * 131 + k * 7);
+    return bytes;
+  };
+  StoreMemory out;
+  {
+    Rig rig(dir, /*compact_after=*/4096, /*fsync=*/false);
+    const double before = resident_bytes();
+    for (std::uint64_t i = 0; i < kRecords; ++i)
+      rig.server->store_result(identifier(i), {i + 1, report(i)});
+    out.rss_bytes_per_record =
+        (resident_bytes() - before) / static_cast<double>(kRecords);
+  }
+  Rig rig(dir, /*compact_after=*/4096, /*fsync=*/false);
+  const auto started = std::chrono::steady_clock::now();
+  const auto records = rig.server->records().fetch(identifier(0));
+  const double elapsed_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - started)
+                                .count();
+  out.fetched = records.size();
+  const std::uint64_t expected = kRecords / kIdentifiers;
+  out.fetch_mismatches = records.size() > expected ? records.size() - expected
+                                                   : expected - records.size();
+  for (std::size_t k = 0; k < records.size() && k < expected; ++k) {
+    const std::uint64_t i = k * kIdentifiers;
+    if (records[k].session_id != i + 1 ||
+        records[k].encrypted_result != report(i))
+      ++out.fetch_mismatches;
+  }
+  out.fetch_us =
+      records.empty() ? 0.0 : elapsed_us / static_cast<double>(records.size());
+  remove_state(dir);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -793,6 +875,16 @@ int main(int argc, char** argv) {
                         sizing.replay_ms
                   : 0.0);
 
+  // Phase 5: memory per stored report, and reading reports back.
+  const auto memory = measure_store_memory(options);
+  std::printf("store: %.0f bytes of RSS per stored 5,592-byte report; "
+              "%llu fetched back after a restart, %llu mismatched, "
+              "%.1f us each\n",
+              memory.rss_bytes_per_record,
+              static_cast<unsigned long long>(memory.fetched),
+              static_cast<unsigned long long>(memory.fetch_mismatches),
+              memory.fetch_us);
+
   bench::JsonCounters json("crash_chaos");
   json.set_text("mode", options.smoke ? "smoke" : "full");
   json.set_count("seed", options.seed);
@@ -817,6 +909,9 @@ int main(int argc, char** argv) {
                ? sizing.replay_ms * 1000.0 /
                      static_cast<double>(sizing.records_replayed)
                : 0.0);
+  json.set("store.rss_bytes_per_record", memory.rss_bytes_per_record);
+  json.set_count("store.fetch_mismatches", memory.fetch_mismatches);
+  json.set("store.fetch_us", memory.fetch_us);
   json.write(options.out);
 
   if (inv.total() != 0) {

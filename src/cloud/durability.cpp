@@ -31,11 +31,6 @@ DurabilityConfig require_storage_key(DurabilityConfig config) {
   return config;
 }
 
-std::string journal_file_for(const DurabilityConfig& config) {
-  util::ensure_directory(config.dir);
-  return config.dir + "/journal.wal";
-}
-
 std::string segment_file(const std::string& dir, std::uint64_t n) {
   return dir + "/seg-" + std::to_string(n) + ".wal";
 }
@@ -55,13 +50,18 @@ std::uint64_t count_segments(const std::string& dir) {
   return n;
 }
 
+/// The live journal, opened as the generation after the last segment.
+Journal open_journal(const DurabilityConfig& config) {
+  util::ensure_directory(config.dir);
+  return Journal(config.dir + "/journal.wal", Journal::Config{config.fsync},
+                 static_cast<std::uint32_t>(count_segments(config.dir) + 1));
+}
+
 }  // namespace
 
 DurableState::DurableState(DurabilityConfig config)
     : config_(require_storage_key(std::move(config))),
-      journal_(journal_file_for(config_),
-               Journal::Config{config_.fsync}),
-      segments_(count_segments(config_.dir)) {
+      journal_(open_journal(config_)) {
   // An older build's crash between write_file_atomic's tmp fsync and
   // its rename strands a fully sealed <store>.snap.tmp whose nonces
   // recovery never reads; drop stale tmps before anything else so the
@@ -219,7 +219,7 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
   // journal. Each file's LSNs must lie above the previous file's.
   std::uint64_t log_lsn = 0;
   const auto replay = [&](const std::vector<JournalRecord>& records,
-                          const std::string& path) {
+                          std::uint32_t generation, const std::string& path) {
     if (!records.empty() && records.front().lsn <= log_lsn)
       throw PersistenceError("durability: LSN " +
                              std::to_string(records.front().lsn) + " in " +
@@ -230,13 +230,15 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
         util::ByteReader in(payload);
         switch (record.type) {
           case JournalRecordType::kRecordStored: {
-            const std::string key = in.str();
-            StoredRecord stored;
-            stored.session_id = in.u64();
-            stored.encrypted_result = in.blob();
+            std::string key = in.str();
+            const std::uint64_t session_id = in.u64();
+            (void)in.bytes(in.u32());  // the report stays in the log
             in.expect_done("replay kRecordStored");
             if (record.lsn <= records_lsn) return;
-            server.records().append(key, std::move(stored));
+            server.records().index(
+                std::move(key), session_id,
+                {record.lsn, record.offset, generation,
+                 static_cast<std::uint32_t>(record.payload.size())});
             ++stats.stored_records;
             break;
           }
@@ -300,11 +302,12 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
     }
     if (!records.empty()) log_lsn = records.back().lsn;
   };
-  for (std::uint64_t n = 1; n <= segments_; ++n) {
-    replay(Journal::read_segment(segment_path(n)), segment_path(n));
+  const std::uint32_t live = journal_.generation();
+  for (std::uint32_t n = 1; n < live; ++n) {
+    replay(Journal::read_segment(segment_path(n)), n, segment_path(n));
     ++stats.segments_replayed;
   }
-  replay(journal_.take_recovered(), journal_path());
+  replay(journal_.take_recovered(), live, journal_path());
 
   // A fresh journal does not carry the LSN sequence: after a rotation
   // or an upgrade the segments and snapshots are its only carriers.
@@ -326,13 +329,14 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
 void DurableState::append_and_apply(JournalRecordType type,
                                     std::vector<std::uint8_t> payload,
                                     const std::function<void()>& apply) {
-  append_and_apply(type, std::move(payload), {}, apply);
+  append_and_apply(type, std::move(payload), {},
+                   [&](const FrameLocator&) { apply(); });
 }
 
-void DurableState::append_and_apply(JournalRecordType type,
-                                    std::vector<std::uint8_t> payload,
-                                    const std::function<void()>& validate,
-                                    const std::function<void()>& apply) {
+void DurableState::append_and_apply(
+    JournalRecordType type, std::vector<std::uint8_t> payload,
+    const std::function<void()>& validate,
+    const std::function<void(const FrameLocator&)>& apply) {
   // Seal outside the gate (AES work off the lock), then validate,
   // journal and apply under it so compaction always sees memory ==
   // replay(journal). Validation must be inside the gate: outside it,
@@ -342,8 +346,7 @@ void DurableState::append_and_apply(JournalRecordType type,
   auto sealed = seal_payload(std::move(payload));
   gate_.with(0, [&](Gate&) {
     if (validate) validate();
-    journal_.append(type, sealed);
-    apply();
+    apply(journal_.append(type, sealed));
     // Auto-compaction: the append that reaches the threshold rotates.
     if (config_.compact_after_records != 0 &&
         journal_.appended_since_compaction() >= config_.compact_after_records)
@@ -351,14 +354,36 @@ void DurableState::append_and_apply(JournalRecordType type,
   });
 }
 
-void DurableState::log_record(const std::string& key,
-                              const StoredRecord& record,
-                              const std::function<void()>& apply) {
+void DurableState::log_record(
+    const std::string& key, const StoredRecord& record,
+    const std::function<void(const FrameLocator&)>& apply) {
   util::ByteWriter payload;
   payload.str(key);
   payload.u64(record.session_id);
   payload.blob(record.encrypted_result);
-  append_and_apply(JournalRecordType::kRecordStored, payload.take(), apply);
+  append_and_apply(JournalRecordType::kRecordStored, payload.take(), {},
+                   apply);
+}
+
+std::vector<std::uint8_t> DurableState::read_record(
+    const std::string& key, std::uint64_t session_id, const FrameLocator& at) {
+  const JournalRecord frame =
+      journal_.read_frame(at, segment_path(at.generation));
+  const auto mismatch = [&](const char* what) {
+    return PersistenceError("durability: the frame at LSN " +
+                            std::to_string(at.lsn) + " holds " + what);
+  };
+  if (frame.type != JournalRecordType::kRecordStored)
+    throw mismatch("no stored record");
+  const auto payload = unseal_payload(frame.payload);
+  return decode_guard("read_record", [&] {
+    util::ByteReader in(payload);
+    if (in.str() != key) throw mismatch("another identifier's record");
+    if (in.u64() != session_id) throw mismatch("another session's record");
+    auto report = in.blob();
+    in.expect_done("read_record");
+    return report;
+  });
 }
 
 void DurableState::log_user_enrolled(const std::string& user_id,
@@ -369,7 +394,7 @@ void DurableState::log_user_enrolled(const std::string& user_id,
   payload.str(user_id);
   payload.blob(auth::serialize_code(code));
   append_and_apply(JournalRecordType::kUserEnrolled, payload.take(), validate,
-                   apply);
+                   [&](const FrameLocator&) { apply(); });
 }
 
 void DurableState::log_enroll_device(std::uint64_t device_id,
@@ -409,8 +434,7 @@ void DurableState::compact(CloudServer& /*server*/) {
 }
 
 void DurableState::rotate_journal() {
-  journal_.rotate(segment_path(segments_ + 1));
-  ++segments_;
+  journal_.rotate(segment_path(journal_.generation()));
 }
 
 }  // namespace medsen::cloud

@@ -12,6 +12,11 @@
 // then replay the segments in order and then the journal, each store
 // gated on its own snapshot's applied_lsn.
 //
+// The log holds the stored reports: the record store keeps one
+// FrameLocator per report (recovery indexes each replayed
+// kRecordStored, log_record hands the fresh frame's locator to its
+// apply), and read_record() reads a report back from its frame.
+//
 // Secrets at rest: every journal payload is sealed with AES-128-CTR
 // under a key derived once from the storage key, which is required.
 // Nonces are epoch-partitioned: a boot counter persisted in seal.epoch
@@ -96,8 +101,9 @@ class DurableState {
   // Append hooks. Each one journals the event durably and then runs
   // `apply` (the in-memory mutation) under the same lock, so memory is
   // never ahead of or behind the journal.
+  /// `apply` gets the locator of the record's frame.
   void log_record(const std::string& key, const StoredRecord& record,
-                  const std::function<void()>& apply);
+                  const std::function<void(const FrameLocator&)>& apply);
   /// `validate` runs under the gate, immediately before the journal
   /// append: two racing enrollments of one code serialize there, so the
   /// loser throws before its record reaches the WAL. Validating outside
@@ -124,6 +130,14 @@ class DurableState {
   /// compact_after_records does the same.
   void compact(CloudServer& server);
 
+  /// Read back the report of the kRecordStored frame at `at`: one strict
+  /// frame read (length, CRC, LSN, type), unsealed and decoded. Its
+  /// identifier and session must be `key` and `session_id`; any mismatch
+  /// throws PersistenceError and the file is never modified. Thread-safe.
+  [[nodiscard]] std::vector<std::uint8_t> read_record(
+      const std::string& key, std::uint64_t session_id,
+      const FrameLocator& at);
+
   [[nodiscard]] std::uint64_t last_lsn() const { return journal_.last_lsn(); }
   /// This boot's epoch, durably bumped in seal.epoch at construction
   /// before anything is sealed: no earlier process lifetime used it.
@@ -142,14 +156,16 @@ class DurableState {
   /// against compaction. The journal's own lock nests inside.
   struct Gate {};
 
+  /// `validate` (optional) runs under the gate before the append, so a
+  /// mutation that cannot apply is rejected before it is journaled;
+  /// `apply` gets the appended frame's locator.
+  void append_and_apply(
+      JournalRecordType type, std::vector<std::uint8_t> payload,
+      const std::function<void()>& validate,
+      const std::function<void(const FrameLocator&)>& apply);
+  /// The same for a mutation whose apply needs no locator.
   void append_and_apply(JournalRecordType type,
                         std::vector<std::uint8_t> payload,
-                        const std::function<void()>& apply);
-  /// As above, with `validate` run under the gate before the append so
-  /// a mutation that cannot apply is rejected before it is journaled.
-  void append_and_apply(JournalRecordType type,
-                        std::vector<std::uint8_t> payload,
-                        const std::function<void()>& validate,
                         const std::function<void()>& apply);
   /// Durably bump (and load) the seal.epoch boot counter; called once
   /// at construction, before any seal_payload.
@@ -164,7 +180,8 @@ class DurableState {
   /// or applied_lsn 0 when the file is absent.
   [[nodiscard]] std::pair<std::uint64_t, std::vector<std::uint8_t>>
   read_snapshot(const char* name, std::uint32_t magic);
-  /// Rotate the journal into segment segments_ + 1. Under the gate.
+  /// Rotate the journal into the segment of its generation. Under the
+  /// gate.
   void rotate_journal();
 
   DurabilityConfig config_;
@@ -177,8 +194,6 @@ class DurableState {
   /// per process lifetime — see the header comment.
   std::atomic<std::uint64_t> nonce_{1};
   util::Sharded<Gate> gate_{1};
-  /// Segments on disk (seg-1 .. seg-<segments_>), under the gate.
-  std::uint64_t segments_ = 0;
   RecoveryStats recovery_;
 };
 

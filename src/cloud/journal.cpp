@@ -72,6 +72,7 @@ std::size_t scan(const std::vector<std::uint8_t>& bytes,
     record.lsn = lsn;
     record.type = static_cast<JournalRecordType>(body[8]);
     record.payload.assign(body.begin() + 9, body.end());
+    record.offset = offset;
     out.push_back(std::move(record));
     last_lsn = lsn;
     offset += 8 + len;
@@ -81,7 +82,7 @@ std::size_t scan(const std::vector<std::uint8_t>& bytes,
 
 }  // namespace
 
-Journal::Journal(std::string path, Config config)
+Journal::Journal(std::string path, Config config, std::uint32_t generation)
     : path_(std::move(path)), config_(config) {
   util::crash_point("journal.open");
   std::vector<std::uint8_t> bytes;
@@ -105,9 +106,11 @@ Journal::Journal(std::string path, Config config)
         util::crash_point("journal.open.truncate_tail");
         state.file.truncate(keep);
       }
+      state.end = keep;
     }
     state.next_lsn = recovered_.empty() ? 1 : recovered_.back().lsn + 1;
     state.appended = recovered_.size();
+    state.generation = generation;
   });
 }
 
@@ -116,6 +119,14 @@ void Journal::start_file(State& state) const {
   state.file.truncate(0);
   state.file.append(make_header());
   state.file.sync();
+  state.end = kHeaderSize;
+}
+
+void Journal::refuse_if_failed(const State& state) const {
+  if (state.failed)
+    throw PersistenceError("journal: " + path_ +
+                           " refuses appends after a failed write or "
+                           "rotation; reopen it to recover");
 }
 
 std::vector<JournalRecord> Journal::read_segment(const std::string& path) {
@@ -131,9 +142,10 @@ std::vector<JournalRecord> Journal::take_recovered() {
   return std::move(recovered_);
 }
 
-std::uint64_t Journal::append(JournalRecordType type,
-                              std::span<const std::uint8_t> payload) {
+FrameLocator Journal::append(JournalRecordType type,
+                             std::span<const std::uint8_t> payload) {
   return state_.with(0, [&](State& state) {
+    refuse_if_failed(state);
     util::ByteWriter body;
     body.u64(state.next_lsn);
     body.u8(static_cast<std::uint8_t>(type));
@@ -143,29 +155,82 @@ std::uint64_t Journal::append(JournalRecordType type,
     frame.u32(compress::crc32(body.data()));
     frame.bytes(body.data());
     const std::span<const std::uint8_t> out{frame.data()};
-    // Two half-appends around a crash site: the sweep gets a genuinely
-    // torn tail, which open() must truncate cleanly.
-    const std::size_t half = out.size() / 2;
-    state.file.append(out.first(half));
-    util::crash_point("journal.append.torn");
-    state.file.append(out.subspan(half));
-    util::crash_point("journal.append.unsynced");
-    if (config_.fsync_each_append) state.file.sync();
+    try {
+      // Two half-appends around a crash site: the sweep gets a genuinely
+      // torn tail, which open() must truncate cleanly.
+      const std::size_t half = out.size() / 2;
+      state.file.append(out.first(half));
+      util::crash_point("journal.append.torn");
+      state.file.append(out.subspan(half));
+      util::crash_point("journal.append.unsynced");
+      if (config_.fsync_each_append) state.file.sync();
+    } catch (const std::exception&) {
+      // A live process outlives the failure, so the next append must not
+      // land behind a partial frame (reopen would refuse it as interior
+      // corruption). A SimulatedCrash is no std::exception: its torn
+      // tail stays, as a power cut's would, for open() to truncate.
+      try {
+        state.file.truncate(state.end);
+      } catch (const std::exception&) {
+        state.failed = true;
+      }
+      throw;
+    }
     util::crash_point("journal.append.synced");
+    const FrameLocator at{state.next_lsn, state.end, state.generation,
+                          static_cast<std::uint32_t>(payload.size())};
+    state.end += out.size();
     ++state.appended;
-    return state.next_lsn++;
+    ++state.next_lsn;
+    return at;
   });
 }
 
 void Journal::rotate(const std::string& segment) {
   state_.with(0, [&](State& state) {
+    refuse_if_failed(state);
     util::crash_point("journal.rotate.begin");
     std::filesystem::rename(path_, segment);
-    util::crash_point("journal.rotate.renamed");
-    start_file(state);
+    ++state.generation;  // the old one's frames now live in `segment`
+    try {
+      util::crash_point("journal.rotate.renamed");
+      start_file(state);
+    } catch (...) {
+      // state.file may still write into the renamed segment.
+      state.failed = true;
+      throw;
+    }
     util::crash_point("journal.rotate.header_written");
     state.appended = 0;
   });
+}
+
+JournalRecord Journal::read_frame(const FrameLocator& at,
+                                  const std::string& segment) const {
+  const std::size_t size = 8 + kMinBodySize + at.payload_size;
+  const auto frame = state_.with(0, [&](const State& state) {
+    return util::read_file_range(
+        at.generation == state.generation ? path_ : segment, at.offset, size);
+  });
+  const auto mismatch = [&](const char* what) {
+    return PersistenceError(std::string("journal: ") + what +
+                            " mismatch at offset " +
+                            std::to_string(at.offset) + " of generation " +
+                            std::to_string(at.generation) + " (LSN " +
+                            std::to_string(at.lsn) + ")");
+  };
+  if (frame.size() != size || read_u32le(frame.data()) != size - 8)
+    throw mismatch("frame length");
+  const auto body = std::span<const std::uint8_t>(frame).subspan(8);
+  if (compress::crc32(body) != read_u32le(frame.data() + 4))
+    throw mismatch("CRC");
+  if (read_u64le(body.data()) != at.lsn) throw mismatch("LSN");
+  JournalRecord record;
+  record.lsn = at.lsn;
+  record.type = static_cast<JournalRecordType>(body[8]);
+  record.payload.assign(body.begin() + 9, body.end());
+  record.offset = at.offset;
+  return record;
 }
 
 void Journal::raise_lsn_floor(std::uint64_t last_lsn) {
@@ -181,6 +246,10 @@ std::uint64_t Journal::last_lsn() const {
 
 std::uint64_t Journal::appended_since_compaction() const {
   return state_.with(0, [](const State& state) { return state.appended; });
+}
+
+std::uint32_t Journal::generation() const {
+  return state_.with(0, [](const State& state) { return state.generation; });
 }
 
 }  // namespace medsen::cloud

@@ -28,6 +28,18 @@
 // dropping acknowledged state. A segment was complete when it was
 // renamed, so read_segment() tolerates no damage at all, its last
 // record included, and never truncates.
+//
+// A failed write or fsync never leaves a partial frame behind an
+// acknowledged one: append() truncates the file back to the end of the
+// last whole frame. If that truncate fails too, or a rotation fails
+// after its rename, the journal refuses every later append with
+// PersistenceError until it is reopened: its file may end in a partial
+// frame, or its descriptor may still point at the renamed segment.
+//
+// Generations: segment n is generation n and the live journal is the
+// generation after the last segment. A rotation renames the frames byte
+// for byte, so a FrameLocator (generation, offset) stays valid across
+// it, and read_frame() reads one frame back by its locator.
 
 #include <cstdint>
 #include <span>
@@ -61,6 +73,15 @@ struct JournalRecord {
   std::uint64_t lsn = 0;
   JournalRecordType type{};
   std::vector<std::uint8_t> payload;
+  std::uint64_t offset = 0;  ///< the frame's first byte in its file
+};
+
+/// Where one frame sits in the log, and what it holds there.
+struct FrameLocator {
+  std::uint64_t lsn = 0;
+  std::uint64_t offset = 0;  ///< the frame's first byte in its file
+  std::uint32_t generation = 0;
+  std::uint32_t payload_size = 0;
 };
 
 class Journal {
@@ -75,10 +96,12 @@ class Journal {
   static constexpr std::uint32_t kVersion = 1;
   static constexpr std::size_t kHeaderSize = 16;
 
-  /// Open (or create) the journal at `path`, scanning existing records.
-  /// A torn tail is truncated; interior corruption or a foreign header
-  /// throws PersistenceError.
-  explicit Journal(std::string path, Config config);
+  /// Open (or create) the journal at `path`, scanning existing records,
+  /// as log generation `generation` (the segment count + 1). A torn tail
+  /// is truncated; interior corruption or a foreign header throws
+  /// PersistenceError.
+  explicit Journal(std::string path, Config config,
+                   std::uint32_t generation = 1);
   explicit Journal(std::string path) : Journal(std::move(path), Config{}) {}
 
   /// The records recovered at open, in LSN order (moved out — call
@@ -87,16 +110,27 @@ class Journal {
   /// Did open() drop a torn final record?
   [[nodiscard]] bool tail_truncated() const { return tail_truncated_; }
 
-  /// Append one record durably and return its LSN. Thread-safe. When
-  /// this returns, the record survives a crash (fsync_each_append).
-  std::uint64_t append(JournalRecordType type,
-                       std::span<const std::uint8_t> payload);
+  /// Append one record durably and return where its frame sits (its LSN
+  /// included). Thread-safe. When this returns, the record survives a
+  /// crash (fsync_each_append). A failed write or fsync throws after the
+  /// file is cut back to its last whole frame.
+  FrameLocator append(JournalRecordType type,
+                      std::span<const std::uint8_t> payload);
 
   /// Compaction: rename the journal to `segment` (its frames byte for
-  /// byte) and start a fresh journal at path(). The LSN sequence
+  /// byte; it becomes the current generation's file) and start a fresh
+  /// journal at path() as the next generation. The LSN sequence
   /// continues. The fresh file's creation fsyncs the directory, which
   /// makes the rename durable too.
   void rotate(const std::string& segment);
+
+  /// Read back the frame `at` names, strictly: its length, CRC and LSN
+  /// must match or PersistenceError is thrown. `segment` is the file
+  /// generation at.generation was rotated into; whether the frame is
+  /// still in the live journal is decided, and the frame read, under
+  /// the append lock, so a racing rotate() never moves it in between.
+  [[nodiscard]] JournalRecord read_frame(const FrameLocator& at,
+                                         const std::string& segment) const;
 
   /// Read a segment strictly: a short or CRC-broken record anywhere,
   /// the last one included, a foreign header or a non-monotonic LSN
@@ -116,6 +150,8 @@ class Journal {
   /// Records appended since open or the last rotation (feeds the
   /// auto-compaction threshold).
   [[nodiscard]] std::uint64_t appended_since_compaction() const;
+  /// The live journal's generation (segments on disk + 1).
+  [[nodiscard]] std::uint32_t generation() const;
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
@@ -123,10 +159,17 @@ class Journal {
     util::DurableFile file;
     std::uint64_t next_lsn = 1;
     std::uint64_t appended = 0;
+    /// End of the last whole frame: where the next one starts, and what
+    /// a failed append truncates back to.
+    std::uint64_t end = 0;
+    std::uint32_t generation = 1;
+    /// A failed rollback or rotation: appends are refused until reopen.
+    bool failed = false;
   };
 
   /// Create (or empty) the file at path_ and give it a synced header.
   void start_file(State& state) const;
+  void refuse_if_failed(const State& state) const;
 
   std::string path_;
   Config config_;

@@ -28,6 +28,12 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
       allow_legacy_plane_(service.allow_legacy_plane) {}
 
 RecoveryStats CloudServer::attach_durability(DurableState& durable) {
+  // The log holds the stored reports; the store keeps their locators.
+  store_.attach_log([&durable](const std::string& key,
+                               std::uint64_t session_id,
+                               const FrameLocator& at) {
+    return durable.read_record(key, session_id, at);
+  });
   const RecoveryStats stats = durable.recover_into(*this);
   // No earlier boot used this epoch, so no earlier RndB used these
   // ordinals.
@@ -103,8 +109,10 @@ void CloudServer::store_result(const auth::CytoCode& code,
     store_.store(code, std::move(record));
     return;
   }
-  durable_->log_record(code.to_string(), record,
-                       [&] { store_.store(code, std::move(record)); });
+  const std::string key = code.to_string();
+  durable_->log_record(key, record, [&](const FrameLocator& at) {
+    store_.index(key, record.session_id, at);
+  });
 }
 
 util::MultiChannelSeries CloudServer::decode_series(

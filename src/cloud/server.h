@@ -88,9 +88,10 @@ class CloudServer {
   /// journal) under `durable` into this server's stores, then journals
   /// every subsequent mutation (enroll/revoke/rotate/retire, user
   /// enrollment, stored record) before it is applied — the
-  /// ack ⇒ durable contract. It also moves handshake ordinals into
-  /// this boot's range, `durable.boot_epoch() << 32 | n`; handshakes
-  /// journal nothing. Call once, on a freshly constructed server,
+  /// ack ⇒ durable contract. From then on records() reads stored
+  /// reports back from `durable`'s log. It also moves handshake ordinals
+  /// into this boot's range, `durable.boot_epoch() << 32 | n`;
+  /// handshakes journal nothing. Call once, on a freshly constructed server,
   /// before serving traffic. Returns what recovery found.
   RecoveryStats attach_durability(DurableState& durable);
 
@@ -121,9 +122,10 @@ class CloudServer {
   /// slots directly).
   [[nodiscard]] AdmissionGate& admission() { return admission_; }
 
-  /// Store an encrypted result under an identifier (journaled when a
-  /// durability layer is attached — the record is on disk when this
-  /// returns).
+  /// Store an encrypted result under an identifier. With a durability
+  /// layer attached it is journaled (on disk when this returns) and the
+  /// record store keeps only where the log holds it; without one, the
+  /// store keeps the bytes.
   void store_result(const auth::CytoCode& code, StoredRecord record);
 
   [[nodiscard]] AnalysisService& analysis() { return analysis_; }

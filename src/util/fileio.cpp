@@ -132,6 +132,26 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return data;
 }
 
+std::vector<std::uint8_t> read_file_range(const std::string& path,
+                                          std::uint64_t offset,
+                                          std::size_t size) {
+  const Fd fd(open_or_throw(path, O_RDONLY));
+  std::vector<std::uint8_t> data(size);
+  std::size_t total = 0;
+  while (total < size) {
+    const ssize_t n = ::pread(fd.get(), data.data() + total, size - total,
+                              static_cast<off_t>(offset + total));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("pread: " + path);
+    }
+    if (n == 0) break;  // end of file
+    total += static_cast<std::size_t>(n);
+  }
+  data.resize(total);
+  return data;
+}
+
 bool file_exists(const std::string& path) {
   // stat, not access(R_OK): an existing-but-unreadable file must still
   // report true, or a caller (Journal::open) would mistake a permissions

@@ -36,6 +36,13 @@ void write_file_atomic(const std::string& path,
 /// or read.
 std::vector<std::uint8_t> read_file(const std::string& path);
 
+/// Read `size` bytes at `offset` of `path` (one open, positioned reads).
+/// Returns fewer bytes only when the file ends first; throws
+/// std::system_error if it cannot be opened or read.
+std::vector<std::uint8_t> read_file_range(const std::string& path,
+                                          std::uint64_t offset,
+                                          std::size_t size);
+
 /// Does the path exist? stat-based on purpose: a file that exists but
 /// cannot be read (permissions) still reports true, so callers that
 /// would (re)initialize an absent file never wipe live state they

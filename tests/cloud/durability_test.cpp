@@ -1,8 +1,9 @@
 // cloud::DurableState end-to-end: WAL-backed server state survives
 // restart, compaction seals the journal into segments it never rewrites,
+// stored reports are read back from the log by their locators,
 // handshake ordinals never rewind yet cost no I/O, sealing keeps secret
-// bytes off the disk, and damaged segments or snapshots surface as the
-// typed PersistenceError.
+// bytes off the disk, and damaged segments, frames or snapshots surface
+// as the typed PersistenceError.
 
 #include "cloud/durability.h"
 
@@ -720,6 +721,203 @@ TEST(Durability, InvalidEnrollmentIsNeverJournaled) {
   Rig rig(config_for(dir));
   EXPECT_EQ(rig.recovery.user_enrollments, 1u);
   EXPECT_EQ(rig.server->enrollments().lookup(code_of({2, 1})), "erin");
+  remove_state(dir);
+}
+
+/// A deterministic report for `session`, report-sized for some sessions.
+std::vector<std::uint8_t> report_of(std::uint64_t session) {
+  std::vector<std::uint8_t> report(session % 3 == 0 ? 5592 : 40 + session);
+  for (std::size_t i = 0; i < report.size(); ++i)
+    report[i] = static_cast<std::uint8_t>(session * 131 + i);
+  return report;
+}
+
+/// Every record fetch() and latest() return for `code` is the report
+/// stored for its session, in store order.
+void expect_reports(CloudServer& server, const auth::CytoCode& code,
+                    const std::vector<std::uint64_t>& sessions) {
+  const auto records = server.records().fetch(code);
+  ASSERT_EQ(records.size(), sessions.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].session_id, sessions[i]);
+    EXPECT_EQ(records[i].encrypted_result, report_of(sessions[i]))
+        << "session " << sessions[i];
+  }
+  const auto latest = server.records().latest(code);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->session_id, sessions.back());
+  EXPECT_EQ(latest->encrypted_result, report_of(sessions.back()));
+}
+
+TEST(Durability, ReportsReadBackByteIdenticalAcrossRotationsAndRestart) {
+  // The record store keeps a locator per report, not its bytes: reports
+  // stored into the journal, renamed into two segments by compaction,
+  // and re-indexed by a restart all read back byte for byte, and the
+  // counts keep their meaning.
+  const auto dir = temp_dir("locators");
+  remove_state(dir);
+  const auto alice = code_of({2, 1});
+  const auto bob = code_of({1, 3});
+  std::vector<std::uint64_t> alice_sessions, bob_sessions;
+  const auto expect_all = [&](Rig& rig) {
+    expect_reports(*rig.server, alice, alice_sessions);
+    expect_reports(*rig.server, bob, bob_sessions);
+    EXPECT_EQ(rig.server->records().record_count(),
+              alice_sessions.size() + bob_sessions.size());
+    EXPECT_EQ(rig.server->records().identifier_count(), 2u);
+  };
+  {
+    Rig rig(config_for(dir));
+    std::uint64_t session = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        ++session;
+        auto& sessions = session % 2 == 0 ? alice_sessions : bob_sessions;
+        rig.server->store_result(session % 2 == 0 ? alice : bob,
+                                 {session, report_of(session)});
+        sessions.push_back(session);
+      }
+      expect_all(rig);  // in the journal ...
+      if (round < 2) {
+        rig.durable->compact(*rig.server);
+        expect_all(rig);  // ... and once renamed into a segment
+      }
+    }
+  }
+  Rig rig(config_for(dir));
+  EXPECT_EQ(rig.recovery.segments_replayed, 2u);
+  EXPECT_EQ(rig.recovery.stored_records, 12u);
+  expect_all(rig);
+  remove_state(dir);
+}
+
+/// Replace byte `at` of the file at `path` with `value` and recompute
+/// the CRC of the frame starting at `frame`, so only the deeper checks
+/// can tell.
+void rewrite_in_frame(const std::string& path, std::size_t frame,
+                      std::size_t at, std::uint8_t value) {
+  auto bytes = util::read_file(path);
+  bytes[at] = value;
+  const std::uint32_t len = le32(bytes.data() + frame);
+  const std::uint32_t crc = compress::crc32(
+      std::span<const std::uint8_t>(bytes.data() + frame + 8, len));
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[frame + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  util::write_file(path, bytes);
+}
+
+TEST(Durability, DamagedFrameBehindALocatorFailsFetchTyped) {
+  // fetch() reads each report back strictly. A flipped byte anywhere in
+  // the segment frame a locator names fails its length or CRC check; a
+  // change that fixes the CRC up fails the LSN, type, seal, identifier
+  // or session check. Each throws PersistenceError, none modifies the
+  // file, and the undamaged report still reads back.
+  const auto dir = temp_dir("badframe");
+  remove_state(dir);
+  const auto code = code_of({3, 2});
+  Rig rig(config_for(dir));
+  rig.server->store_result(code, {71, report_of(71)});
+  rig.server->store_result(code, {72, report_of(72)});
+  rig.durable->compact(*rig.server);
+  const auto segment = rig.durable->segment_path(1);
+  const auto good = util::read_file(segment);
+  const auto offsets = record_offsets(good);
+  ASSERT_EQ(offsets.size(), 2u);
+  const std::size_t frame = offsets[0];
+  const auto expect_refused = [&](const std::string& what) {
+    const auto damaged = util::read_file(segment);
+    EXPECT_THROW((void)rig.server->records().fetch(code), PersistenceError)
+        << what;
+    EXPECT_EQ(util::read_file(segment), damaged) << what;
+    EXPECT_EQ(rig.server->records().latest(code)->encrypted_result,
+              report_of(72))
+        << what;
+  };
+  for (std::size_t at = frame; at < offsets[1]; ++at) {
+    auto bytes = good;
+    bytes[at] ^= 0x01;
+    util::write_file(segment, bytes);
+    expect_refused("flipped byte " + std::to_string(at));
+  }
+  // body = u64 lsn | u8 type | u8 flag | u64 nonce | sealed
+  // (str key | u64 session | blob report)
+  const std::size_t body = frame + 8;
+  const std::size_t key = body + 18 + 4;
+  const std::size_t session = key + code.to_string().size();
+  const std::vector<std::pair<std::size_t, std::string>> fields = {
+      {body, "LSN"},
+      {body + 8, "type"},
+      {body + 9, "seal flag"},
+      {key, "identifier"},
+      {session, "session"}};
+  for (const auto& [at, what] : fields) {
+    util::write_file(segment, good);
+    rewrite_in_frame(segment, frame, at, good[at] ^ 0x02);
+    expect_refused(what + " with the CRC fixed up");
+  }
+  util::write_file(segment, good);
+  expect_reports(*rig.server, code, {71, 72});
+  remove_state(dir);
+}
+
+TEST(Durability, ReadersFetchWhileWriterStoresAndCompacts) {
+  // Barrier-started readers fetch one identifier's history while a
+  // writer stores into it and compaction renames the journal into a
+  // segment every few appends. A reader's locator may name the live
+  // journal when it is copied and a segment by the time the frame is
+  // read; the file is resolved under the journal's lock, so every
+  // fetch returns exactly the reports stored so far.
+  const auto dir = temp_dir("readrace");
+  remove_state(dir);
+  auto config = config_for(dir);
+  config.fsync = false;
+  config.compact_after_records = 7;
+  Rig rig(config);
+  const auto code = code_of({3, 3});
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kStores = 120;
+  std::atomic<int> waiting{kReaders + 1};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> mismatches{0}, errors{0}, fetches{0};
+  const auto start_together = [&] {
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) std::this_thread::yield();
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      start_together();
+      do {
+        try {
+          const auto records = rig.server->records().fetch(code);
+          for (std::size_t i = 0; i < records.size(); ++i)
+            if (records[i].session_id != i + 1 ||
+                records[i].encrypted_result != report_of(i + 1))
+              ++mismatches;
+          const auto latest = rig.server->records().latest(code);
+          if (latest &&
+              latest->encrypted_result != report_of(latest->session_id))
+            ++mismatches;
+          ++fetches;
+        } catch (const std::exception&) {
+          ++errors;
+        }
+      } while (!done.load());
+    });
+  }
+  start_together();
+  for (std::uint64_t s = 1; s <= kStores; ++s) {
+    rig.server->store_result(code, {s, report_of(s)});
+    if (s % 25 == 0) rig.durable->compact(*rig.server);
+  }
+  done = true;
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GE(fetches.load(), static_cast<std::uint64_t>(kReaders));
+  std::vector<std::uint64_t> all(kStores);
+  for (std::uint64_t s = 1; s <= kStores; ++s) all[s - 1] = s;
+  expect_reports(*rig.server, code, all);
   remove_state(dir);
 }
 

@@ -106,9 +106,18 @@ void expect_parent_stores(CloudServer& server, std::size_t later = 0) {
   EXPECT_EQ(records[1].encrypted_result, (std::vector<std::uint8_t>{0xCC}));
   EXPECT_EQ(records[2].session_id, 13u);
   EXPECT_EQ(records[2].encrypted_result, (std::vector<std::uint8_t>{0xDD}));
-  for (std::size_t i = 0; i < later; ++i)
+  for (std::size_t i = 0; i < later; ++i) {
     EXPECT_EQ(records[3 + i].session_id, 14u + i);
+    EXPECT_EQ(records[3 + i].encrypted_result,
+              (std::vector<std::uint8_t>{0xEE}));
+  }
+  // records.snap's two stay in memory; the rest read back from the log.
+  const auto latest = server.records().latest(code);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->session_id, records.back().session_id);
+  EXPECT_EQ(latest->encrypted_result, records.back().encrypted_result);
   EXPECT_EQ(server.records().record_count(), 3u + later);
+  EXPECT_EQ(server.records().identifier_count(), 1u);
 }
 
 TEST(Durability, RecoversStateDirectoryWrittenByParent) {
@@ -135,6 +144,8 @@ TEST(Durability, RecoversStateDirectoryWrittenByParent) {
     for (const auto& old : kParentRndBs) EXPECT_NE(fresh, old);
 
     durable.compact(server);
+    // The tail's store now reads back from segment 1.
+    expect_parent_stores(server);
   }
   {
     // Compaction renamed the old tail into segment 1, next to the
@@ -173,7 +184,9 @@ TEST(Durability, ParentStateDirectoryCompactsIntoSegments) {
     expect_parent_stores(server, later);
     if (later == 2) break;
     server.store_result(code, {14 + later, {0xEE}});
+    expect_parent_stores(server, later + 1);
     durable.compact(server);
+    expect_parent_stores(server, later + 1);
   }
   fs::remove_all(dir);
 }

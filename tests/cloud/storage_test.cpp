@@ -72,14 +72,46 @@ TEST(RecordStore, SnapshotIsAConsistentCopy) {
 
 TEST(RecordStore, RestoreRebuildsStateFromSnapshot) {
   // restore() reinstalls an identifier's list as an older build's
-  // records.snap holds it, replacing what was there; append() adds to it.
+  // records.snap holds it, replacing what was there; store() adds to it.
   RecordStore rebuilt;
   rebuilt.store(code_of({1, 1}), {4, {0xBB}});
   rebuilt.restore(code_of({1, 1}).to_string(), {{5, {0xCC}}});
-  rebuilt.append(code_of({1, 1}).to_string(), {6, {0xDD}});
+  rebuilt.store(code_of({1, 1}), {6, {0xDD}});
   EXPECT_EQ(rebuilt.record_count(), 2u);
   EXPECT_EQ(rebuilt.fetch(code_of({1, 1})).front().session_id, 5u);
   EXPECT_EQ(rebuilt.latest(code_of({1, 1}))->session_id, 6u);
+}
+
+TEST(RecordStore, LogHeldRecordsReadThroughTheAttachedLog) {
+  // index() keeps only a locator; fetch() and latest() read such records
+  // through the attached log, in store order among the records held in
+  // memory, and the counts count both alike.
+  RecordStore store;
+  std::vector<FrameLocator> asked;
+  store.attach_log([&](const std::string& key, std::uint64_t session_id,
+                       const FrameLocator& at) {
+    EXPECT_EQ(key, session_id == 3 ? code_of({2, 2}).to_string()
+                                   : code_of({1, 1}).to_string());
+    asked.push_back(at);
+    return std::vector<std::uint8_t>{static_cast<std::uint8_t>(session_id),
+                                     static_cast<std::uint8_t>(at.offset)};
+  });
+  store.restore(code_of({1, 1}).to_string(), {{1, {0xAA}}});
+  store.index(code_of({1, 1}).to_string(), 2, {7, 100, 1, 10});
+  store.index(code_of({2, 2}).to_string(), 3, {8, 200, 2, 10});
+  EXPECT_EQ(store.record_count(), 3u);
+  EXPECT_EQ(store.identifier_count(), 2u);
+  EXPECT_TRUE(asked.empty());  // nothing is read until fetched
+  const auto records = store.fetch(code_of({1, 1}));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].encrypted_result, (std::vector<std::uint8_t>{0xAA}));
+  EXPECT_EQ(records[1].session_id, 2u);
+  EXPECT_EQ(records[1].encrypted_result, (std::vector<std::uint8_t>{2, 100}));
+  EXPECT_EQ(store.latest(code_of({2, 2}))->encrypted_result,
+            (std::vector<std::uint8_t>{3, 200}));
+  ASSERT_EQ(asked.size(), 2u);
+  EXPECT_EQ(asked[0].lsn, 7u);
+  EXPECT_EQ(asked[1].generation, 2u);
 }
 
 TEST(RecordStore, ConcurrentStoreAndReadIsRaceFree) {

@@ -11,7 +11,9 @@ Two kinds of assertion over BENCH_crash_chaos.json:
                 or the harness silently tested nothing. The recovery
                 sizing phase must have replayed at least two segments
                 (tools/bench/crash_chaos_floor.json), or the ceiling
-                below would time the journal alone.
+                below would time the journal alone. Every stored report
+                fetched back from the log after a restart must match
+                what was stored (store.fetch_mismatches == 0).
 
   recovery time The replay cost per 1k journal records must stay below
                 the checked-in ceiling (tools/bench/crash_chaos_floor.json)
@@ -19,6 +21,13 @@ Two kinds of assertion over BENCH_crash_chaos.json:
                 this is a ceiling, not a floor: it catches an accidental
                 O(n^2) in recovery (e.g. re-scanning the journal per
                 record), not container jitter.
+
+  memory        The resident memory a stored report costs must stay at
+                or below max_rss_bytes_per_record: the log holds the
+                reports and memory only an index entry each, so a
+                report's bytes creeping back into RAM (~5,600 B each)
+                fails. The fetch time (store.fetch_us) is reported, not
+                bounded.
 
 Usage: check_crash_floor.py BENCH_crash_chaos.json [--floor FLOOR.json]
 Exit status: 0 ok, 1 violation or malformed artifact, 2 usage error.
@@ -49,6 +58,9 @@ REQUIRED_KEYS = INVARIANT_KEYS + (
     "recovery.records_replayed",
     "recovery.segments_replayed",
     "recovery.ms_per_1k_records",
+    "store.rss_bytes_per_record",
+    "store.fetch_mismatches",
+    "store.fetch_us",
 )
 
 
@@ -109,6 +121,25 @@ def main() -> int:
         print(f"check_crash_floor: recovery replayed only {segments} "
               f"segments — the sizing phase no longer measures segment "
               f"replay", file=sys.stderr)
+        failed = True
+
+    # Stored reports: every one fetched back matches, and each costs at
+    # most an index entry of resident memory.
+    mismatches = int(counters["store.fetch_mismatches"])
+    if mismatches != 0:
+        print(f"check_crash_floor: INVARIANT VIOLATED — "
+              f"store.fetch_mismatches = {mismatches} (must be 0)",
+              file=sys.stderr)
+        failed = True
+    max_rss = float(floor["max_rss_bytes_per_record"])
+    rss = float(counters["store.rss_bytes_per_record"])
+    print(f"store.rss_bytes_per_record {rss:.0f} B (maximum {max_rss:.0f}), "
+          f"store.fetch_us {float(counters['store.fetch_us']):.1f} us")
+    if rss > max_rss:
+        print(f"check_crash_floor: REGRESSION — a stored report costs "
+              f"{rss:.0f} B of resident memory, more than "
+              f"{max_rss:.0f} B: reports are held in memory again",
+              file=sys.stderr)
         failed = True
 
     # Recovery time: ceiling on replay cost per 1k records.
