@@ -32,7 +32,10 @@
 // phases: every worker sends one identical AuthChallenge at once, then
 // one (device, session, counter) with its own payload at once, and each
 // must be processed exactly once (`session.duplicates_processed`, held
-// at zero).
+// at zero). A clinic phase ends them: a few devices each run a few
+// hundred sequential commands on one session against a server with the
+// default cache capacity, and `session.cached_exchanges_per_device` must
+// stay at one handshake plus one anti-replay window of commands.
 //
 // Everything is deterministic for a fixed seed and worker count except
 // wall-clock timing itself.
@@ -787,6 +790,63 @@ SessionPhaseResult run_session_phases(
   return result;
 }
 
+struct ClinicPhaseResult {
+  std::uint64_t devices = 0;
+  std::uint64_t commands_ok = 0;
+  double cached_exchanges_per_device = 0.0;
+};
+
+/// Phase 6: clinics. Each device negotiates one session and sends a long
+/// series of sequential commands on it, as a clinic's phone does through
+/// a day of patients, to a server with the default cache capacity. Only
+/// the last kWindowSize counters of a session can still be replayed, so
+/// that and the handshake are all the cache may hold per device.
+ClinicPhaseResult run_clinic_phase(
+    const Options& options, std::size_t workers,
+    const std::vector<std::uint8_t>& upload_payload) {
+  constexpr std::uint64_t kClinics = 4;
+  constexpr std::uint32_t kCommands = 300;
+  constexpr std::uint32_t kEpoch = 1;
+  auto server = make_server(options, options.shards,
+                            cloud::ServiceConfig{}.session_cache_capacity);
+  const std::vector<std::uint8_t> master(16, 0x3C);
+  server.rotate_master_key(kEpoch, master);
+  for (std::uint64_t id = 0; id < kClinics; ++id) server.enroll_device(id);
+
+  std::atomic<std::uint64_t> ok{0};
+  std::atomic<std::uint64_t> cursor{0};
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < std::min<std::size_t>(workers, kClinics); ++w) {
+    threads.emplace_back([&] {
+      for (std::uint64_t id = cursor.fetch_add(1); id < kClinics;
+           id = cursor.fetch_add(1)) {
+        core::SessionCrypto crypto(
+            id, crypto::diversify_device_key(master, id, kEpoch), kEpoch,
+            options.seed ^ id);
+        if (!crypto.complete(
+                server.handle(crypto.make_challenge((1ull << 54) + id))))
+          continue;
+        for (std::uint32_t i = 0; i < kCommands; ++i) {
+          const auto response = server.handle(net::make_envelope(
+              net::MessageType::kSignalUpload, crypto.session_id(), id,
+              upload_payload, crypto.session_mac_key(),
+              crypto.next_counter()));
+          if (response.type == net::MessageType::kAnalysisResult)
+            ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  ClinicPhaseResult result;
+  result.devices = kClinics;
+  result.commands_ok = ok.load();
+  result.cached_exchanges_per_device =
+      static_cast<double>(server.devices().cache_size()) /
+      static_cast<double>(kClinics);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -999,6 +1059,18 @@ int main(int argc, char** argv) {
     json.set_count("session.duplicate_rounds", session.duplicate_rounds);
     json.set_count("session.duplicates_processed",
                    session.duplicates_processed);
+
+    const auto clinic = run_clinic_phase(options, workers, upload_payload);
+    std::printf(
+        "clinics: %llu devices, %llu commands ok, %.1f cached exchanges "
+        "per device\n",
+        static_cast<unsigned long long>(clinic.devices),
+        static_cast<unsigned long long>(clinic.commands_ok),
+        clinic.cached_exchanges_per_device);
+    json.set_count("session.clinic_devices", clinic.devices);
+    json.set_count("session.clinic_commands_ok", clinic.commands_ok);
+    json.set("session.cached_exchanges_per_device",
+             clinic.cached_exchanges_per_device);
   }
 
   json.write(options.out);

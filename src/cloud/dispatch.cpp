@@ -1,6 +1,7 @@
 #include "cloud/dispatch.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "crypto/cmac.h"
@@ -18,6 +19,9 @@ bool DeviceRegistry::revoke(std::uint64_t device_id) {
   return shards_.with(device_id, [&](Shard& shard) {
     DeviceRecord* record = find(shard, device_id);
     if (record == nullptr || !record->enrolled) return false;
+    if (record->session != nullptr)
+      retire(shard, device_id, record->session->id, record->session->highest,
+             record->session->window);
     *record = DeviceRecord{};  // the session key wipes here
     record->revoked = true;
     return true;
@@ -122,7 +126,10 @@ RegistrySnapshot DeviceRegistry::snapshot() const {
 }
 
 void DeviceRegistry::restore(const RegistrySnapshot& snapshot) {
-  shards_.for_each_shard([](Shard& shard) { shard.devices.clear(); });
+  shards_.for_each_shard([](Shard& shard) {
+    retire_sessions(shard);
+    shard.devices.clear();
+  });
   for (const std::uint64_t id : snapshot.enrolled)
     shards_.with(id, [&](Shard& s) { s.devices[id].enrolled = true; });
   for (const std::uint64_t id : snapshot.revoked)
@@ -143,15 +150,21 @@ bool DeviceRegistry::Session::fresh(std::uint32_t counter) const {
   return age < kWindowSize && ((window >> age) & 1u) == 0;
 }
 
-void DeviceRegistry::Session::burn(std::uint32_t counter) {
+std::uint64_t DeviceRegistry::Session::burn(std::uint32_t counter) {
   if (counter > highest) {
     const std::uint32_t advance = counter - highest;
+    // Bit i moves to age i + advance: the top `advance` bits slide out.
+    const std::uint64_t out = advance >= kWindowSize
+                                  ? window
+                                  : window & ~(~std::uint64_t{0} >> advance);
     window = advance >= kWindowSize ? 0 : window << advance;
     window |= 1u;  // the new highest is seen
     highest = counter;
-  } else if (highest - counter < kWindowSize) {
-    window |= std::uint64_t{1} << (highest - counter);
+    return out;
   }
+  if (highest - counter < kWindowSize)
+    window |= std::uint64_t{1} << (highest - counter);
+  return 0;
 }
 
 std::optional<util::SecretBytes> DeviceRegistry::session_key(
@@ -161,6 +174,7 @@ std::optional<util::SecretBytes> DeviceRegistry::session_key(
 
 void DeviceRegistry::drop_sessions() {
   shards_.for_each_shard([](Shard& shard) {
+    retire_sessions(shard);
     for (auto& [id, record] : shard.devices) record.session.reset();
   });
 }
@@ -235,28 +249,43 @@ void DeviceRegistry::complete(const net::Envelope& request,
                                   request.session_id, std::move(*new_session)})
                             : nullptr;
   shards_.with(request.device_id, [&](Shard& shard) {
-    const auto slot = shard.slots.find(key);
-    if (slot != shard.slots.end() && slot->second->pending) {
-      slot->second->pending = false;
-      slot->second->response = response;
-      shard.lru.splice(shard.lru.begin(), shard.lru, slot->second);
-      ++shard.filled;
-      evict(shard);
-    }
     ++shard.counts.requests_processed;
     shard.counts.processing_time_s += processing_time_s;
     DeviceRecord* record = find(shard, request.device_id);
+    bool cache = true;
     if (session != nullptr) {
       ++shard.counts.handshakes_completed;
       // A revocation that raced the handshake must not leave a session.
-      if (record != nullptr && record->enrolled)
+      if (record != nullptr && record->enrolled) {
+        if (const Session* old = record->session.get())
+          retire(shard, request.device_id, old->id, old->highest, old->window);
         record->session = std::move(session);
-    } else if (session_plane && record != nullptr &&
-               record->live(request.session_id)) {
-      // Only the live session's window: a re-key racing a slow command
-      // must not touch the new one.
-      record->session->burn(request.counter);
+      }
+    } else if (session_plane) {
+      // Only the live session's window: a re-key, revocation or window
+      // slide racing a slow command leaves nothing to cache or burn.
+      Session* live = record != nullptr && record->live(request.session_id)
+                          ? record->session.get()
+                          : nullptr;
+      cache = live != nullptr && live->in_window(request.counter);
+      if (cache) {
+        const std::uint32_t top = live->highest;  // before burn() moves it
+        retire(shard, request.device_id, live->id, top,
+               live->burn(request.counter));
+      }
     }
+    const auto slot = shard.slots.find(key);
+    if (slot == shard.slots.end() || !slot->second->pending) return;
+    if (!cache) {
+      shard.lru.erase(slot->second);
+      shard.slots.erase(slot);
+      return;
+    }
+    slot->second->pending = false;
+    slot->second->response = response;
+    shard.lru.splice(shard.lru.begin(), shard.lru, slot->second);
+    ++shard.filled;
+    evict(shard);
   });
 }
 
@@ -290,6 +319,31 @@ void DeviceRegistry::evict(Shard& shard) const {
     it = shard.lru.erase(it);
     --shard.filled;
     ++shard.evictions;
+  }
+}
+
+void DeviceRegistry::retire(Shard& shard, std::uint64_t device_id,
+                            std::uint64_t session_id, std::uint32_t top,
+                            std::uint64_t ages) {
+  for (; ages != 0; ages &= ages - 1) {
+    const auto age = static_cast<std::uint32_t>(std::countr_zero(ages));
+    const auto it = shard.slots.find({device_id, session_id, top - age});
+    if (it == shard.slots.end() || it->second->pending) continue;
+    shard.lru.erase(it->second);
+    shard.slots.erase(it);
+    --shard.filled;
+  }
+}
+
+void DeviceRegistry::retire_sessions(Shard& shard) {
+  for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+    if (it->pending || std::get<2>(it->key) == 0) {
+      ++it;
+      continue;
+    }
+    shard.slots.erase(it->key);
+    it = shard.lru.erase(it);
+    --shard.filled;
   }
 }
 

@@ -4,11 +4,13 @@
 //  - DeviceRegistry: the one per-device table. Each shard holds the
 //    records of the devices that route to it (enrollment, revocation,
 //    the live session's MAC key and anti-replay window), that shard's
-//    LRU of cached exchanges, and its service counters. A request takes
-//    its device's shard lock in short sections (resolve, reserve,
+//    cache of completed exchanges, and its service counters. A request
+//    takes its device's shard lock in short sections (resolve, reserve,
 //    complete) and never across MAC verification or a handler, so
 //    requests for different devices never contend and each (device,
-//    session, counter) is processed at most once.
+//    session, counter) is processed at most once. A cached session-plane
+//    exchange lives only while a request can still reach it: while its
+//    session is live and its counter is inside the anti-replay window.
 //  - AdmissionGate: a bounded in-flight counter, lock-free. Past the
 //    limit the server sheds requests with an `overloaded` error instead
 //    of queueing unboundedly on the shared analysis pool.
@@ -112,6 +114,20 @@ struct Reservation {
 /// legacy-plane exchange is simply processed again; an evicted
 /// session-plane one is refused by the window.
 ///
+/// Invariant: a filled session-plane slot (counter >= 1) exists only
+/// while its session is the device's live session and its counter is
+/// inside that session's window (at most kWindowSize per session).
+/// Outside that, resolve() or the window refuses every request that
+/// could name the slot, so it is retired at once rather than left to the
+/// LRU: complete() drops the counters its burn slides out of the window,
+/// a re-key or revoke() drops the old session's window, drop_sessions()
+/// and restore() drop every session-plane slot, and a completion whose
+/// session died or whose counter left the window while it ran releases
+/// its slot instead of filling it. Retirements are not evictions.
+/// Counter-0 slots (handshakes, the legacy plane) stay under the LRU
+/// alone: retiring a handshake's slot would let a replayed AuthChallenge
+/// re-key the device.
+///
 /// Routing is deterministic (util::Sharded FNV-1a): the same device
 /// always lands on the same shard for a given shard count.
 class DeviceRegistry {
@@ -164,8 +180,9 @@ class DeviceRegistry {
   [[nodiscard]] std::size_t size() const;
 
   /// Deterministic dump / restore of enrollment and keying state for
-  /// persistence. restore() replaces every device record (sessions
-  /// included); cached exchanges and counters are not persisted.
+  /// persistence. restore() replaces every device record (sessions and
+  /// their cached exchanges included); cached exchanges and counters are
+  /// not persisted.
   [[nodiscard]] RegistrySnapshot snapshot() const;
   void restore(const RegistrySnapshot& snapshot);
 
@@ -174,9 +191,9 @@ class DeviceRegistry {
   /// The session MAC key, if `session_id` is the device's live session.
   [[nodiscard]] std::optional<util::SecretBytes> session_key(
       std::uint64_t device_id, std::uint64_t session_id) const;
-  /// Tear down every session (master-key rotation re-keys the fleet).
-  /// Later session-plane envelopes get kAuthRequired until a new
-  /// handshake.
+  /// Tear down every session and its cached exchanges (master-key
+  /// rotation re-keys the fleet). Later session-plane envelopes get
+  /// kAuthRequired until a new handshake.
   void drop_sessions();
   [[nodiscard]] std::size_t active_sessions() const;
 
@@ -194,7 +211,9 @@ class DeviceRegistry {
   /// there is one), burn the counter (session plane) or install
   /// `new_session` (a handshake's key, replacing the device's session
   /// and resetting its window; installed only while the device is still
-  /// enrolled), and count the request as processed.
+  /// enrolled), and count the request as processed. A session-plane
+  /// slot whose session is no longer live, or whose counter left the
+  /// window meanwhile, is freed instead of filled.
   void complete(const net::Envelope& request, const net::Envelope& response,
                 bool session_plane, double processing_time_s,
                 std::optional<util::SecretBytes> new_session = std::nullopt);
@@ -231,8 +250,13 @@ class DeviceRegistry {
     std::uint32_t highest = 0;  ///< largest committed counter
     std::uint64_t window = 0;   ///< seen-bitmap below `highest`
 
+    [[nodiscard]] bool in_window(std::uint32_t counter) const {
+      return counter > highest || highest - counter < kWindowSize;
+    }
     [[nodiscard]] bool fresh(std::uint32_t counter) const;
-    void burn(std::uint32_t counter);
+    /// Mark `counter` seen; returns the window bits the burn slid out
+    /// (bit i is the counter that was `highest - i` before it).
+    std::uint64_t burn(std::uint32_t counter);
   };
   struct DeviceRecord {
     bool enrolled = false;
@@ -288,6 +312,13 @@ class DeviceRegistry {
     return it == shard.devices.end() ? nullptr : &it->second;
   }
   void evict(Shard& shard) const;
+  /// Drop the filled slot of (device, session, top - i) for each set
+  /// bit i of `ages`; pending slots stay with their requests.
+  static void retire(Shard& shard, std::uint64_t device_id,
+                     std::uint64_t session_id, std::uint32_t top,
+                     std::uint64_t ages);
+  /// Drop every filled session-plane slot of the shard.
+  static void retire_sessions(Shard& shard);
 
   std::size_t per_shard_capacity_;
   util::Sharded<Shard> shards_;

@@ -24,6 +24,8 @@ constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
 constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
 constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
 constexpr std::uint32_t kSealEpochMagic = 0x4D444550;     // "MDEP"
+/// A sealed payload's prefix: u8 flag | u64 nonce.
+constexpr std::size_t kSealedHeader = 1 + 8;
 
 DurabilityConfig require_storage_key(DurabilityConfig config) {
   if (config.storage_key.empty())
@@ -141,7 +143,7 @@ std::vector<std::uint8_t> DurableState::seal_payload(
 }
 
 std::vector<std::uint8_t> DurableState::unseal_payload(
-    std::span<const std::uint8_t> flagged) {
+    std::span<const std::uint8_t> flagged, std::size_t limit) {
   return decode_guard("unseal_payload", [&]() -> std::vector<std::uint8_t> {
     util::ByteReader in(flagged);
     if (in.u8() != 1)
@@ -157,13 +159,35 @@ std::vector<std::uint8_t> DurableState::unseal_payload(
            !nonce_.compare_exchange_weak(expected, nonce + 1,
                                          std::memory_order_relaxed)) {
     }
-    std::vector<std::uint8_t> plain(flagged.begin() + 9, flagged.end());
+    const auto sealed = flagged.subspan(kSealedHeader);
+    const auto head = sealed.first(std::min(limit, sealed.size()));
+    std::vector<std::uint8_t> plain(head.begin(), head.end());
     crypto::Aes128Ctr ctr(
         std::span<const std::uint8_t, crypto::Aes128::kKeySize>(
             seal_key_.data(), crypto::Aes128::kKeySize),
         nonce);
     ctr.apply(plain);
     return plain;
+  });
+}
+
+std::pair<std::string, std::uint64_t> DurableState::unseal_stored_header(
+    std::span<const std::uint8_t> flagged) {
+  // u32 identifier size | identifier | u64 session | u32 report size |
+  // report: unseal the identifier's size, then the rest of the header.
+  const auto size = unseal_payload(flagged, 4);
+  return decode_guard("replay kRecordStored", [&] {
+    const std::size_t header =
+        4 + std::size_t{util::ByteReader(size).u32()} + 8 + 4;
+    const auto prefix = unseal_payload(flagged, header);
+    util::ByteReader in(prefix);
+    auto key = in.str();
+    const std::uint64_t session_id = in.u64();
+    const std::uint32_t report = in.u32();
+    if (flagged.size() - kSealedHeader != header + report)
+      throw PersistenceError(
+          "durability: a stored report's size does not match its record");
+    return std::make_pair(std::move(key), session_id);
   });
 }
 
@@ -218,22 +242,23 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
   // Then the log, LSN-gated per store: the segments in order, then the
   // journal. Each file's LSNs must lie above the previous file's.
   std::uint64_t log_lsn = 0;
-  const auto replay = [&](const std::vector<JournalRecord>& records,
+  const auto replay = [&](const JournalImage& records,
                           std::uint32_t generation, const std::string& path) {
     if (!records.empty() && records.front().lsn <= log_lsn)
       throw PersistenceError("durability: LSN " +
                              std::to_string(records.front().lsn) + " in " +
                              path + " is not above the previous file's");
     for (const auto& record : records) {
-      const auto payload = unseal_payload(record.payload);
+      // A stored report stays in the log: its replay unseals only the
+      // identifier and session in front of it.
+      const bool stored = record.type == JournalRecordType::kRecordStored;
+      const auto payload =
+          stored ? std::vector<std::uint8_t>{} : unseal_payload(record.payload);
       decode_guard("journal replay", [&] {
         util::ByteReader in(payload);
         switch (record.type) {
           case JournalRecordType::kRecordStored: {
-            std::string key = in.str();
-            const std::uint64_t session_id = in.u64();
-            (void)in.bytes(in.u32());  // the report stays in the log
-            in.expect_done("replay kRecordStored");
+            auto [key, session_id] = unseal_stored_header(record.payload);
             if (record.lsn <= records_lsn) return;
             server.records().index(
                 std::move(key), session_id,

@@ -44,6 +44,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "auth/identifier.h"
@@ -171,10 +172,18 @@ class DurableState {
   /// at construction, before any seal_payload.
   void bump_seal_epoch();
   /// Flag-prefixed payload sealing: u8 1 | u64 nonce | ciphertext. The
-  /// flag is always 1; unseal_payload refuses any other value.
+  /// flag is always 1; unseal_payload refuses any other value. CTR
+  /// keystream is positional, so unseal_payload can stop after the first
+  /// `limit` plaintext bytes.
   [[nodiscard]] std::vector<std::uint8_t> seal_payload(
       std::vector<std::uint8_t> payload);
   [[nodiscard]] std::vector<std::uint8_t> unseal_payload(
+      std::span<const std::uint8_t> flagged,
+      std::size_t limit = static_cast<std::size_t>(-1));
+  /// The identifier and session of a sealed kRecordStored payload,
+  /// unsealing only the header in front of the report, whose stated
+  /// size must cover exactly the rest of the payload.
+  [[nodiscard]] std::pair<std::string, std::uint64_t> unseal_stored_header(
       std::span<const std::uint8_t> flagged);
   /// Reads an older build's snapshot `name`: returns (applied_lsn, body)
   /// or applied_lsn 0 when the file is absent.

@@ -35,13 +35,13 @@ std::vector<std::uint8_t> make_header() {
 /// A record body must hold at least its LSN and type byte.
 constexpr std::size_t kMinBodySize = 8 + 1;
 
-/// Scan a journal or segment image (at least a header long) into `out`
-/// and return the length of its valid prefix. A damaged record that
-/// reaches EOF ends the scan when `torn_tail_ok` (a torn append);
-/// anywhere else, or in a strict scan, it throws PersistenceError.
-std::size_t scan(const std::vector<std::uint8_t>& bytes,
-                 const std::string& path, bool torn_tail_ok,
-                 std::vector<JournalRecord>& out) {
+/// Scan a journal or segment image (at least a header long) into `out`,
+/// whose payloads view `bytes`, and return the length of its valid
+/// prefix. A damaged record that reaches EOF ends the scan when
+/// `torn_tail_ok` (a torn append); anywhere else, or in a strict scan,
+/// it throws PersistenceError.
+std::size_t scan(std::span<const std::uint8_t> bytes, const std::string& path,
+                 bool torn_tail_ok, std::vector<JournalRecordView>& out) {
   if (read_u32le(bytes.data()) != Journal::kMagic)
     throw PersistenceError("journal: bad magic in " + path);
   if (read_u32le(bytes.data() + 4) != Journal::kVersion)
@@ -52,10 +52,8 @@ std::size_t scan(const std::vector<std::uint8_t>& bytes,
     const std::size_t rem = bytes.size() - offset;
     const std::size_t len = rem >= 8 ? read_u32le(bytes.data() + offset) : 0;
     const bool complete = rem >= 8 && len <= rem - 8;
-    const auto body = complete
-                          ? std::span<const std::uint8_t>(bytes).subspan(
-                                offset + 8, len)
-                          : std::span<const std::uint8_t>{};
+    const auto body = complete ? bytes.subspan(offset + 8, len)
+                               : std::span<const std::uint8_t>{};
     if (!complete || len < kMinBodySize ||
         compress::crc32(body) != read_u32le(bytes.data() + offset + 4)) {
       // A short length/CRC prefix, a body past EOF or a broken final
@@ -68,12 +66,8 @@ std::size_t scan(const std::vector<std::uint8_t>& bytes,
     if (lsn <= last_lsn)
       throw PersistenceError("journal: non-monotonic LSN " +
                              std::to_string(lsn) + " in " + path);
-    JournalRecord record;
-    record.lsn = lsn;
-    record.type = static_cast<JournalRecordType>(body[8]);
-    record.payload.assign(body.begin() + 9, body.end());
-    record.offset = offset;
-    out.push_back(std::move(record));
+    out.push_back({lsn, static_cast<JournalRecordType>(body[8]),
+                   ByteView(body.data() + 9, body.size() - 9), offset});
     last_lsn = lsn;
     offset += 8 + len;
   }
@@ -85,7 +79,7 @@ std::size_t scan(const std::vector<std::uint8_t>& bytes,
 Journal::Journal(std::string path, Config config, std::uint32_t generation)
     : path_(std::move(path)), config_(config) {
   util::crash_point("journal.open");
-  std::vector<std::uint8_t> bytes;
+  auto& bytes = recovered_.bytes_;
   if (util::file_exists(path_)) bytes = util::read_file(path_);
 
   // Scan phase: find the valid prefix. A file smaller than the header
@@ -94,7 +88,8 @@ Journal::Journal(std::string path, Config config, std::uint32_t generation)
   // corrupt state and must not be silently wiped.
   const bool reinit = bytes.size() < kHeaderSize;
   const std::size_t keep =
-      reinit ? 0 : scan(bytes, path_, /*torn_tail_ok=*/true, recovered_);
+      reinit ? 0
+             : scan(bytes, path_, /*torn_tail_ok=*/true, recovered_.records_);
   tail_truncated_ = !reinit && keep < bytes.size();
 
   state_.with(0, [&](State& state) {
@@ -129,18 +124,16 @@ void Journal::refuse_if_failed(const State& state) const {
                            "rotation; reopen it to recover");
 }
 
-std::vector<JournalRecord> Journal::read_segment(const std::string& path) {
-  const auto bytes = util::read_file(path);
-  if (bytes.size() < kHeaderSize)
+JournalImage Journal::read_segment(const std::string& path) {
+  JournalImage image;
+  image.bytes_ = util::read_file(path);
+  if (image.bytes_.size() < kHeaderSize)
     throw PersistenceError("journal: short segment " + path);
-  std::vector<JournalRecord> records;
-  scan(bytes, path, /*torn_tail_ok=*/false, records);
-  return records;
+  scan(image.bytes_, path, /*torn_tail_ok=*/false, image.records_);
+  return image;
 }
 
-std::vector<JournalRecord> Journal::take_recovered() {
-  return std::move(recovered_);
-}
+JournalImage Journal::take_recovered() { return std::move(recovered_); }
 
 FrameLocator Journal::append(JournalRecordType type,
                              std::span<const std::uint8_t> payload) {
@@ -225,12 +218,8 @@ JournalRecord Journal::read_frame(const FrameLocator& at,
   if (compress::crc32(body) != read_u32le(frame.data() + 4))
     throw mismatch("CRC");
   if (read_u64le(body.data()) != at.lsn) throw mismatch("LSN");
-  JournalRecord record;
-  record.lsn = at.lsn;
-  record.type = static_cast<JournalRecordType>(body[8]);
-  record.payload.assign(body.begin() + 9, body.end());
-  record.offset = at.offset;
-  return record;
+  return {at.lsn, static_cast<JournalRecordType>(body[8]),
+          std::vector<std::uint8_t>(body.begin() + 9, body.end())};
 }
 
 void Journal::raise_lsn_floor(std::uint64_t last_lsn) {

@@ -40,7 +40,12 @@
 // generation after the last segment. A rotation renames the frames byte
 // for byte, so a FrameLocator (generation, offset) stays valid across
 // it, and read_frame() reads one frame back by its locator.
+//
+// A scan (open(), read_segment()) reads its file whole into a
+// JournalImage and hands out views of the records' payloads inside it,
+// so recovery holds one copy of a file at a time and none per record.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -69,11 +74,59 @@ enum class JournalRecordType : std::uint8_t {
   kRetiredHandshake = 8,  ///< retired: skipped on replay, never appended
 };
 
+/// One frame read back by its locator.
 struct JournalRecord {
   std::uint64_t lsn = 0;
   JournalRecordType type{};
   std::vector<std::uint8_t> payload;
+};
+
+/// Bytes inside a JournalImage; equal to any byte range with the same
+/// contents.
+struct ByteView : std::span<const std::uint8_t> {
+  using std::span<const std::uint8_t>::span;
+  friend bool operator==(ByteView a, std::span<const std::uint8_t> b) {
+    return std::ranges::equal(a, b);
+  }
+};
+
+/// One record of a scanned file; its payload views the JournalImage.
+struct JournalRecordView {
+  std::uint64_t lsn = 0;
+  JournalRecordType type{};
+  ByteView payload;
   std::uint64_t offset = 0;  ///< the frame's first byte in its file
+};
+
+/// A journal or segment file read whole, and its valid records in LSN
+/// order. The records view the image, so it is move-only: a move keeps
+/// the image's buffer, and with it every view, in place.
+class JournalImage {
+ public:
+  JournalImage() = default;
+  JournalImage(JournalImage&&) noexcept = default;
+  JournalImage& operator=(JournalImage&&) noexcept = default;
+  JournalImage(const JournalImage&) = delete;
+  JournalImage& operator=(const JournalImage&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] bool empty() const { return records_.empty(); }
+  [[nodiscard]] const JournalRecordView& operator[](std::size_t i) const {
+    return records_[i];
+  }
+  [[nodiscard]] const JournalRecordView& front() const {
+    return records_.front();
+  }
+  [[nodiscard]] const JournalRecordView& back() const {
+    return records_.back();
+  }
+  [[nodiscard]] auto begin() const { return records_.begin(); }
+  [[nodiscard]] auto end() const { return records_.end(); }
+
+ private:
+  friend class Journal;
+  std::vector<std::uint8_t> bytes_;
+  std::vector<JournalRecordView> records_;
 };
 
 /// Where one frame sits in the log, and what it holds there.
@@ -104,9 +157,9 @@ class Journal {
                    std::uint32_t generation = 1);
   explicit Journal(std::string path) : Journal(std::move(path), Config{}) {}
 
-  /// The records recovered at open, in LSN order (moved out — call
-  /// once, during recovery).
-  [[nodiscard]] std::vector<JournalRecord> take_recovered();
+  /// The records recovered at open, in LSN order, with the file image
+  /// they view (moved out — call once, during recovery).
+  [[nodiscard]] JournalImage take_recovered();
   /// Did open() drop a torn final record?
   [[nodiscard]] bool tail_truncated() const { return tail_truncated_; }
 
@@ -135,8 +188,7 @@ class Journal {
   /// Read a segment strictly: a short or CRC-broken record anywhere,
   /// the last one included, a foreign header or a non-monotonic LSN
   /// throws PersistenceError. The file is never modified.
-  [[nodiscard]] static std::vector<JournalRecord> read_segment(
-      const std::string& path);
+  [[nodiscard]] static JournalImage read_segment(const std::string& path);
 
   /// Raise the next-LSN floor so appends continue above `last_lsn`. A
   /// fresh journal does not carry the sequence: after a rotation (or an
@@ -174,7 +226,7 @@ class Journal {
   std::string path_;
   Config config_;
   bool tail_truncated_ = false;
-  std::vector<JournalRecord> recovered_;
+  JournalImage recovered_;
   /// Single-shard Sharded instead of a bare mutex (the cloud-mutex
   /// rule): appends serialize here, which is also the fsync cost model.
   util::Sharded<State> state_{1};

@@ -46,7 +46,9 @@ struct ServiceConfig {
   /// reproduces the old single-lock layout as a contention baseline).
   std::size_t shards = 0;
   /// Total session-cache capacity in cached exchanges; past it the
-  /// least recently replayed sessions are evicted (0 = unbounded).
+  /// least recently replayed sessions are evicted (0 = unbounded). A
+  /// session-plane exchange also leaves as soon as its session ends or
+  /// its counter slides out of the anti-replay window.
   std::size_t session_cache_capacity = 1u << 16;
   /// Seed for the server's deterministic handshake-nonce (RndB)
   /// derivation. The nonce is KDF'd from the *device key* with this

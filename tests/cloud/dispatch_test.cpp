@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -296,6 +297,92 @@ TEST(DeviceRegistry, CompletionAfterRevocationInstallsNoSession) {
 
   establish(registry, 3, 10, test_key(0xdd));
   EXPECT_EQ(*registry.session_key(3, 10), test_key(0xdd));
+}
+
+// --- Retirement ----------------------------------------------------------
+
+// A completed session-plane exchange stays cached only while its counter
+// is inside the live session's window: the burn that slides a counter
+// out drops its slot, and a re-key or revocation drops the old window.
+TEST(DeviceRegistry, CachedCommandsLeaveWithTheWindow) {
+  DeviceRegistry registry(4);
+  establish(registry, 1, 100, test_key(0xaa));
+  for (std::uint32_t counter = 1; counter <= 65; ++counter) {
+    const auto request = command(1, 100, counter);
+    ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
+    registry.complete(request, request, true, 0.0);
+  }
+  // The handshake's slot and counters 2..65; 1 slid out with the burn
+  // of 65 and is refused by the window, as after an eviction.
+  EXPECT_EQ(registry.cache_size(), 1u + DeviceRegistry::kWindowSize);
+  EXPECT_EQ(registry.reserve(command(1, 100, 1), true).state,
+            SlotState::kStale);
+  EXPECT_EQ(registry.reserve(command(1, 100, 2), true).state,
+            SlotState::kReplay);
+  EXPECT_EQ(registry.evictions(), 0u);
+
+  establish(registry, 1, 200, test_key(0xbb));
+  EXPECT_EQ(registry.cache_size(), 2u);  // two handshakes
+  const auto request = command(1, 200, 1);
+  ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
+  registry.complete(request, request, true, 0.0);
+  EXPECT_EQ(registry.cache_size(), 3u);
+  EXPECT_TRUE(registry.revoke(1));
+  EXPECT_EQ(registry.cache_size(), 2u);
+}
+
+TEST(DeviceRegistry, DropSessionsRetiresEverySessionSlot) {
+  DeviceRegistry registry(4);
+  for (std::uint64_t device = 1; device <= 3; ++device) {
+    establish(registry, device, 100 + device, test_key(0xaa));
+    const auto request = command(device, 100 + device, 1);
+    ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
+    registry.complete(request, request, true, 0.0);
+  }
+  const auto legacy = command(4, 1, 0);
+  ASSERT_EQ(registry.reserve(legacy, false).state, SlotState::kReserved);
+  registry.complete(legacy, legacy, false, 0.0);
+  EXPECT_EQ(registry.cache_size(), 7u);
+  registry.drop_sessions();
+  EXPECT_EQ(registry.cache_size(), 4u);  // handshakes and the legacy one
+  EXPECT_EQ(registry.reserve(legacy, false).state, SlotState::kReplay);
+}
+
+/// Reserve a command on session 100, let `race` run while it is in
+/// flight, then complete it: the completion must free its reservation
+/// and cache nothing, so a copy of it is refused, not served.
+void expect_late_completion_caches_nothing(
+    const std::function<void(DeviceRegistry&)>& race) {
+  DeviceRegistry registry(4);
+  establish(registry, 1, 100, test_key(0xaa));
+  const auto slow = command(1, 100, 1);
+  ASSERT_EQ(registry.reserve(slow, true).state, SlotState::kReserved);
+  race(registry);
+  const std::size_t with_reservation = registry.cache_size();
+  registry.complete(slow, command(1, 100, 1, 0xee), true, 0.0);
+  EXPECT_EQ(registry.cache_size(), with_reservation - 1);
+  EXPECT_EQ(registry.reserve(slow, true).state, SlotState::kStale);
+}
+
+TEST(DeviceRegistry, CompletionRacingAReKeyCachesNothing) {
+  expect_late_completion_caches_nothing([](DeviceRegistry& registry) {
+    establish(registry, 1, 200, test_key(0xbb));
+  });
+}
+
+TEST(DeviceRegistry, CompletionRacingARevocationCachesNothing) {
+  expect_late_completion_caches_nothing(
+      [](DeviceRegistry& registry) { EXPECT_TRUE(registry.revoke(1)); });
+}
+
+TEST(DeviceRegistry, CompletionRacingTheWindowCachesNothing) {
+  expect_late_completion_caches_nothing([](DeviceRegistry& registry) {
+    for (std::uint32_t counter = 2; counter <= 65; ++counter) {
+      const auto request = command(1, 100, counter);
+      ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
+      registry.complete(request, request, true, 0.0);
+    }
+  });
 }
 
 TEST(AdmissionGate, UnboundedAdmitsEverything) {

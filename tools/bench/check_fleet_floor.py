@@ -7,7 +7,9 @@ than the allowed fraction. The floor is deliberately conservative — a
 single-core container measurement — so the check catches "someone
 reintroduced a global lock" (an integer-factor collapse), not runner
 jitter. It also holds `session.stale_attacks_accepted` and
-`session.duplicates_processed` at hard zero.
+`session.duplicates_processed` at hard zero, and bounds the clinic
+phase's `session.cached_exchanges_per_device` by one handshake plus one
+anti-replay window (`max_cached_exchanges_per_device`).
 
 Usage: check_fleet_floor.py BENCH_fleet_load.json [--floor FLOOR.json]
 Exit status: 0 ok, 1 regression or malformed artifact, 2 usage error.
@@ -33,6 +35,9 @@ REQUIRED_KEYS = (
     "session.counter_rejections",
     "session.stale_attacks_accepted",
     "session.duplicates_processed",
+    "session.clinic_devices",
+    "session.clinic_commands_ok",
+    "session.cached_exchanges_per_device",
 )
 
 
@@ -105,6 +110,27 @@ def main() -> int:
         print(f"check_fleet_floor: session.duplicates_processed is "
               f"{duplicates} — concurrent copies of one request were "
               f"processed more than once", file=sys.stderr)
+        failed = True
+
+    # A cached exchange outlives its anti-replay window only if nothing
+    # retires it: each clinic device may keep its handshake and the last
+    # window of commands, however long its session ran. The bound means
+    # something only if every device ran past the window.
+    bound = float(floor["max_cached_exchanges_per_device"])
+    cached = float(counters["session.cached_exchanges_per_device"])
+    per_device = (int(counters["session.clinic_commands_ok"]) /
+                  max(1, int(counters["session.clinic_devices"])))
+    print(f"session.cached_exchanges_per_device {cached:.1f} "
+          f"(bound {bound:.0f}, {per_device:.0f} commands per device)")
+    if per_device <= bound:
+        print(f"check_fleet_floor: the clinic phase ran {per_device:.0f} "
+              f"commands per device, not past the {bound:.0f}-exchange "
+              f"bound", file=sys.stderr)
+        failed = True
+    if cached > bound:
+        print(f"check_fleet_floor: session.cached_exchanges_per_device is "
+              f"{cached:.1f} — cached exchanges outlive the anti-replay "
+              f"window (bound {bound:.0f})", file=sys.stderr)
         failed = True
 
     if failed:
