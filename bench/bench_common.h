@@ -4,6 +4,8 @@
 // output, 0.08 uL/min nominal flow, PBS-suspended 3.58/7.8 um beads and
 // blood cells.
 
+#include <malloc.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -63,6 +65,18 @@ inline std::vector<sim::ControlSegment> fixed_control(
   seg.active_mask = mask;
   seg.flow_ul_min = flow_ul_min;
   return {seg};
+}
+
+/// Resident memory now (VmRSS in /proc/self/status), in bytes, after
+/// malloc_trim has handed freed heap back, so only live memory counts.
+inline double resident_bytes() {
+  malloc_trim(0);
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0)
+      return std::stod(line.substr(6)) * 1024.0;  // the line is in kB
+  return 0.0;
 }
 
 inline void header(const char* figure, const char* claim) {

@@ -53,7 +53,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,8 +63,6 @@
 
 #include <span>
 #include <utility>
-
-#include <malloc.h>
 
 #include "bench_common.h"
 #include "cloud/durability.h"
@@ -724,18 +721,6 @@ cloud::RecoveryStats measure_recovery(const Options& options) {
   return stats;
 }
 
-/// Resident memory now (VmRSS in /proc/self/status), in bytes, after
-/// malloc_trim has handed freed heap back, so only live memory counts.
-double resident_bytes() {
-  malloc_trim(0);
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line))
-    if (line.rfind("VmRSS:", 0) == 0)
-      return std::stod(line.substr(6)) * 1024.0;  // the line is in kB
-  return 0.0;
-}
-
 struct StoreMemory {
   double rss_bytes_per_record = 0.0;
   std::uint64_t fetched = 0;
@@ -769,11 +754,11 @@ StoreMemory measure_store_memory(const Options& options) {
   StoreMemory out;
   {
     Rig rig(dir, /*compact_after=*/4096, /*fsync=*/false);
-    const double before = resident_bytes();
+    const double before = bench::resident_bytes();
     for (std::uint64_t i = 0; i < kRecords; ++i)
       rig.server->store_result(identifier(i), {i + 1, report(i)});
     out.rss_bytes_per_record =
-        (resident_bytes() - before) / static_cast<double>(kRecords);
+        (bench::resident_bytes() - before) / static_cast<double>(kRecords);
   }
   Rig rig(dir, /*compact_after=*/4096, /*fsync=*/false);
   const auto started = std::chrono::steady_clock::now();

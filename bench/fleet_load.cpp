@@ -35,7 +35,10 @@
 // at zero). A clinic phase ends them: a few devices each run a few
 // hundred sequential commands on one session against a server with the
 // default cache capacity, and `session.cached_exchanges_per_device` must
-// stay at one handshake plus one anti-replay window of commands.
+// stay at one handshake plus one anti-replay window of commands. A last
+// phase fills a fresh DeviceRegistry (default shards and capacity) with
+// completed exchanges carrying an 80-byte report and exports the
+// resident memory each one costs (`session.cache_bytes_per_exchange`).
 //
 // Everything is deterministic for a fixed seed and worker count except
 // wall-clock timing itself.
@@ -847,6 +850,51 @@ ClinicPhaseResult run_clinic_phase(
   return result;
 }
 
+/// Phase 7: memory per cached exchange. A fresh registry with the
+/// default shards and capacity is filled to capacity, through
+/// reserve()/complete() as handle() drives them, with completed
+/// counter-0 exchanges whose responses carry an 80-byte payload (a
+/// fleet_mixed upload's report), one exchange per device. Resident
+/// memory is read after malloc_trim before and after the fill.
+struct CacheMemoryResult {
+  std::size_t exchanges = 0;
+  double bytes_per_exchange = 0.0;
+};
+
+CacheMemoryResult measure_cache_memory() {
+  constexpr std::size_t kReportBytes = 80;
+  const std::vector<std::uint8_t> mac_key(32, 0x7e);
+  cloud::DeviceRegistry registry;
+  const std::size_t per_shard = registry.per_shard_capacity();
+  std::vector<std::size_t> held(registry.shard_count(), 0);
+  std::size_t remaining = per_shard * registry.shard_count();
+  const double before = bench::resident_bytes();
+  for (std::uint64_t device = 1; remaining != 0; ++device) {
+    std::size_t& shard = held[registry.shard_of(device)];
+    if (shard == per_shard) continue;  // fill every shard exactly
+    const auto request =
+        net::make_envelope(net::MessageType::kSignalUpload, device, device,
+                           {0x01, 0x02, 0x03, 0x04}, mac_key);
+    std::vector<std::uint8_t> report(kReportBytes);
+    for (std::size_t k = 0; k < report.size(); ++k)
+      report[k] = static_cast<std::uint8_t>(device * 31 + k);
+    const auto response =
+        net::make_envelope(net::MessageType::kAnalysisResult, device, device,
+                           std::move(report), mac_key);
+    if (registry.reserve(request, false).state !=
+        cloud::SlotState::kReserved)
+      continue;
+    registry.complete(request, response, false, 0.0);
+    ++shard;
+    --remaining;
+  }
+  CacheMemoryResult result;
+  result.exchanges = registry.cache_size();
+  result.bytes_per_exchange = (bench::resident_bytes() - before) /
+                              static_cast<double>(result.exchanges);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1071,6 +1119,12 @@ int main(int argc, char** argv) {
     json.set_count("session.clinic_commands_ok", clinic.commands_ok);
     json.set("session.cached_exchanges_per_device",
              clinic.cached_exchanges_per_device);
+
+    const auto cache = measure_cache_memory();
+    std::printf("cache memory: %zu exchanges, %.1f bytes per exchange\n",
+                cache.exchanges, cache.bytes_per_exchange);
+    json.set_count("session.cache_exchanges", cache.exchanges);
+    json.set("session.cache_bytes_per_exchange", cache.bytes_per_exchange);
   }
 
   json.write(options.out);

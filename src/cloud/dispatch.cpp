@@ -2,11 +2,165 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <limits>
+#include <new>
+#include <stdexcept>
 #include <utility>
 
 #include "crypto/cmac.h"
 
 namespace medsen::cloud {
+
+/// One completed exchange: this header, then the response payload, in
+/// a single allocation. A replay rebuilds the response byte for byte:
+/// its session, device and counter are the key's.
+struct DeviceRegistry::Record {
+  Record* newer = nullptr;  ///< recency list, newest first
+  Record* older = nullptr;
+  SlotKey key;
+  std::uint32_t payload_size = 0;
+  net::MessageType response_type = net::MessageType::kError;
+  crypto::Sha256Digest request_mac{};
+  crypto::Sha256Digest response_mac{};
+
+  /// The payload bytes, which follow the header.
+  [[nodiscard]] std::uint8_t* payload() {
+    return reinterpret_cast<std::uint8_t*>(this + 1);
+  }
+  [[nodiscard]] const std::uint8_t* payload() const {
+    return reinterpret_cast<const std::uint8_t*>(this + 1);
+  }
+
+  static RecordPtr make(const SlotKey& key,
+                        const crypto::Sha256Digest& request_mac,
+                        const net::Envelope& response) {
+    const std::size_t size = response.payload.size();
+    if (size > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("cached response payload over 4 GiB");
+    RecordPtr record(new (::operator new(sizeof(Record) + size)) Record{
+        nullptr, nullptr, key, static_cast<std::uint32_t>(size),
+        response.type, request_mac, response.mac});
+    if (size != 0)
+      std::memcpy(record->payload(), response.payload.data(), size);
+    return record;
+  }
+
+  [[nodiscard]] net::Envelope response() const {
+    net::Envelope envelope;
+    envelope.type = response_type;
+    envelope.session_id = key.session_id;
+    envelope.device_id = key.device_id;
+    envelope.counter = key.counter;
+    envelope.payload.assign(payload(), payload() + payload_size);
+    envelope.mac = response_mac;
+    return envelope;
+  }
+};
+
+void DeviceRegistry::RecordDeleter::operator()(Record* record) const {
+  record->~Record();
+  ::operator delete(record);
+}
+
+namespace {
+
+/// Murmur3's 64-bit finalizer: every input bit reaches the low bits an
+/// index mask keeps.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+}  // namespace
+
+std::size_t DeviceRegistry::ExchangeTable::home(const SlotKey& key,
+                                                std::size_t mask) {
+  const std::uint64_t hash = mix64(
+      mix64(key.device_id ^ std::rotl(std::uint64_t{key.counter}, 32)) ^
+      key.session_id);
+  return static_cast<std::size_t>(hash) & mask;
+}
+
+DeviceRegistry::ExchangeTable::~ExchangeTable() {
+  for (Record* record = newest_; record != nullptr;) {
+    Record* const older = record->older;
+    RecordDeleter{}(record);
+    record = older;
+  }
+}
+
+DeviceRegistry::Record* DeviceRegistry::ExchangeTable::find(
+    const SlotKey& key) const {
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  // At most half full, so every probe sequence reaches a free slot.
+  for (std::size_t i = home(key, mask);; i = (i + 1) & mask)
+    if (index_[i] == nullptr || index_[i]->key == key) return index_[i];
+}
+
+void DeviceRegistry::ExchangeTable::insert(RecordPtr record) {
+  if (2 * (size_ + 1) > index_.size()) {
+    std::vector<Record*> old(std::max<std::size_t>(8, 2 * index_.size()));
+    index_.swap(old);
+    for (Record* moved : old)
+      if (moved != nullptr) place(moved);
+  }
+  Record* const raw = record.release();
+  place(raw);
+  link_front(raw);
+  ++size_;
+}
+
+void DeviceRegistry::ExchangeTable::touch(Record* record) {
+  if (record == newest_) return;
+  unlink(record);
+  link_front(record);
+}
+
+void DeviceRegistry::ExchangeTable::erase(Record* record) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(record->key, mask);
+  while (index_[hole] != record) hole = (hole + 1) & mask;
+  // Backward shift: pull each later record of the probe run into the
+  // hole unless its home slot lies after the hole (cyclically), so no
+  // lookup ever stops early at the freed slot.
+  for (std::size_t next = (hole + 1) & mask; index_[next] != nullptr;
+       next = (next + 1) & mask) {
+    const std::size_t start = home(index_[next]->key, mask);
+    if (((next - start) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = nullptr;
+  unlink(record);
+  --size_;
+  RecordDeleter{}(record);
+}
+
+void DeviceRegistry::ExchangeTable::unlink(Record* record) {
+  (record->newer != nullptr ? record->newer->older : newest_) = record->older;
+  (record->older != nullptr ? record->older->newer : oldest_) = record->newer;
+}
+
+void DeviceRegistry::ExchangeTable::link_front(Record* record) {
+  record->newer = nullptr;
+  record->older = newest_;
+  (newest_ != nullptr ? newest_->newer : oldest_) = record;
+  newest_ = record;
+}
+
+void DeviceRegistry::ExchangeTable::place(Record* record) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(record->key, mask);
+  while (index_[i] != nullptr) i = (i + 1) & mask;
+  index_[i] = record;
+}
 
 DeviceRegistry::DeviceRegistry(std::size_t shards, std::size_t cache_capacity)
     : shards_(shards), masters_(1) {
@@ -204,38 +358,41 @@ DeviceStatus DeviceRegistry::resolve(std::uint64_t device_id,
 
 Reservation DeviceRegistry::reserve(const net::Envelope& request,
                                     bool session_plane) {
-  const SlotKey key{request.device_id, request.session_id, request.counter};
+  const SlotKey key = SlotKey::of(request);
   return shards_.with(request.device_id, [&](Shard& shard) {
     Reservation out;
-    if (const auto it = shard.slots.find(key); it != shard.slots.end()) {
-      const Exchange& exchange = *it->second;
-      if (!crypto::digest_equal(exchange.request_mac, request.mac)) {
+    Record* const record = shard.exchanges.find(key);
+    const Pending* const pending =
+        record == nullptr ? find_pending(shard, key) : nullptr;
+    if (record != nullptr || pending != nullptr) {
+      const auto& held =
+          record != nullptr ? record->request_mac : pending->request_mac;
+      if (!crypto::digest_equal(held, request.mac)) {
         out.state = SlotState::kConflict;
-      } else if (exchange.pending) {
+      } else if (record == nullptr) {
         out.state = SlotState::kInFlight;
       } else {
         // Touch: an exchange the transport is actively retrying must
         // outlive colder entries.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        shard.exchanges.touch(record);
         out.state = SlotState::kReplay;
-        out.response = exchange.response;
+        out.response = record->response();
         ++shard.counts.replays_served;
         return out;
       }
       ++shard.counts.errors_returned;
       return out;
     }
-    const DeviceRecord* record = find(shard, request.device_id);
+    const DeviceRecord* device = find(shard, request.device_id);
     if (session_plane &&
-        (record == nullptr || !record->live(request.session_id) ||
-         !record->session->fresh(request.counter))) {
+        (device == nullptr || !device->live(request.session_id) ||
+         !device->session->fresh(request.counter))) {
       out.state = SlotState::kStale;
       ++shard.counts.counter_rejections;
       ++shard.counts.errors_returned;
       return out;
     }
-    shard.lru.push_front(Exchange{key, request.mac, true, {}});
-    shard.slots.emplace(key, shard.lru.begin());
+    shard.pending.push_back({key, request.mac});
     return out;
   });
 }
@@ -244,10 +401,17 @@ void DeviceRegistry::complete(const net::Envelope& request,
                               const net::Envelope& response,
                               bool session_plane, double processing_time_s,
                               std::optional<util::SecretBytes> new_session) {
-  const SlotKey key{request.device_id, request.session_id, request.counter};
+  const SlotKey key = SlotKey::of(request);
+  if (SlotKey::of(response) != key)
+    throw std::invalid_argument(
+        "DeviceRegistry::complete: the response must carry its request's "
+        "device, session and counter");
   auto session = new_session ? std::make_unique<Session>(Session{
                                   request.session_id, std::move(*new_session)})
                             : nullptr;
+  // Built before the lock is taken; freed after it is released when the
+  // slot is not filled.
+  RecordPtr filled = Record::make(key, request.mac, response);
   shards_.with(request.device_id, [&](Shard& shard) {
     ++shard.counts.requests_processed;
     shard.counts.processing_time_s += processing_time_s;
@@ -274,28 +438,16 @@ void DeviceRegistry::complete(const net::Envelope& request,
                live->burn(request.counter));
       }
     }
-    const auto slot = shard.slots.find(key);
-    if (slot == shard.slots.end() || !slot->second->pending) return;
-    if (!cache) {
-      shard.lru.erase(slot->second);
-      shard.slots.erase(slot);
-      return;
-    }
-    slot->second->pending = false;
-    slot->second->response = response;
-    shard.lru.splice(shard.lru.begin(), shard.lru, slot->second);
-    ++shard.filled;
+    if (!drop_pending(shard, key) || !cache) return;
     evict(shard);
+    shard.exchanges.insert(std::move(filled));
   });
 }
 
 void DeviceRegistry::release(const net::Envelope& request) {
-  const SlotKey key{request.device_id, request.session_id, request.counter};
+  const SlotKey key = SlotKey::of(request);
   shards_.with(request.device_id, [&](Shard& shard) {
-    if (const auto it = shard.slots.find(key); it != shard.slots.end()) {
-      shard.lru.erase(it->second);
-      shard.slots.erase(it);
-    }
+    drop_pending(shard, key);
     ++shard.counts.errors_returned;
   });
 }
@@ -307,17 +459,25 @@ void DeviceRegistry::count_error(std::uint64_t device_id, bool shed) {
   });
 }
 
+DeviceRegistry::Pending* DeviceRegistry::find_pending(Shard& shard,
+                                                      const SlotKey& key) {
+  for (Pending& slot : shard.pending)
+    if (slot.key == key) return &slot;
+  return nullptr;
+}
+
+bool DeviceRegistry::drop_pending(Shard& shard, const SlotKey& key) {
+  Pending* const slot = find_pending(shard, key);
+  if (slot == nullptr) return false;
+  *slot = shard.pending.back();
+  shard.pending.pop_back();
+  return true;
+}
+
 void DeviceRegistry::evict(Shard& shard) const {
   if (per_shard_capacity_ == 0) return;
-  // Walk from the cold end; a pending slot is a live reservation and
-  // stays until its request completes.
-  auto it = shard.lru.end();
-  while (shard.filled > per_shard_capacity_ && it != shard.lru.begin()) {
-    --it;
-    if (it->pending) continue;
-    shard.slots.erase(it->key);
-    it = shard.lru.erase(it);
-    --shard.filled;
+  while (shard.exchanges.size() >= per_shard_capacity_) {
+    shard.exchanges.erase(shard.exchanges.oldest());
     ++shard.evictions;
   }
 }
@@ -327,23 +487,17 @@ void DeviceRegistry::retire(Shard& shard, std::uint64_t device_id,
                             std::uint64_t ages) {
   for (; ages != 0; ages &= ages - 1) {
     const auto age = static_cast<std::uint32_t>(std::countr_zero(ages));
-    const auto it = shard.slots.find({device_id, session_id, top - age});
-    if (it == shard.slots.end() || it->second->pending) continue;
-    shard.lru.erase(it->second);
-    shard.slots.erase(it);
-    --shard.filled;
+    if (Record* record =
+            shard.exchanges.find({device_id, session_id, top - age}))
+      shard.exchanges.erase(record);
   }
 }
 
 void DeviceRegistry::retire_sessions(Shard& shard) {
-  for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-    if (it->pending || std::get<2>(it->key) == 0) {
-      ++it;
-      continue;
-    }
-    shard.slots.erase(it->key);
-    it = shard.lru.erase(it);
-    --shard.filled;
+  for (Record* record = shard.exchanges.newest(); record != nullptr;) {
+    Record* const older = record->older;
+    if (record->key.counter != 0) shard.exchanges.erase(record);
+    record = older;
   }
 }
 
@@ -364,8 +518,9 @@ ServiceStats DeviceRegistry::stats() const {
 
 std::size_t DeviceRegistry::cache_size() const {
   std::size_t total = 0;
-  shards_.for_each_shard(
-      [&](const Shard& shard) { total += shard.slots.size(); });
+  shards_.for_each_shard([&](const Shard& shard) {
+    total += shard.exchanges.size() + shard.pending.size();
+  });
   return total;
 }
 

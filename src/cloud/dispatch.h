@@ -4,13 +4,16 @@
 //  - DeviceRegistry: the one per-device table. Each shard holds the
 //    records of the devices that route to it (enrollment, revocation,
 //    the live session's MAC key and anti-replay window), that shard's
-//    cache of completed exchanges, and its service counters. A request
-//    takes its device's shard lock in short sections (resolve, reserve,
-//    complete) and never across MAC verification or a handler, so
-//    requests for different devices never contend and each (device,
-//    session, counter) is processed at most once. A cached session-plane
-//    exchange lives only while a request can still reach it: while its
-//    session is live and its counter is inside the anti-replay window.
+//    cache of exchanges, and its service counters. A request takes its
+//    device's shard lock in short sections (resolve, reserve, complete)
+//    and never across MAC verification or a handler, so requests for
+//    different devices never contend and each (device, session,
+//    counter) is processed at most once. A completed exchange is cached
+//    as one allocation sized to its payload, holding only what a replay
+//    needs; requests still in flight are kept apart, as key and request
+//    MAC. A cached session-plane exchange lives only while a request can
+//    still reach it: while its session is live and its counter is inside
+//    the anti-replay window.
 //  - AdmissionGate: a bounded in-flight counter, lock-free. Past the
 //    limit the server sheds requests with an `overloaded` error instead
 //    of queueing unboundedly on the shared analysis pool.
@@ -20,11 +23,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -102,17 +103,24 @@ struct Reservation {
 /// new handshake replaces key, counter and window.
 ///
 /// Exchanges: every request reserves its (device, session, counter) slot
-/// before its handler runs. The reservation is a *pending* cache entry
-/// carrying the request MAC, made in the same section as the cache
-/// lookup and the counter check, so a second copy of the request finds
-/// it: a different MAC is a conflict, the same MAC is in flight (or,
-/// once the slot is filled, a replay served from it). complete() fills
-/// the slot and burns the counter; release() frees it, so a failed
-/// command keeps its counter. Filled slots live in a per-shard LRU
-/// bounded at capacity / shards (at least 1; 0 = unbounded); pending
-/// slots neither count against the bound nor get evicted. An evicted
+/// before its handler runs. The reservation is a *pending* slot carrying
+/// the request MAC, made in the same section as the cache lookup and the
+/// counter check, so a second copy of the request finds it: a different
+/// MAC is a conflict, the same MAC is in flight (or, once the slot is
+/// filled, a replay served from it). complete() fills the slot and burns
+/// the counter; release() frees it, so a failed command keeps its
+/// counter. Filled slots are completed exchanges in a per-shard LRU
+/// bounded at capacity / shards (at least 1; 0 = unbounded), touched on
+/// completion and on every replay; pending slots are kept apart and
+/// neither count against the bound nor get evicted. An evicted
 /// legacy-plane exchange is simply processed again; an evicted
 /// session-plane one is refused by the window.
+///
+/// A completed exchange stores its key, the request MAC, and the
+/// response's type, MAC and payload, in one allocation sized to the
+/// payload. The response's session, device and counter are not stored:
+/// they are its request's, as CloudServer::handle() builds every
+/// response, and complete() refuses a response that differs.
 ///
 /// Invariant: a filled session-plane slot (counter >= 1) exists only
 /// while its session is the device's live session and its counter is
@@ -213,7 +221,9 @@ class DeviceRegistry {
   /// and resetting its window; installed only while the device is still
   /// enrolled), and count the request as processed. A session-plane
   /// slot whose session is no longer live, or whose counter left the
-  /// window meanwhile, is freed instead of filled.
+  /// window meanwhile, is freed instead of filled. `response` must carry
+  /// the request's device, session and counter (std::invalid_argument
+  /// otherwise): a replay rebuilds them from the slot's key.
   void complete(const net::Envelope& request, const net::Envelope& response,
                 bool session_plane, double processing_time_s,
                 std::optional<util::SecretBytes> new_session = std::nullopt);
@@ -274,27 +284,71 @@ class DeviceRegistry {
   /// across the retry ladder and tells attempts apart by counter, so
   /// each counter is its own slot; counter-0 traffic is one slot per
   /// (device, session).
-  using SlotKey = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
-  struct SlotHash {
-    std::size_t operator()(const SlotKey& key) const {
-      return static_cast<std::size_t>(util::fnv1a64(
-          util::fnv1a64(std::get<0>(key) ^ std::get<2>(key)) ^
-          std::get<1>(key)));
+  struct SlotKey {
+    std::uint64_t device_id = 0;
+    std::uint64_t session_id = 0;
+    std::uint32_t counter = 0;
+
+    static SlotKey of(const net::Envelope& envelope) {
+      return {envelope.device_id, envelope.session_id, envelope.counter};
     }
+    friend bool operator==(const SlotKey&, const SlotKey&) = default;
   };
-  struct Exchange {
+  /// A request in flight on its slot, until complete() or release().
+  struct Pending {
     SlotKey key;
     crypto::Sha256Digest request_mac{};
-    bool pending = true;
-    net::Envelope response;
+  };
+  /// One completed exchange: a header and the response payload in one
+  /// allocation (defined in dispatch.cpp).
+  struct Record;
+  struct RecordDeleter {
+    void operator()(Record* record) const;
+  };
+  using RecordPtr = std::unique_ptr<Record, RecordDeleter>;
+
+  /// A shard's completed exchanges, which it owns. The records form an
+  /// intrusive recency list (two pointers in each record, newest first)
+  /// and are found through an open-addressing index of record pointers:
+  /// linear probing, at most half full, backward-shift deletion.
+  class ExchangeTable {
+   public:
+    ExchangeTable() = default;
+    ExchangeTable(const ExchangeTable&) = delete;
+    ExchangeTable& operator=(const ExchangeTable&) = delete;
+    ~ExchangeTable();
+
+    [[nodiscard]] Record* find(const SlotKey& key) const;
+    /// Add a record whose key is absent, as the most recently touched.
+    void insert(RecordPtr record);
+    /// Make `record` the most recently touched.
+    void touch(Record* record);
+    /// Unlink, unindex and free `record`.
+    void erase(Record* record);
+    [[nodiscard]] Record* newest() const { return newest_; }
+    [[nodiscard]] Record* oldest() const { return oldest_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    /// The slot a key's probe run starts from.
+    static std::size_t home(const SlotKey& key, std::size_t mask);
+    void unlink(Record* record);
+    void link_front(Record* record);
+    /// Place `record` in the first free slot from its home slot.
+    void place(Record* record);
+
+    Record* newest_ = nullptr;
+    Record* oldest_ = nullptr;
+    std::vector<Record*> index_;  ///< power-of-two slots; null is free
+    std::size_t size_ = 0;
   };
 
   struct Shard {
     std::unordered_map<std::uint64_t, DeviceRecord> devices;
-    std::list<Exchange> lru;  ///< front = most recently touched
-    std::unordered_map<SlotKey, std::list<Exchange>::iterator, SlotHash>
-        slots;
-    std::size_t filled = 0;  ///< non-pending exchanges (the LRU bound)
+    ExchangeTable exchanges;  ///< filled slots (the LRU bound)
+    /// Pending slots: at most the requests in flight on this shard, so a
+    /// short vector, scanned in place, allocates once and then reuses.
+    std::vector<Pending> pending;
     ServiceStats counts;
     std::uint64_t evictions = 0;
   };
@@ -311,6 +365,12 @@ class DeviceRegistry {
     const auto it = shard.devices.find(device_id);
     return it == shard.devices.end() ? nullptr : &it->second;
   }
+  /// The shard's pending slot for `key`, or null.
+  static Pending* find_pending(Shard& shard, const SlotKey& key);
+  /// Free the pending slot for `key`; false when there is none.
+  static bool drop_pending(Shard& shard, const SlotKey& key);
+  /// Evict the least recently touched exchanges until one more fits
+  /// under the per-shard bound.
   void evict(Shard& shard) const;
   /// Drop the filled slot of (device, session, top - i) for each set
   /// bit i of `ages`; pending slots stay with their requests.

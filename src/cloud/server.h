@@ -45,10 +45,13 @@ struct ServiceConfig {
   /// stats (0 = hardware default, rounded up to a power of two; 1
   /// reproduces the old single-lock layout as a contention baseline).
   std::size_t shards = 0;
-  /// Total session-cache capacity in cached exchanges; past it the
-  /// least recently replayed sessions are evicted (0 = unbounded). A
-  /// session-plane exchange also leaves as soon as its session ends or
-  /// its counter slides out of the anti-replay window.
+  /// Total exchange-cache capacity in completed exchanges, split evenly
+  /// across the shards; past it the least recently touched exchange is
+  /// evicted, where an exchange is touched when it completes and each
+  /// time it is replayed (0 = unbounded). Requests still in flight do
+  /// not count against it. A session-plane exchange also leaves as soon
+  /// as its session ends or its counter slides out of the anti-replay
+  /// window.
   std::size_t session_cache_capacity = 1u << 16;
   /// Seed for the server's deterministic handshake-nonce (RndB)
   /// derivation. The nonce is KDF'd from the *device key* with this

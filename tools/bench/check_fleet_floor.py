@@ -7,9 +7,12 @@ than the allowed fraction. The floor is deliberately conservative — a
 single-core container measurement — so the check catches "someone
 reintroduced a global lock" (an integer-factor collapse), not runner
 jitter. It also holds `session.stale_attacks_accepted` and
-`session.duplicates_processed` at hard zero, and bounds the clinic
-phase's `session.cached_exchanges_per_device` by one handshake plus one
-anti-replay window (`max_cached_exchanges_per_device`).
+`session.duplicates_processed` at hard zero, bounds the clinic phase's
+`session.cached_exchanges_per_device` by one handshake plus one
+anti-replay window (`max_cached_exchanges_per_device`), and bounds the
+resident memory one cached exchange costs
+(`session.cache_bytes_per_exchange`, at most
+`max_cache_bytes_per_exchange`).
 
 Usage: check_fleet_floor.py BENCH_fleet_load.json [--floor FLOOR.json]
 Exit status: 0 ok, 1 regression or malformed artifact, 2 usage error.
@@ -38,6 +41,7 @@ REQUIRED_KEYS = (
     "session.clinic_devices",
     "session.clinic_commands_ok",
     "session.cached_exchanges_per_device",
+    "session.cache_bytes_per_exchange",
 )
 
 
@@ -131,6 +135,19 @@ def main() -> int:
         print(f"check_fleet_floor: session.cached_exchanges_per_device is "
               f"{cached:.1f} — cached exchanges outlive the anti-replay "
               f"window (bound {bound:.0f})", file=sys.stderr)
+        failed = True
+
+    # A full cache of exchanges with an 80-byte report: each one is a
+    # record sized to its payload plus its index slot. A per-entry node
+    # container, or a second copy of the response, shows up here.
+    bound = float(floor["max_cache_bytes_per_exchange"])
+    per_exchange = float(counters["session.cache_bytes_per_exchange"])
+    print(f"session.cache_bytes_per_exchange {per_exchange:.1f} "
+          f"(bound {bound:.0f})")
+    if per_exchange > bound:
+        print(f"check_fleet_floor: session.cache_bytes_per_exchange is "
+              f"{per_exchange:.1f} — a cached exchange costs more than "
+              f"{bound:.0f} resident bytes", file=sys.stderr)
         failed = True
 
     if failed:
