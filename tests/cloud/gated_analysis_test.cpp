@@ -47,6 +47,38 @@ util::MultiChannelSeries acquisition(const FaultSetup& setup = {}) {
       .signals;
 }
 
+/// The fleet workload's upload shape: 2 s at 450 Hz (900 samples, one
+/// detrend window) on the first `carriers` of the 500 kHz and 2 MHz
+/// carriers.
+util::MultiChannelSeries fleet_upload(std::size_t carriers) {
+  sim::AcquisitionConfig config;
+  config.carriers_hz.assign({5.0e5, 2.0e6});
+  config.carriers_hz.resize(carriers);
+  config.noise_sigma = 5e-5;
+  const auto design = sim::standard_design(9);
+  const std::vector<sim::ControlSegment> control = {
+      {0.0, design.all_mask(), {}, 0.08}};
+  sim::SampleSpec sample;
+  sample.components = {{sim::ParticleType::kBloodCell, 2500.0}};
+  return sim::acquire(sample, sim::ChannelConfig{}, design, config, control,
+                      2.0, 91)
+      .signals;
+}
+
+/// The clean acquisition with channel c cut to its first lengths[c]
+/// samples, so one upload's channels differ in length.
+util::MultiChannelSeries cut_to(const std::vector<std::size_t>& lengths) {
+  auto series = acquisition();
+  for (std::size_t c = 0; c < lengths.size(); ++c) {
+    const auto samples = series.channels[c].samples().first(lengths[c]);
+    series.channels[c] = util::TimeSeries(
+        series.channels[c].sample_rate(),
+        std::vector<double>(samples.begin(), samples.end()),
+        series.channels[c].start_time());
+  }
+  return series;
+}
+
 util::MultiChannelSeries two_channels(const std::vector<double>& samples) {
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5, 2.0e6};
@@ -125,6 +157,15 @@ const std::vector<Case>& cases() {
     out.push_back({"no_channels", util::MultiChannelSeries{}});
     out.push_back({"one_sample", two_channels({1.0})});
     out.push_back({"two_samples", two_channels({1.0, 1.0005})});
+    out.push_back({"three_samples", two_channels({1.0, 1.0005, 0.9998})});
+    // Fleet-shaped uploads, and channels of differing lengths: one pooled
+    // scratch meets changing window lengths within a request and across
+    // requests.
+    out.push_back({"fleet_one_channel", fleet_upload(1)});
+    out.push_back({"fleet_two_channels", fleet_upload(2)});
+    out.push_back({"lengths_900_2500", cut_to({900, 2500})});
+    out.push_back({"lengths_2048_2049", cut_to({2048, 2049})});
+    out.push_back({"lengths_3_900", cut_to({3, 900})});
     auto infinite = acquisition();
     infinite.channels[0][1234] = std::numeric_limits<double>::infinity();
     infinite.channels[1][5678] = -std::numeric_limits<double>::infinity();
@@ -204,9 +245,13 @@ TEST_P(GatedAnalysis, HandleMatchesAssessThenAnalyze) {
       }
     } else {
       ++accepted;
-      if (c.name == "clean") {
+      if (c.name == "clean" || c.name.starts_with("fleet")) {
         EXPECT_GT(reference.stats().peaks_found, 0u);
       }
+    }
+    if (c.name.starts_with("fleet") || c.name.starts_with("lengths")) {
+      EXPECT_EQ(expected.type, net::MessageType::kAnalysisResult)
+          << "the " << c.name << " upload must pass the gate";
     }
     EXPECT_EQ(response.payload, expected.payload);
 

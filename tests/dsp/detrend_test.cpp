@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "util/stats.h"
@@ -133,6 +136,45 @@ TEST(Detrend, WorkspaceReuseAcrossSignalsLeavesNoResidue) {
   detrend_into(second, config, cold, nullptr, fresh);
   for (std::size_t i = 0; i < second.size(); ++i)
     EXPECT_DOUBLE_EQ(warm[i], cold[i]) << i;
+
+  // One workspace through changing lengths (one window, two, a short
+  // last window, fewer samples than a fit needs) at the default window
+  // and degrees 1-3: every output bit must match a fresh workspace's.
+  // Fits through one reused scratch, alone or taking turns with the
+  // reference fit, must likewise match the reference.
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  DetrendWorkspace shared;
+  PolyfitScratch poly, fast_only;
+  for (unsigned degree = 1; degree <= 3; ++degree) {
+    DetrendConfig defaults;
+    defaults.poly_degree = degree;
+    for (const std::size_t n : {900u, 2048u, 2049u, 4000u, 3u, 2u, 900u}) {
+      const auto xs = drifting_signal(n, 1e-3);
+      std::vector<double> got(n), want(n);
+      DetrendWorkspace cold_workspace;
+      detrend_into(xs, defaults, got, nullptr, shared);
+      detrend_into(xs, defaults, want, nullptr, cold_workspace);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(same_bits(got[i], want[i]))
+            << "degree " << degree << " n " << n << " i " << i;
+      if (n < degree + 1) continue;
+      const auto copy = [](std::span<const double> coeffs) {
+        return std::vector<double>(coeffs.begin(), coeffs.end());
+      };
+      const auto before = copy(polyfit_indices(xs, degree, poly));
+      const auto expected = copy(polyfit_indices_reference(xs, degree, poly));
+      const auto after = copy(polyfit_indices(xs, degree, poly));
+      const auto alone = copy(polyfit_indices(xs, degree, fast_only));
+      for (const auto* fitted : {&before, &after, &alone}) {
+        ASSERT_EQ(fitted->size(), expected.size());
+        for (std::size_t k = 0; k < expected.size(); ++k)
+          EXPECT_TRUE(same_bits((*fitted)[k], expected[k]))
+              << "degree " << degree << " n " << n << " coeff " << k;
+      }
+    }
+  }
 }
 
 TEST(Detrend, WorkspaceBitIdenticalAcrossThreadCounts) {
