@@ -10,6 +10,9 @@
 // pool, so BM_PeakAnalysis_Threads sweeps the thread count over the same
 // workloads (plus a 4-carrier acquisition) and records the measured
 // `speedup_vs_serial` so the scaling curve lands in the perf trajectory.
+// BM_GatedAnalysis_Upload times the request path's own analysis, the
+// quality gate and peak detection of one upload, on a fleet-shaped and a
+// clinical-shaped upload.
 
 #include <benchmark/benchmark.h>
 
@@ -169,6 +172,43 @@ void BM_PeakAnalysis_Threads(benchmark::State& state) {
   state.counters["real_time_factor"] = per_core / kHardwareSamplesPerSec;
 }
 
+/// AnalysisService::analyze_gated on one thread, as CloudServer::handle
+/// runs it for every upload with the quality gate on. range(0) = samples
+/// per channel, range(1) = channels: 900 x 1 is a fleet upload (2 s at
+/// 450 Hz, one detrend window), 9,000 x 2 a clinical session's (20 s on
+/// two carriers).
+void BM_GatedAnalysis_Upload(benchmark::State& state) {
+  const auto per_channel = static_cast<std::size_t>(state.range(0));
+  const auto channels = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = per_channel * channels;
+  const auto series = make_series(n, channels);
+  cloud::AnalysisConfig config;
+  config.threads = 1;
+  cloud::AnalysisService service(config);
+  if (!service.analyze_gated(series).quality.acceptable) {
+    state.SkipWithError("the upload fails the quality gate");
+    return;
+  }
+  double total_s = 0.0;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    auto result = service.analyze_gated(series);
+    benchmark::DoNotOptimize(result);
+    total_s += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    ++iterations;
+  }
+  const double per_core =
+      iterations > 0 && total_s > 0.0
+          ? static_cast<double>(n) /
+                (total_s / static_cast<double>(iterations))
+          : 0.0;
+  state.counters["samples"] = static_cast<double>(n);
+  state.counters["samples_per_sec_per_core"] = per_core;
+}
+
 BENCHMARK(BM_PeakAnalysis_Computer)
     ->Arg(240607)
     ->Arg(481214)
@@ -187,6 +227,10 @@ BENCHMARK(BM_PeakAnalysis_Threads)
 // ... and the 4-carrier acquisition (channel- and window-level).
 BENCHMARK(BM_PeakAnalysis_Threads)
     ->ArgsProduct({{962428}, {1, 2, 4, 8}, {4}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GatedAnalysis_Upload)
+    ->Args({900, 1})
+    ->Args({9000, 2})
     ->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every finished run folded into the
@@ -221,11 +265,13 @@ class JsonArtifactReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // `--smoke`: CI preset — run only the paper's smallest computer-curve
-  // workload so bench-smoke gets the headline samples_per_sec_per_core /
-  // real_time_factor counters in seconds, not minutes.
+  // workload and the two gated uploads, so bench-smoke gets the headline
+  // samples_per_sec_per_core / real_time_factor counters in seconds, not
+  // minutes.
   std::vector<char*> args(argv, argv + argc);
   std::string smoke_filter =
-      "--benchmark_filter=BM_PeakAnalysis_Computer/240607";
+      "--benchmark_filter=BM_PeakAnalysis_Computer/240607|"
+      "BM_GatedAnalysis_Upload";
   bool smoke = false;
   for (auto it = args.begin(); it != args.end();) {
     if (std::string(*it) == "--smoke") {
