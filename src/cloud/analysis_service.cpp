@@ -54,36 +54,52 @@ GatedAnalysis AnalysisService::run(const util::MultiChannelSeries& series,
 
   const auto analyze_channel = [&](std::size_t i) {
     const auto& channel = series.channels[i];
+    const std::span<const double> signal = channel.samples();
     // Lease working memory for this channel task; every buffer below is
     // reused across requests instead of allocated per channel.
     auto scratch = scratch_pool_.acquire();
-    scratch->detrended.resize(channel.size());
+    scratch->detrended.resize(signal.size());
     const std::span<double> detrended(scratch->detrended.data(),
-                                      channel.size());
-    dsp::detrend_into(channel.samples(), config_.detrend, detrended,
-                      pool_.get(), scratch->detrend);
+                                      signal.size());
+    // The detrend's normalize pass finds the threshold regions as it
+    // writes each sample, unless the threshold is derived from the
+    // finished signal.
+    dsp::DetrendedScan scan;
+    if (!config_.adaptive_threshold)
+      scan = dsp::DetrendedScan(config_.peak_detect.threshold,
+                                scratch->peak_detect);
+    const bool gate_detrend = config_.detrend == kQualityDetrend;
     if (gate != nullptr) {
-      // The gate scores the kQualityDetrend output; only an analysis
-      // configured with another detrend pays for a second one.
-      std::vector<double> gate_detrended;
-      std::span<const double> scored = detrended;
-      if (config_.detrend != kQualityDetrend) {
-        gate_detrended =
-            dsp::detrend(channel.samples(), kQualityDetrend, pool_.get());
-        scored = gate_detrended;
-      }
-      quality[i] = assess_channel(channel.samples(), scored, *gate);
+      // The gate scores the kQualityDetrend output in the same two
+      // passes; only an analysis configured with another detrend pays
+      // for a second one (into the same buffer, once the gate is done).
+      dsp::DetrendedScan noise;
+      quality[i] = detrend_and_assess(signal, detrended, pool_.get(),
+                                      scratch->detrend,
+                                      gate_detrend ? scan : noise, *gate);
       if (quality[i].worst != QualityReason::kNone)
         rejected.store(true, std::memory_order_relaxed);
       if (rejected.load(std::memory_order_relaxed)) return;
     }
-    dsp::PeakDetectConfig detect = config_.peak_detect;
-    if (config_.adaptive_threshold)
+    if (gate == nullptr || !gate_detrend)
+      dsp::detrend_into(signal, config_.detrend, detrended, pool_.get(),
+                        scratch->detrend, scan);
+    // Merging, maxima, valleys and widths run only for an upload the gate
+    // passed.
+    if (config_.adaptive_threshold) {
+      dsp::PeakDetectConfig detect = config_.peak_detect;
       detect.threshold =
           dsp::adaptive_threshold(detrended, config_.adaptive_k_sigma);
-    report.channels[i].peaks =
-        dsp::detect_peaks(detrended, channel.sample_rate(),
-                          channel.start_time(), detect, scratch->peak_detect);
+      report.channels[i].peaks =
+          dsp::detect_peaks(detrended, channel.sample_rate(),
+                            channel.start_time(), detect,
+                            scratch->peak_detect);
+    } else {
+      report.channels[i].peaks =
+          dsp::finish_peaks(detrended, channel.sample_rate(),
+                            channel.start_time(), config_.peak_detect,
+                            scratch->peak_detect);
+    }
     samples[i] = channel.size();
     peaks[i] = report.channels[i].peaks.size();
   };

@@ -64,12 +64,14 @@ class AnalysisService {
   /// Safe to call from several request threads concurrently.
   core::PeakReport analyze(const util::MultiChannelSeries& series);
 
-  /// The quality gate and analyze() in one pass: each channel is
-  /// detrended once, and that buffer feeds both the gate's noise check and
-  /// peak detection, which stops once any channel fails. The verdict is
-  /// assess_quality(series, quality)'s; an acceptable upload gets
-  /// analyze(series)'s report and stats, a rejected one leaves stats()
-  /// untouched.
+  /// The quality gate and analyze() together: each window of a channel
+  /// is read twice, by the detrend's fit pass, which also runs the
+  /// gate's raw-sample checks, and its normalize pass, which also
+  /// measures the gate's noise and finds the peak threshold regions
+  /// (cloud::detrend_and_assess). Peaks are finished only while no
+  /// channel has failed. The verdict is assess_quality(series,
+  /// quality)'s; an acceptable upload gets analyze(series)'s report and
+  /// stats, a rejected one leaves stats() untouched.
   GatedAnalysis analyze_gated(const util::MultiChannelSeries& series,
                               const QualityConfig& quality = {});
 
@@ -86,7 +88,8 @@ class AnalysisService {
 
  private:
   /// Everything one channel task needs: the detrended-signal buffer and
-  /// the detrend/peak-detect workspaces. Leased from scratch_pool_ per
+  /// the detrend/peak-detect workspaces (the detrend's keeps the fits'
+  /// power sums for the channel lengths it last saw). Leased from scratch_pool_ per
   /// channel task, so steady-state requests analyze with no per-channel
   /// allocation (buffers warm up to the largest channel seen). A pool —
   /// not thread_local — because ThreadPool's help-while-waiting can run

@@ -29,6 +29,56 @@ std::string describe(std::size_t channel, QualityReason reason) {
   }
 }
 
+/// An empty channel cannot be scored by the other checks; it carries
+/// exactly one (severe) failure.
+ChannelQuality empty_channel() {
+  ChannelQuality quality;
+  record_failure(quality, QualityReason::kEmptyChannel);
+  return quality;
+}
+
+/// Scores from the raw-sample checks and the noise scan of a non-empty
+/// channel.
+ChannelQuality score(const dsp::RawSampleChecks& checks,
+                     const dsp::DetrendedScan& noise,
+                     const QualityConfig& config) {
+  ChannelQuality quality;
+  const std::size_t n = checks.size();
+  quality.drift_span = checks.hi() - checks.lo();
+  // A NaN fails every range comparison, so it is counted apart: one is
+  // enough to reject the channel, whatever the 1 % allowance says.
+  quality.saturated = checks.non_finite() > 0 || checks.outside() > n / 100;
+  // There are n-1 adjacent pairs; a single sample has none and cannot
+  // demonstrate a live signal, so it scores as fully pinned rather than
+  // unconditionally clean.
+  quality.dropout_fraction =
+      n < 2 ? 1.0
+            : static_cast<double>(checks.repeats()) /
+                  static_cast<double>(n - 1);
+  // Noise: rms of the first difference of the detrended signal, which is
+  // insensitive to the (wanted) peaks but tracks broadband noise.
+  if (noise.size() > 1)
+    quality.noise_rms = std::sqrt(noise.diff_energy() /
+                                  static_cast<double>(noise.size() - 1));
+
+  // Every check is scored — a channel that is both saturated and noisy
+  // reports both failures so recovery can reason about the combination.
+  if (quality.saturated)
+    record_failure(quality, QualityReason::kSaturated);
+  if (quality.dropout_fraction > config.max_dropout_fraction)
+    record_failure(quality, QualityReason::kDropout);
+  if (quality.noise_rms > config.max_noise_rms)
+    record_failure(quality, QualityReason::kNoiseFloor);
+  if (quality.drift_span > config.max_drift_span)
+    record_failure(quality, QualityReason::kDrift);
+  return quality;
+}
+
+dsp::RawSampleChecks raw_checks(std::span<const double> samples,
+                                const QualityConfig& config) {
+  return {samples.front(), config.min_plausible, config.max_plausible};
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> QualityReport::channel_reason_bytes() const {
@@ -51,66 +101,25 @@ std::vector<std::uint8_t> QualityReport::channel_failure_bytes() const {
 ChannelQuality assess_channel(std::span<const double> samples,
                               std::span<const double> detrended,
                               const QualityConfig& config) {
-  ChannelQuality quality;
-  if (samples.empty()) {
-    // An empty channel cannot be scored by the other checks; it carries
-    // exactly one (severe) failure.
-    record_failure(quality, QualityReason::kEmptyChannel);
-    return quality;
-  }
+  if (samples.empty()) return empty_channel();
+  dsp::RawSampleChecks checks = raw_checks(samples, config);
+  for (const double x : samples) checks.add(x);
+  dsp::DetrendedScan noise;
+  for (const double x : detrended) noise.push(x);
+  return score(checks, noise, config);
+}
 
-  // One pass over the raw samples. The extremes compare as
-  // std::min_element / std::max_element do, so a NaN is skipped unless
-  // it comes first.
-  double lo = samples[0];
-  double hi = samples[0];
-  std::size_t out_of_range = 0;
-  std::size_t non_finite = 0;
-  std::size_t pinned = 0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const double x = samples[i];
-    if (x < lo) lo = x;
-    if (hi < x) hi = x;
-    if (x < config.min_plausible || x > config.max_plausible) ++out_of_range;
-    if (!std::isfinite(x)) ++non_finite;
-    if (i > 0 && x == samples[i - 1]) ++pinned;
-  }
-  quality.drift_span = hi - lo;
-  // A NaN fails every range comparison, so it is counted apart: one is
-  // enough to reject the channel, whatever the 1 % allowance says.
-  quality.saturated =
-      non_finite > 0 || out_of_range > samples.size() / 100;
-  // `pinned` counts adjacent equal pairs, of which there are size()-1; a
-  // single sample has no pairs and cannot demonstrate a live signal, so
-  // it scores as fully pinned rather than unconditionally clean.
-  quality.dropout_fraction =
-      samples.size() < 2
-          ? 1.0
-          : static_cast<double>(pinned) /
-                static_cast<double>(samples.size() - 1);
-
-  // Noise: rms of the first difference of the detrended signal, which is
-  // insensitive to the (wanted) peaks but tracks broadband noise.
-  double acc = 0.0;
-  for (std::size_t i = 1; i < detrended.size(); ++i) {
-    const double d = detrended[i] - detrended[i - 1];
-    acc += d * d;
-  }
-  if (detrended.size() > 1)
-    quality.noise_rms =
-        std::sqrt(acc / static_cast<double>(detrended.size() - 1));
-
-  // Every check is scored — a channel that is both saturated and noisy
-  // reports both failures so recovery can reason about the combination.
-  if (quality.saturated)
-    record_failure(quality, QualityReason::kSaturated);
-  if (quality.dropout_fraction > config.max_dropout_fraction)
-    record_failure(quality, QualityReason::kDropout);
-  if (quality.noise_rms > config.max_noise_rms)
-    record_failure(quality, QualityReason::kNoiseFloor);
-  if (quality.drift_span > config.max_drift_span)
-    record_failure(quality, QualityReason::kDrift);
-  return quality;
+ChannelQuality detrend_and_assess(std::span<const double> samples,
+                                  std::span<double> detrended,
+                                  util::ThreadPool* pool,
+                                  dsp::DetrendWorkspace& workspace,
+                                  dsp::DetrendedScan& scan,
+                                  const QualityConfig& config) {
+  if (samples.empty()) return empty_channel();
+  dsp::RawSampleChecks checks = raw_checks(samples, config);
+  dsp::detrend_into(samples, kQualityDetrend, detrended, pool, workspace,
+                    scan, &checks);
+  return score(checks, scan, config);
 }
 
 QualityReport summarize_quality(std::vector<ChannelQuality> channels) {
@@ -151,10 +160,14 @@ QualityReport assess_quality(const util::MultiChannelSeries& series,
   // Score every channel against every check.
   std::vector<ChannelQuality> channels;
   channels.reserve(series.channels.size());
-  for (const auto& channel : series.channels)
-    channels.push_back(assess_channel(
-        channel.samples(), dsp::detrend(channel.samples(), kQualityDetrend),
-        config));
+  std::vector<double> detrended;
+  dsp::DetrendWorkspace workspace;
+  for (const auto& channel : series.channels) {
+    detrended.resize(channel.size());
+    dsp::DetrendedScan noise;
+    channels.push_back(detrend_and_assess(channel.samples(), detrended,
+                                          nullptr, workspace, noise, config));
+  }
   return summarize_quality(std::move(channels));
 }
 

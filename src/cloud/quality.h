@@ -18,6 +18,7 @@
 
 #include "dsp/detrend.h"
 #include "net/messages.h"
+#include "util/thread_pool.h"
 #include "util/time_series.h"
 
 namespace medsen::cloud {
@@ -81,11 +82,24 @@ QualityReport assess_quality(const util::MultiChannelSeries& series,
 
 /// Score one channel: `samples` as uploaded and `detrended`, the same
 /// samples detrended with kQualityDetrend (what the noise check reads).
-/// assess_quality() detrends for itself; AnalysisService::analyze_gated()
-/// passes the buffer it detrends for peak detection anyway.
 ChannelQuality assess_channel(std::span<const double> samples,
                               std::span<const double> detrended,
                               const QualityConfig& config = {});
+
+/// assess_channel() over the kQualityDetrend detrend it scores, both in
+/// the detrend's two passes: detrends `samples` into `detrended` (same
+/// size) with `workspace` and `pool` as dsp::detrend_into does, checks
+/// the raw samples in the fit pass and measures the noise in the
+/// normalize pass, where `scan` runs (constructed with a threshold, it
+/// also finds detect_peaks' regions for dsp::finish_peaks). The scores
+/// are assess_channel(samples, detrended)'s, bit for bit. assess_quality()
+/// and AnalysisService::analyze_gated() score every channel this way.
+ChannelQuality detrend_and_assess(std::span<const double> samples,
+                                  std::span<double> detrended,
+                                  util::ThreadPool* pool,
+                                  dsp::DetrendWorkspace& workspace,
+                                  dsp::DetrendedScan& scan,
+                                  const QualityConfig& config = {});
 
 /// The report over per-channel scores, as assess_quality() builds it
 /// (no channels at all is itself a failure).

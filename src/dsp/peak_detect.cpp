@@ -8,9 +8,21 @@ namespace {
 
 using Region = PeakDetectScratch::Region;
 
+/// Depth below the unit baseline, computed where it is read: the same
+/// subtraction every time, so every read sees the same bits.
+class Depth {
+ public:
+  explicit Depth(std::span<const double> detrended) : x_(detrended) {}
+  double operator[](std::size_t i) const { return 1.0 - x_[i]; }
+  [[nodiscard]] std::size_t size() const { return x_.size(); }
+
+ private:
+  std::span<const double> x_;
+};
+
 /// Local maxima of depth within [begin, end), plateau-tolerant.
-std::vector<std::size_t> local_maxima(std::span<const double> depth,
-                                      std::size_t begin, std::size_t end) {
+std::vector<std::size_t> local_maxima(Depth depth, std::size_t begin,
+                                      std::size_t end) {
   std::vector<std::size_t> maxima;
   for (std::size_t i = begin; i < end; ++i) {
     const bool rising = (i == begin) || depth[i] > depth[i - 1];
@@ -28,8 +40,7 @@ std::vector<std::size_t> local_maxima(std::span<const double> depth,
 }
 
 /// Valley (minimum depth) position between two indices.
-std::size_t valley_between(std::span<const double> depth, std::size_t a,
-                           std::size_t b) {
+std::size_t valley_between(Depth depth, std::size_t a, std::size_t b) {
   std::size_t v = a;
   for (std::size_t i = a; i <= b; ++i)
     if (depth[i] < depth[v]) v = i;
@@ -39,7 +50,7 @@ std::size_t valley_between(std::span<const double> depth, std::size_t a,
 /// Sub-sample valley position via parabolic interpolation around the
 /// discrete minimum — keeps interior peak widths from being quantized to
 /// whole samples.
-double valley_position(std::span<const double> depth, std::size_t v) {
+double valley_position(Depth depth, std::size_t v) {
   if (v == 0 || v + 1 >= depth.size()) return static_cast<double>(v);
   const double a = depth[v - 1], b = depth[v], c = depth[v + 1];
   const double denom = a - 2.0 * b + c;
@@ -50,7 +61,7 @@ double valley_position(std::span<const double> depth, std::size_t v) {
 
 /// Merge maxima whose separating valley is too shallow (noise-born
 /// double-maxima on one physical peak).
-std::vector<std::size_t> prune_maxima(std::span<const double> depth,
+std::vector<std::size_t> prune_maxima(Depth depth,
                                       std::vector<std::size_t> maxima,
                                       double split_ratio) {
   bool changed = true;
@@ -86,6 +97,11 @@ std::vector<std::size_t> prune_maxima(std::span<const double> depth,
 
 }  // namespace
 
+void RegionScan::add_region(std::vector<PeakDetectScratch::Region>& regions,
+                            std::size_t begin, std::size_t end) {
+  regions.push_back({begin, end});
+}
+
 std::vector<Peak> detect_peaks(std::span<const double> detrended,
                                double sample_rate_hz, double start_time_s,
                                const PeakDetectConfig& config) {
@@ -98,39 +114,26 @@ std::vector<Peak> detect_peaks(std::span<const double> detrended,
                                double sample_rate_hz, double start_time_s,
                                const PeakDetectConfig& config,
                                PeakDetectScratch& scratch) {
+  RegionScan scan(config.threshold, scratch);
+  for (const double x : detrended) scan.push(x);
+  scan.finish();
+  return finish_peaks(detrended, sample_rate_hz, start_time_s, config,
+                      scratch);
+}
+
+std::vector<Peak> finish_peaks(std::span<const double> detrended,
+                               double sample_rate_hz, double start_time_s,
+                               const PeakDetectConfig& config,
+                               PeakDetectScratch& scratch) {
   std::vector<Peak> peaks;
   const std::size_t n = detrended.size();
-  if (n == 0) return peaks;
-
-  // Depth pass: contiguous, branch-free, vectorizes. Reuses the scratch
-  // buffer so a repeated analysis loop pays no O(n) allocation here.
-  scratch.depth.resize(n);
-  std::span<const double> depth(scratch.depth.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    scratch.depth[i] = 1.0 - detrended[i];
-
-  // Contiguous regions where the depth exceeds the threshold.
-  std::vector<Region>& regions = scratch.regions;
-  regions.clear();
-  bool in_region = false;
-  std::size_t region_start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool above = depth[i] >= config.threshold;
-    if (above && !in_region) {
-      in_region = true;
-      region_start = i;
-    } else if (!above && in_region) {
-      in_region = false;
-      regions.push_back({region_start, i});
-    }
-  }
-  if (in_region) regions.push_back({region_start, n});
+  const Depth depth(detrended);
 
   // Merge regions separated by small gaps (single noisy samples splitting
   // one physical transit into two).
   std::vector<Region>& merged = scratch.merged;
   merged.clear();
-  for (const Region& r : regions) {
+  for (const Region& r : scratch.regions) {
     if (!merged.empty() && r.begin - merged.back().end <= config.merge_gap) {
       merged.back().end = r.end;
     } else {

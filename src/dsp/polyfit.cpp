@@ -71,8 +71,8 @@ Polynomial polyfit(std::span<const double> xs, std::span<const double> ys,
 namespace {
 
 /// Generic power-sum accumulation (any degree): rolling xp = x^k with the
-/// per-k `k < m` branch. The degree-2 fast path below reproduces exactly
-/// this operation order.
+/// per-k `k < m` branch. The degree-2 fast path reproduces exactly this
+/// operation order.
 void accumulate_power_sums(std::span<const double> ys, std::size_t m,
                            PolyfitScratch& scratch) {
   for (std::size_t i = 0; i < ys.size(); ++i) {
@@ -84,42 +84,6 @@ void accumulate_power_sums(std::span<const double> ys, std::size_t m,
       xp *= x;
     }
   }
-}
-
-/// Degree-2 hot-path accumulator: the detrend loop fits one quadratic
-/// per 2048-sample window over million-sample acquisitions, so the five
-/// power sums and three right-hand sides live in registers and the body
-/// carries no per-iteration branch or indexed store. Each x^k is built
-/// by the same successive multiplications as the rolling-xp loop
-/// (x2 = x*x, x3 = x2*x, ...), so the sums are bit-identical to
-/// accumulate_power_sums.
-void accumulate_power_sums_deg2(std::span<const double> ys,
-                                PolyfitScratch& scratch) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
-  double r0 = 0.0, r1 = 0.0, r2 = 0.0;
-  for (std::size_t i = 0; i < ys.size(); ++i) {
-    const double x = static_cast<double>(i);
-    const double y = ys[i];
-    const double x2 = x * x;
-    const double x3 = x2 * x;
-    const double x4 = x3 * x;
-    s0 += 1.0;
-    s1 += x;
-    s2 += x2;
-    s3 += x3;
-    s4 += x4;
-    r0 += y;
-    r1 += x * y;
-    r2 += x2 * y;
-  }
-  scratch.power_sums[0] = s0;
-  scratch.power_sums[1] = s1;
-  scratch.power_sums[2] = s2;
-  scratch.power_sums[3] = s3;
-  scratch.power_sums[4] = s4;
-  scratch.rhs[0] = r0;
-  scratch.rhs[1] = r1;
-  scratch.rhs[2] = r2;
 }
 
 std::span<const double> solve_normal_equations(std::size_t m,
@@ -139,17 +103,39 @@ std::span<const double> solve_normal_equations(std::size_t m,
 std::span<const double> polyfit_indices(std::span<const double> ys,
                                         unsigned degree,
                                         PolyfitScratch& scratch) {
-  const std::size_t n = ys.size();
-  const std::size_t m = degree + 1;
-  if (n < m) throw std::invalid_argument("polyfit: too few points");
+  if (degree != 2) return polyfit_indices_reference(ys, degree, scratch);
+  QuadraticRhs rhs;
+  for (std::size_t i = 0; i < ys.size(); ++i)
+    rhs.add(static_cast<double>(i), ys[i]);
+  return polyfit_quadratic(ys.size(), rhs, scratch);
+}
 
-  scratch.power_sums.assign(2 * degree + 1, 0.0);
-  scratch.rhs.assign(m, 0.0);
-  if (degree == 2)
-    accumulate_power_sums_deg2(ys, scratch);
-  else
-    accumulate_power_sums(ys, m, scratch);
-  return solve_normal_equations(m, scratch);
+std::span<const double> polyfit_quadratic(std::size_t n,
+                                          const QuadraticRhs& rhs,
+                                          PolyfitScratch& scratch) {
+  if (n < 3) throw std::invalid_argument("polyfit: too few points");
+  if (scratch.power_sums_n != n) {
+    // The five sums in registers; each x^k is built by the same
+    // successive multiplications as the rolling-xp loop (x2 = x*x,
+    // x3 = x2*x, ...), so they are bit-identical to
+    // accumulate_power_sums'.
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i);
+      const double x2 = x * x;
+      const double x3 = x2 * x;
+      const double x4 = x3 * x;
+      s0 += 1.0;
+      s1 += x;
+      s2 += x2;
+      s3 += x3;
+      s4 += x4;
+    }
+    scratch.power_sums = {s0, s1, s2, s3, s4};
+    scratch.power_sums_n = n;
+  }
+  scratch.rhs = {rhs.r0, rhs.r1, rhs.r2};
+  return solve_normal_equations(3, scratch);
 }
 
 std::span<const double> polyfit_indices_reference(std::span<const double> ys,
@@ -160,6 +146,7 @@ std::span<const double> polyfit_indices_reference(std::span<const double> ys,
   if (n < m) throw std::invalid_argument("polyfit: too few points");
 
   scratch.power_sums.assign(2 * degree + 1, 0.0);
+  scratch.power_sums_n = 0;
   scratch.rhs.assign(m, 0.0);
   accumulate_power_sums(ys, m, scratch);
   return solve_normal_equations(m, scratch);
@@ -187,10 +174,10 @@ std::vector<double> polyval_indices(std::span<const double> coeffs,
 void polyval_indices_into(std::span<const double> coeffs,
                           std::span<double> out) {
   if (coeffs.size() == 3) {
-    // Quadratic fast path (the detrend baseline evaluation): indices are
-    // independent, the coefficients live in registers, and the loop body
-    // is the same Horner order as polyval — bit-identical, but the
-    // branch-free form auto-vectorizes across i.
+    // Quadratic fast path: indices are independent, the coefficients
+    // live in registers, and the loop body is the same Horner order as
+    // polyval — bit-identical, but the branch-free form auto-vectorizes
+    // across i.
     const double c0 = coeffs[0], c1 = coeffs[1], c2 = coeffs[2];
     for (std::size_t i = 0; i < out.size(); ++i) {
       const double x = static_cast<double>(i);
