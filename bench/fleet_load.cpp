@@ -885,7 +885,7 @@ CacheMemoryResult measure_cache_memory() {
     if (registry.reserve(request, false).state !=
         cloud::SlotState::kReserved)
       continue;
-    registry.complete(request, response, false, 0.0);
+    registry.complete(request, response, false);
     ++shard;
     --remaining;
   }

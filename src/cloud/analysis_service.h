@@ -5,17 +5,19 @@
 // only ciphertext-domain signals; peak lists it returns are still
 // encrypted in the counting sense.
 //
+// Every channel runs the one procedure the quality gate scores: the
+// kQualityDetrend detrend (second-order fit per overlapping window,
+// division by the fit), then threshold peak detection with
+// dsp::PeakDetectConfig{} — or, in the adaptive mode, at a threshold
+// derived from the channel's noise floor.
+//
 // Parallelism: channels are analyzed concurrently and each channel's
 // detrend window loop fans out on the same util::ThreadPool. The pool is
 // shared across requests (CloudServer injects one service-wide instance)
 // and the parallel result is bit-identical to a serial run — see the
 // "Threading model" section of DESIGN.md.
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <memory>
-
 #include <vector>
 
 #include "cloud/quality.h"
@@ -29,13 +31,11 @@
 namespace medsen::cloud {
 
 struct AnalysisConfig {
-  dsp::DetrendConfig detrend;
-  dsp::PeakDetectConfig peak_detect;
   /// Derive the detection threshold from each channel's measured noise
-  /// floor instead of peak_detect.threshold (deployments see sensors
-  /// with differing noise).
+  /// floor (dsp::adaptive_threshold's default 6 sigma) instead of
+  /// dsp::PeakDetectConfig{}'s (deployments see sensors with differing
+  /// noise).
   bool adaptive_threshold = false;
-  double adaptive_k_sigma = 6.0;
   /// Analysis parallelism: 0 = one thread per hardware core, 1 = fully
   /// serial (no pool), N = N-way. Ignored when a pool is injected.
   unsigned threads = 0;
@@ -45,12 +45,6 @@ struct AnalysisConfig {
 struct GatedAnalysis {
   QualityReport quality;
   core::PeakReport report;  ///< empty unless quality.acceptable
-};
-
-struct AnalysisStats {
-  std::uint64_t samples_processed = 0;
-  std::uint64_t peaks_found = 0;
-  double processing_time_s = 0.0;  ///< wall-clock of the last analyze()
 };
 
 class AnalysisService {
@@ -70,18 +64,12 @@ class AnalysisService {
   /// measures the gate's noise and finds the peak threshold regions
   /// (cloud::detrend_and_assess). Peaks are finished only while no
   /// channel has failed. The verdict is assess_quality(series,
-  /// quality)'s; an acceptable upload gets analyze(series)'s report and
-  /// stats, a rejected one leaves stats() untouched.
+  /// quality)'s, and an acceptable upload gets analyze(series)'s report.
   GatedAnalysis analyze_gated(const util::MultiChannelSeries& series,
                               const QualityConfig& quality = {});
 
-  /// Snapshot of the last analyze()'s statistics. Lock-free: the fields
-  /// are independent relaxed atomics, so a read racing a concurrent
-  /// analyze() may mix two analyses' fields — never tear one value.
-  [[nodiscard]] AnalysisStats stats() const;
-  [[nodiscard]] const AnalysisConfig& config() const { return config_; }
   /// The pool driving this service (null = serial), shared across
-  /// requests and reusable by other components.
+  /// requests.
   [[nodiscard]] const std::shared_ptr<util::ThreadPool>& thread_pool() const {
     return pool_;
   }
@@ -104,12 +92,9 @@ class AnalysisService {
   GatedAnalysis run(const util::MultiChannelSeries& series,
                     const QualityConfig* gate);
 
-  AnalysisConfig config_;
+  bool adaptive_threshold_;
   std::shared_ptr<util::ThreadPool> pool_;
   util::ScratchPool<ChannelScratch> scratch_pool_;
-  std::atomic<std::uint64_t> samples_processed_{0};
-  std::atomic<std::uint64_t> peaks_found_{0};
-  std::atomic<std::uint64_t> processing_time_ns_{0};
 };
 
 }  // namespace medsen::cloud

@@ -399,7 +399,7 @@ Reservation DeviceRegistry::reserve(const net::Envelope& request,
 
 void DeviceRegistry::complete(const net::Envelope& request,
                               const net::Envelope& response,
-                              bool session_plane, double processing_time_s,
+                              bool session_plane,
                               std::optional<util::SecretBytes> new_session) {
   const SlotKey key = SlotKey::of(request);
   if (SlotKey::of(response) != key)
@@ -414,7 +414,6 @@ void DeviceRegistry::complete(const net::Envelope& request,
   RecordPtr filled = Record::make(key, request.mac, response);
   shards_.with(request.device_id, [&](Shard& shard) {
     ++shard.counts.requests_processed;
-    shard.counts.processing_time_s += processing_time_s;
     DeviceRecord* record = find(shard, request.device_id);
     bool cache = true;
     if (session != nullptr) {
@@ -511,7 +510,6 @@ ServiceStats DeviceRegistry::stats() const {
     total.requests_shed += s.requests_shed;
     total.handshakes_completed += s.handshakes_completed;
     total.counter_rejections += s.counter_rejections;
-    total.processing_time_s += s.processing_time_s;
   });
   return total;
 }
@@ -556,7 +554,6 @@ AdmissionGate::Ticket AdmissionGate::try_enter() {
     // no ticket was issued, and concurrent try_enter() calls that lose
     // the race shed exactly as the mutex version did.
     in_flight_.fetch_sub(1, std::memory_order_release);
-    shed_.fetch_add(1, std::memory_order_relaxed);
     return Ticket(nullptr);
   }
   return Ticket(this);
@@ -564,10 +561,6 @@ AdmissionGate::Ticket AdmissionGate::try_enter() {
 
 std::size_t AdmissionGate::in_flight() const {
   return in_flight_.load(std::memory_order_acquire);
-}
-
-std::uint64_t AdmissionGate::shed_total() const {
-  return shed_.load(std::memory_order_relaxed);
 }
 
 ServiceResult ServiceResult::success(net::MessageType type,

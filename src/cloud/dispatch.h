@@ -50,7 +50,8 @@ struct RegistrySnapshot {  // medsen: allow(secret-flow)
   std::vector<std::uint64_t> revoked;   ///< sorted device ids
 };
 
-/// Aggregate service counters (all monotonic).
+/// Aggregate service counters (all monotonic), kept per registry shard
+/// and summed by DeviceRegistry::stats().
 struct ServiceStats {
   std::uint64_t requests_processed = 0;  ///< cache-miss successes
   std::uint64_t replays_served = 0;      ///< idempotent cache hits
@@ -58,7 +59,6 @@ struct ServiceStats {
   std::uint64_t requests_shed = 0;       ///< refused by the admission gate
   std::uint64_t handshakes_completed = 0;  ///< sessions established
   std::uint64_t counter_rejections = 0;  ///< stale/replayed command counters
-  double processing_time_s = 0.0;        ///< summed handler wall-clock
 };
 
 /// What a request learns about its device in the resolve section.
@@ -225,7 +225,7 @@ class DeviceRegistry {
   /// the request's device, session and counter (std::invalid_argument
   /// otherwise): a replay rebuilds them from the slot's key.
   void complete(const net::Envelope& request, const net::Envelope& response,
-                bool session_plane, double processing_time_s,
+                bool session_plane,
                 std::optional<util::SecretBytes> new_session = std::nullopt);
   /// Section 3 on failure: free the slot and count the error.
   void release(const net::Envelope& request);
@@ -387,7 +387,8 @@ class DeviceRegistry {
 
 /// Bounded admission: at most `max_inflight` requests are inside the
 /// service at once (0 = unbounded). Excess requests are shed immediately
-/// — the caller turns a failed ticket into an `overloaded` error.
+/// — the caller turns a failed ticket into an `overloaded` error and
+/// counts it (CloudServer::handle: ServiceStats::requests_shed).
 /// Lock-free: entering is one fetch_add on a shared atomic, so admission
 /// never becomes the global serialization point the mutex version was.
 class AdmissionGate {
@@ -422,8 +423,6 @@ class AdmissionGate {
 
   [[nodiscard]] std::size_t limit() const { return limit_; }
   [[nodiscard]] std::size_t in_flight() const;
-  /// Requests shed since construction.
-  [[nodiscard]] std::uint64_t shed_total() const;
 
  private:
   std::size_t limit_;
@@ -431,7 +430,6 @@ class AdmissionGate {
   /// cache line keeps the read-mostly server fields laid out next to the
   /// gate from being invalidated along with it.
   alignas(64) std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::uint64_t> shed_{0};
 };
 
 /// A handler's outcome. Success carries the response payload; failure

@@ -74,20 +74,7 @@ ChannelQuality score(const dsp::RawSampleChecks& checks,
   return quality;
 }
 
-dsp::RawSampleChecks raw_checks(std::span<const double> samples,
-                                const QualityConfig& config) {
-  return {samples.front(), config.min_plausible, config.max_plausible};
-}
-
 }  // namespace
-
-std::vector<std::uint8_t> QualityReport::channel_reason_bytes() const {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(channels.size());
-  for (const auto& channel : channels)
-    bytes.push_back(static_cast<std::uint8_t>(channel.worst));
-  return bytes;
-}
 
 std::vector<std::uint8_t> QualityReport::channel_failure_bytes() const {
   std::vector<std::uint8_t> bytes;
@@ -98,17 +85,6 @@ std::vector<std::uint8_t> QualityReport::channel_failure_bytes() const {
   return bytes;
 }
 
-ChannelQuality assess_channel(std::span<const double> samples,
-                              std::span<const double> detrended,
-                              const QualityConfig& config) {
-  if (samples.empty()) return empty_channel();
-  dsp::RawSampleChecks checks = raw_checks(samples, config);
-  for (const double x : samples) checks.add(x);
-  dsp::DetrendedScan noise;
-  for (const double x : detrended) noise.push(x);
-  return score(checks, noise, config);
-}
-
 ChannelQuality detrend_and_assess(std::span<const double> samples,
                                   std::span<double> detrended,
                                   util::ThreadPool* pool,
@@ -116,7 +92,8 @@ ChannelQuality detrend_and_assess(std::span<const double> samples,
                                   dsp::DetrendedScan& scan,
                                   const QualityConfig& config) {
   if (samples.empty()) return empty_channel();
-  dsp::RawSampleChecks checks = raw_checks(samples, config);
+  dsp::RawSampleChecks checks(samples.front(), config.min_plausible,
+                              config.max_plausible);
   dsp::detrend_into(samples, kQualityDetrend, detrended, pool, workspace,
                     scan, &checks);
   return score(checks, scan, config);

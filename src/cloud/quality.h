@@ -10,6 +10,11 @@
 // electrode open, another drifting) is fully characterized so the
 // controller can plan recovery per channel. The summary `reason_code`
 // stays the single highest-severity failure for wire compatibility.
+//
+// The noise check scores the kQualityDetrend output, which is also the
+// detrend AnalysisService and StreamingAnalyzer run on every channel
+// before detecting peaks with dsp::PeakDetectConfig{}: the gate and the
+// analysis share one detrend, so a gated upload is detrended once.
 
 #include <cstdint>
 #include <span>
@@ -54,9 +59,6 @@ struct QualityReport {
   QualityReason reason_code = QualityReason::kNone;
   std::string reason;  ///< describes the worst channel, empty when clean
 
-  /// Per-channel worst reasons as raw bytes (telemetry / logs).
-  [[nodiscard]] std::vector<std::uint8_t> channel_reason_bytes() const;
-
   /// Per-channel failure bitmasks for ErrorPayload::channel_reasons: one
   /// byte per channel, bit (1u << reason) set for every failing check.
   /// The full signature matters: a channel whose worst failure is
@@ -73,27 +75,22 @@ struct QualityConfig {
   double max_plausible = 1.7;
 };
 
-/// The detrend whose output the noise-floor check scores.
+/// The detrend whose output the noise-floor check scores, and the one
+/// the cloud's analysis runs on every channel.
 inline constexpr dsp::DetrendConfig kQualityDetrend{};
 
 /// Score an acquisition. Never throws on bad data — that is the point.
 QualityReport assess_quality(const util::MultiChannelSeries& series,
                              const QualityConfig& config = {});
 
-/// Score one channel: `samples` as uploaded and `detrended`, the same
-/// samples detrended with kQualityDetrend (what the noise check reads).
-ChannelQuality assess_channel(std::span<const double> samples,
-                              std::span<const double> detrended,
-                              const QualityConfig& config = {});
-
-/// assess_channel() over the kQualityDetrend detrend it scores, both in
-/// the detrend's two passes: detrends `samples` into `detrended` (same
-/// size) with `workspace` and `pool` as dsp::detrend_into does, checks
-/// the raw samples in the fit pass and measures the noise in the
-/// normalize pass, where `scan` runs (constructed with a threshold, it
-/// also finds detect_peaks' regions for dsp::finish_peaks). The scores
-/// are assess_channel(samples, detrended)'s, bit for bit. assess_quality()
-/// and AnalysisService::analyze_gated() score every channel this way.
+/// Score one channel in the two passes of its kQualityDetrend detrend:
+/// detrends `samples` into `detrended` (same size) with `workspace` and
+/// `pool` as dsp::detrend_into does, checks the raw samples in the fit
+/// pass and measures the noise (the first differences of `detrended`)
+/// in the normalize pass, where `scan` runs (constructed with a
+/// threshold, it also finds detect_peaks' regions for
+/// dsp::finish_peaks). assess_quality() and
+/// AnalysisService::analyze_gated() score every channel this way.
 ChannelQuality detrend_and_assess(std::span<const double> samples,
                                   std::span<double> detrended,
                                   util::ThreadPool* pool,

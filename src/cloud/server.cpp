@@ -1,15 +1,22 @@
 #include "cloud/server.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 
 #include "cloud/durability.h"
+#include "core/decryptor.h"
 #include "crypto/cmac.h"
 #include "util/secure_zero.h"
 #include "util/serialize.h"
 
 namespace medsen::cloud {
+
+namespace {
+
+/// The seed in the handshake nonce (RndB) derivation's context
+/// (docs/PROTOCOL.md): part of the wire protocol, so not configurable.
+constexpr std::uint64_t kChallengeSeed = 0x9e3779b97f4a7c15ull;
+
+}  // namespace
 
 CloudServer::CloudServer(AnalysisConfig analysis_config,
                          auth::CytoAlphabet alphabet,
@@ -24,7 +31,6 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
       devices_(service.shards, service.session_cache_capacity),
       admission_(service.max_inflight),
       quality_gate_(service.quality_gate),
-      challenge_seed_(service.challenge_seed),
       allow_legacy_plane_(service.allow_legacy_plane) {}
 
 RecoveryStats CloudServer::attach_durability(DurableState& durable) {
@@ -133,14 +139,6 @@ net::Envelope CloudServer::error_response(
   return net::make_envelope(net::MessageType::kError, request.session_id,
                             request.device_id, payload.serialize(), mac_key,
                             request.counter);
-}
-
-std::uint64_t CloudServer::requests_processed() const {
-  return stats().requests_processed;
-}
-
-std::uint64_t CloudServer::replays_served() const {
-  return stats().replays_served;
 }
 
 CloudServer::ResolvedKey CloudServer::resolve_mac_key(
@@ -294,7 +292,6 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
   // ServiceResult values; decoder throws on MAC-valid garbage are
   // converted to kMalformed at this boundary.
   ServiceResult result;
-  const auto started = std::chrono::steady_clock::now();
   try {
     switch (request.type) {
       case net::MessageType::kSignalUpload:
@@ -315,10 +312,6 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
   } catch (const std::exception& e) {
     result = ServiceResult::failure(net::ErrorCode::kMalformed, e.what());
   }
-  const double processing_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
 
   // 6. Complete: a failure frees the slot, so the command stays
   // retryable with the same counter; a success fills the slot and burns
@@ -333,7 +326,7 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
       result.response_type, request.session_id, request.device_id,
       std::move(result.response_payload), mac_key, request.counter);
   devices_.complete(request, response, resolved.session_plane,
-                    processing_time_s, std::move(result.session_key));
+                    std::move(result.session_key));
   return response;
 }
 
@@ -361,27 +354,20 @@ ServiceResult CloudServer::serve_auth_pass(const net::Envelope& request) {
   const core::PeakReport report = analysis_.analyze(series);
 
   // Plaintext pass: amplitudes are unscaled, so decoded peaks can be
-  // built directly from the report (unit gain, reference flow).
+  // built directly from the report (unit gain, reference flow), matched
+  // across channels as the controller's decryptor matches them.
+  const core::DecryptorConfig match;
   std::vector<core::DecodedPeak> peaks;
-  const auto& ref = report.nearest_channel(5.0e5);
+  const auto& ref = report.nearest_channel(match.reference_hz);
   peaks.reserve(ref.peaks.size());
   for (const auto& p : ref.peaks) {
     core::DecodedPeak d;
     d.time_s = p.time_s;
     d.width_s = p.width_s;
     d.amplitudes.reserve(report.channels.size());
-    for (const auto& ch : report.channels) {
-      double amplitude = 0.0;
-      double best_dt = 0.03;
-      for (const auto& q : ch.peaks) {
-        const double dt = std::abs(q.time_s - p.time_s);
-        if (dt <= best_dt) {
-          best_dt = dt;
-          amplitude = q.amplitude;
-        }
-      }
-      d.amplitudes.push_back(amplitude);
-    }
+    for (const auto& ch : report.channels)
+      d.amplitudes.push_back(
+          ch.amplitude_near(p.time_s, match.channel_match_tolerance_s));
     peaks.push_back(std::move(d));
   }
 
@@ -417,7 +403,7 @@ ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
         "handshake ordinals exhausted for this boot; restart the server");
   }
   util::ByteWriter nonce_context;
-  nonce_context.u64(challenge_seed_);
+  nonce_context.u64(kChallengeSeed);
   nonce_context.u64(request.device_id);
   nonce_context.u64(ordinal);
   nonce_context.bytes(challenge.challenge);

@@ -53,14 +53,6 @@ struct ServiceConfig {
   /// as its session ends or its counter slides out of the anti-replay
   /// window.
   std::size_t session_cache_capacity = 1u << 16;
-  /// Seed for the server's deterministic handshake-nonce (RndB)
-  /// derivation. The nonce is KDF'd from the *device key* with this
-  /// seed, the device id, the server-wide handshake ordinal
-  /// (boot_epoch << 32 | n, see attach_durability) and the device's RndA
-  /// in the context, so it is unpredictable to anyone without the key
-  /// yet fully reproducible in tests (no OS entropy — the determinism
-  /// lint applies to the cloud too).
-  std::uint64_t challenge_seed = 0x9e3779b97f4a7c15ull;
   /// When false, counter-0 command traffic on the legacy static-key
   /// plane is refused with kAuthRequired — only the handshake itself
   /// rides counter 0, and every command needs a negotiated session.
@@ -134,26 +126,19 @@ class CloudServer {
   void store_result(const auth::CytoCode& code, StoredRecord record);
 
   [[nodiscard]] AnalysisService& analysis() { return analysis_; }
-  /// The request-shared analysis pool (null when running serial).
-  [[nodiscard]] const std::shared_ptr<util::ThreadPool>& thread_pool() const {
-    return analysis_.thread_pool();
-  }
   [[nodiscard]] auth::EnrollmentDatabase& enrollments() { return db_; }
-  [[nodiscard]] const auth::Verifier& verifier() const { return verifier_; }
   [[nodiscard]] RecordStore& records() { return store_; }
   /// The same table as devices(), under the names the benchmark
   /// harness in perfbench/ still calls.
   [[nodiscard]] DeviceRegistry& session_cache() { return devices_; }
   [[nodiscard]] DeviceRegistry& sessions() { return devices_; }
 
-  /// Snapshot of the aggregate counters (DeviceRegistry::stats()).
+  /// Snapshot of the aggregate counters (DeviceRegistry::stats()). The
+  /// reliable transport retries lost responses by re-uploading, so
+  /// duplicate requests are expected in normal operation: they count in
+  /// replays_served and never trigger a second analysis
+  /// (requests_processed).
   [[nodiscard]] ServiceStats stats() const { return devices_.stats(); }
-  /// Requests fully processed (cache misses) and replays served from the
-  /// session cache. The reliable transport retries lost responses by
-  /// re-uploading, so duplicate session_ids are expected in normal
-  /// operation and must not trigger a second analysis.
-  [[nodiscard]] std::uint64_t requests_processed() const;
-  [[nodiscard]] std::uint64_t replays_served() const;
 
  private:
   /// Handlers, one per routable MessageType. They run after admission
@@ -188,7 +173,6 @@ class CloudServer {
   DeviceRegistry devices_;
   AdmissionGate admission_;
   const bool quality_gate_;
-  std::uint64_t challenge_seed_;
   bool allow_legacy_plane_;
   /// Handshake ordinals: this boot's epoch (0 without durability) and
   /// the next ordinal, boot_epoch << 32 | n. An ordinal outside the

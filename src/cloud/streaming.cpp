@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cloud/quality.h"
+
 namespace medsen::cloud {
 
 StreamingAnalyzer::StreamingAnalyzer(double sample_rate_hz,
@@ -19,7 +21,6 @@ StreamingAnalyzer::StreamingAnalyzer(double sample_rate_hz,
 
 void StreamingAnalyzer::push(std::span<const double> samples) {
   buffer_.insert(buffer_.end(), samples.begin(), samples.end());
-  consumed_ += samples.size();
   while (buffer_.size() >= config_.chunk_samples) {
     if (pool_ != nullptr)
       start_block_async();
@@ -45,9 +46,9 @@ void StreamingAnalyzer::start_block_async() {
   scratch->block.assign(buffer_.begin(),
                         buffer_.begin() + static_cast<long>(len));
   next.detrended = pool_->submit(
-      [scratch = std::move(scratch), config = config_.detrend]() mutable {
+      [scratch = std::move(scratch)]() mutable {
         scratch->detrended.resize(scratch->block.size());
-        dsp::detrend_into(scratch->block, config,
+        dsp::detrend_into(scratch->block, kQualityDetrend,
                           std::span<double>(scratch->detrended), nullptr,
                           scratch->detrend);
         return std::move(scratch);
@@ -72,7 +73,7 @@ void StreamingAnalyzer::complete_pending() {
                                           block.len);
   const double start_time = static_cast<double>(block.start_index) / rate_;
   auto peaks = dsp::detect_peaks(detrended, rate_, start_time,
-                                 config_.peak_detect, peak_scratch_);
+                                 dsp::PeakDetectConfig{}, peak_scratch_);
   for (auto& peak : peaks) peak.index += block.start_index;
   // Pending blocks are never final: defer peaks in the trailing overlap
   // margin to the next block exactly as the serial path does.
@@ -92,12 +93,12 @@ void StreamingAnalyzer::process_block(bool final_block) {
   const std::span<const double> block(buffer_.data(), len);
   serial_scratch_.detrended.resize(len);
   const std::span<double> detrended(serial_scratch_.detrended.data(), len);
-  dsp::detrend_into(block, config_.detrend, detrended, nullptr,
+  dsp::detrend_into(block, kQualityDetrend, detrended, nullptr,
                     serial_scratch_.detrend);
   const double start_time =
       static_cast<double>(buffer_start_index_) / rate_;
   auto peaks = dsp::detect_peaks(detrended, rate_, start_time,
-                                 config_.peak_detect, peak_scratch_);
+                                 dsp::PeakDetectConfig{}, peak_scratch_);
   // Correct the indices to global sample positions.
   for (auto& peak : peaks) peak.index += buffer_start_index_;
   if (!final_block) {
@@ -146,7 +147,6 @@ std::vector<dsp::Peak> StreamingAnalyzer::finish() {
   // buffer_start_index_ keeps counting so a reused analyzer continues the
   // global timeline; reset for a fresh run.
   buffer_start_index_ = 0;
-  consumed_ = 0;
   return out;
 }
 

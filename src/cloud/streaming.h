@@ -5,7 +5,9 @@
 // a channel in chunks, detrends and detects peaks per chunk with an
 // overlap margin, and deduplicates peaks found twice in the overlap —
 // bounded memory, byte-identical semantics to batch analysis up to
-// boundary effects (verified by tests).
+// boundary effects (verified by tests). Every block runs the batch
+// analysis' procedure: the kQualityDetrend detrend, then peak detection
+// with dsp::PeakDetectConfig{}.
 //
 // Pipelined mode (construct with a util::ThreadPool): block k+1's
 // detrend runs on the pool while block k's peak detection completes on
@@ -25,8 +27,6 @@
 namespace medsen::cloud {
 
 struct StreamingConfig {
-  dsp::DetrendConfig detrend;
-  dsp::PeakDetectConfig peak_detect;
   std::size_t chunk_samples = 65536;  ///< processing block size
   std::size_t overlap_samples = 512;  ///< carried between blocks
 };
@@ -45,7 +45,6 @@ class StreamingAnalyzer {
   /// time order. The analyzer can be reused afterwards.
   std::vector<dsp::Peak> finish();
 
-  [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
   [[nodiscard]] bool pipelined() const { return pool_ != nullptr; }
 
  private:
@@ -79,7 +78,6 @@ class StreamingAnalyzer {
   util::ThreadPool* pool_ = nullptr;
   std::vector<double> buffer_;
   std::size_t buffer_start_index_ = 0;  ///< global index of buffer_[0]
-  std::size_t consumed_ = 0;
   double last_emitted_time_ = -1.0;
   std::vector<dsp::Peak> results_;
   std::optional<PendingBlock> pending_;

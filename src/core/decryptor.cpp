@@ -1,8 +1,7 @@
 #include "core/decryptor.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace medsen::core {
 
@@ -68,15 +67,8 @@ DecryptionResult decrypt_report(const PeakReport& report,
     decoded.amplitudes.reserve(report.channels.size());
     for (const auto& ch : report.channels) {
       // Match by time across channels (same physical transit).
-      double amplitude = 0.0;
-      double best_dt = config.channel_match_tolerance_s;
-      for (const auto& q : ch.peaks) {
-        const double dt = std::fabs(q.time_s - p.time_s);
-        if (dt <= best_dt) {
-          best_dt = dt;
-          amplitude = q.amplitude;
-        }
-      }
+      const double amplitude =
+          ch.amplitude_near(p.time_s, config.channel_match_tolerance_s);
       decoded.amplitudes.push_back(gain > 0.0 ? amplitude / gain : 0.0);
     }
     result.peaks.push_back(std::move(decoded));

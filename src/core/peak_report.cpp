@@ -7,6 +7,20 @@
 
 namespace medsen::core {
 
+double ChannelPeaks::amplitude_near(double time_s,
+                                    double tolerance_s) const {
+  double amplitude = 0.0;
+  double best_dt = tolerance_s;
+  for (const auto& q : peaks) {
+    const double dt = std::fabs(q.time_s - time_s);
+    if (dt <= best_dt) {
+      best_dt = dt;
+      amplitude = q.amplitude;
+    }
+  }
+  return amplitude;
+}
+
 const ChannelPeaks& PeakReport::nearest_channel(double hz) const {
   if (channels.empty())
     throw std::logic_error("PeakReport: no channels");

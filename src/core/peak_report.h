@@ -16,6 +16,13 @@ namespace medsen::core {
 struct ChannelPeaks {
   double carrier_hz = 0.0;
   std::vector<dsp::Peak> peaks;
+
+  /// The amplitude of the peak nearest `time_s` within `tolerance_s`
+  /// (inclusive; of equally near peaks the later one), or 0 when there is
+  /// none: how the same particle transit is matched across carrier
+  /// channels.
+  [[nodiscard]] double amplitude_near(double time_s,
+                                      double tolerance_s) const;
 };
 
 /// The full ciphertext-domain analysis report.

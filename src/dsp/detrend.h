@@ -73,7 +73,7 @@ struct DetrendWorkspace {
   std::vector<TaskScratch> tasks;
 };
 
-/// The quality gate's checks on raw samples (cloud::assess_channel),
+/// The quality gate's checks on raw samples (cloud::detrend_and_assess),
 /// gathered one sample at a time in order: the extremes, the samples
 /// outside [range_lo, range_hi], the non-finite samples and the samples
 /// equal to the one before. detrend_into gathers them in its fit pass,
@@ -113,7 +113,7 @@ class RawSampleChecks {
 
 /// A scan of detrended samples in sample order, which detrend_into runs
 /// as it writes them: the sum of squared first differences (the quality
-/// gate's noise measure, cloud::assess_channel) and, when given a
+/// gate's noise measure, cloud::detrend_and_assess) and, when given a
 /// threshold, detect_peaks' threshold regions (a RegionScan, for
 /// finish_peaks).
 class DetrendedScan {

@@ -7,6 +7,9 @@ namespace medsen::phone {
 
 namespace {
 
+/// Uploads smaller than this skip compression (not worth the cycles).
+constexpr std::size_t kCompressionThresholdBytes = 4096;
+
 double measure(const std::function<void()>& work) {
   const auto start = std::chrono::steady_clock::now();
   work();
@@ -34,8 +37,7 @@ net::SignalUploadPayload PhoneRelay::build_payload(
   payload.sample_rate_hz = series.channels.empty()
                                ? 450.0
                                : series.channels.front().sample_rate();
-  if (config_.compress_uploads &&
-      raw_size >= config_.compression_threshold_bytes) {
+  if (config_.compress_uploads && raw_size >= kCompressionThresholdBytes) {
     report("compressing upload");
     const double t =
         measure([&] { payload.data = net::pack_series(series); });
@@ -165,7 +167,7 @@ net::Envelope PhoneRelay::relay_analysis(
     // discussion) instead of failing the test session.
     report("cloud unreachable; analyzing locally on phone");
     timing_.local_fallback = true;
-    const auto local = run_local_analysis(series, config_.local_analysis);
+    const auto local = run_local_analysis(series, {});
     report("local analysis complete");
     return net::make_envelope(net::MessageType::kAnalysisResult, session_id,
                               config_.device_id, local.serialize(), mac_key);
@@ -289,7 +291,7 @@ SessionOutcome PhoneRelay::run_diagnostic_session(
   outcome.degraded = true;
   report("retries exhausted; degrading to on-phone analysis");
   timing_.local_fallback = true;
-  const auto local = run_local_analysis(last_series, config_.local_analysis);
+  const auto local = run_local_analysis(last_series, {});
   outcome.last_response = net::make_envelope(
       net::MessageType::kAnalysisResult, session_base_id + outcome.attempts,
       config_.device_id, local.serialize(), mac_key);

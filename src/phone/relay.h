@@ -47,9 +47,9 @@ struct RelayConfig {
   /// Tenant identity stamped on every envelope; the server only accepts
   /// devices enrolled in its cloud::DeviceRegistry under this id.
   std::uint64_t device_id = 1;
+  /// Pack uploads of at least 4 KiB (net::pack_series); false sends
+  /// every upload raw.
   bool compress_uploads = true;
-  /// Uploads smaller than this skip compression (not worth the cycles).
-  std::size_t compression_threshold_bytes = 4096;
   ExecutionProfile profile = nexus5_profile();
   net::LinkModel usb = net::usb_accessory();
   net::LinkModel uplink = net::lte_uplink();
@@ -62,8 +62,6 @@ struct RelayConfig {
   net::FaultConfig uplink_faults;
   net::FaultConfig downlink_faults;
   net::ReliableConfig reliable;
-  /// Analysis settings for the on-phone fallback path.
-  cloud::AnalysisConfig local_analysis;
 };
 
 using ProgressCallback = std::function<void(const std::string&)>;

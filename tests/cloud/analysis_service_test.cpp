@@ -49,15 +49,6 @@ TEST(AnalysisService, PeakTimesAccurate) {
   EXPECT_NEAR(report.channels[0].peaks[0].amplitude, 0.012, 0.004);
 }
 
-TEST(AnalysisService, StatsPopulated) {
-  AnalysisService service;
-  const auto series = series_with_dips(4500, {5.0}, 0.01);
-  (void)service.analyze(series);
-  EXPECT_EQ(service.stats().samples_processed, 9000u);
-  EXPECT_EQ(service.stats().peaks_found, 2u);
-  EXPECT_GT(service.stats().processing_time_s, 0.0);
-}
-
 TEST(AnalysisService, DriftAloneYieldsNoPeaks) {
   AnalysisService service;
   const auto series = series_with_dips(9000, {}, 0.0);
@@ -99,7 +90,6 @@ TEST(AnalysisService, EmptySeries) {
   util::MultiChannelSeries series;
   const auto report = service.analyze(series);
   EXPECT_TRUE(report.channels.empty());
-  EXPECT_EQ(service.stats().samples_processed, 0u);
 }
 
 }  // namespace

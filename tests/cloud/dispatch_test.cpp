@@ -41,15 +41,14 @@ void establish(DeviceRegistry& registry, std::uint64_t device,
   const auto hello = net::make_envelope(net::MessageType::kAuthChallenge,
                                         session, device, {}, key);
   ASSERT_EQ(registry.reserve(hello, false).state, SlotState::kReserved);
-  registry.complete(hello, hello, false, 0.0,
-                    util::SecretBytes(std::move(key)));
+  registry.complete(hello, hello, false, util::SecretBytes(std::move(key)));
 }
 
 /// Burn a counter as a completed command does, without caching it.
 void commit(DeviceRegistry& registry, std::uint64_t device,
             std::uint64_t session, std::uint32_t counter) {
   const auto request = command(device, session, counter);
-  registry.complete(request, request, true, 0.0);
+  registry.complete(request, request, true);
 }
 
 TEST(DeviceRegistry, ProvisionLookupRevoke) {
@@ -119,7 +118,7 @@ TEST(SessionAuth, CounterZeroIsNeverSessionPlane) {
   // Evict the handshake's own (1, 100, 0) slot with another exchange.
   const auto other = command(2, 1, 0);
   ASSERT_EQ(registry.reserve(other, false).state, SlotState::kReserved);
-  registry.complete(other, other, false, 0.0);
+  registry.complete(other, other, false);
   // Counter 0 is the legacy/handshake plane; the session plane counts
   // from 1, so 0 can never be fresh here.
   EXPECT_EQ(classify(registry, 1, 100, 0), SlotState::kStale);
@@ -138,7 +137,7 @@ TEST(SessionAuth, MonotonicCommitAndReplay) {
   // command is a replay, not a window refusal.
   const auto second = command(1, 100, 2);
   ASSERT_EQ(registry.reserve(second, true).state, SlotState::kReserved);
-  registry.complete(second, command(1, 100, 2, 0xee), true, 0.0);
+  registry.complete(second, command(1, 100, 2, 0xee), true);
   const auto replay = registry.reserve(second, true);
   EXPECT_EQ(replay.state, SlotState::kReplay);
   EXPECT_EQ(replay.response.payload, std::vector<std::uint8_t>{0xee});
@@ -243,7 +242,7 @@ TEST(DeviceRegistry, PendingSlotIsTheReservation) {
   EXPECT_EQ(registry.reserve(command(1, 5, 0, 0x02), false).state,
             SlotState::kConflict);
 
-  registry.complete(request, command(1, 5, 0, 0xee), false, 0.0);
+  registry.complete(request, command(1, 5, 0, 0xee), false);
   const auto replay = registry.reserve(request, false);
   EXPECT_EQ(replay.state, SlotState::kReplay);
   EXPECT_EQ(replay.response.payload, std::vector<std::uint8_t>{0xee});
@@ -269,12 +268,12 @@ TEST(DeviceRegistry, PendingSlotsAreNeverEvicted) {
   const auto fast = command(1, 2, 0, 0x02);
   ASSERT_EQ(registry.reserve(slow, false).state, SlotState::kReserved);
   ASSERT_EQ(registry.reserve(fast, false).state, SlotState::kReserved);
-  registry.complete(fast, fast, false, 0.0);
+  registry.complete(fast, fast, false);
   EXPECT_EQ(registry.evictions(), 0u);
   EXPECT_EQ(registry.reserve(slow, false).state, SlotState::kInFlight);
   EXPECT_EQ(registry.reserve(fast, false).state, SlotState::kReplay);
 
-  registry.complete(slow, slow, false, 0.0);
+  registry.complete(slow, slow, false);
   EXPECT_EQ(registry.evictions(), 1u);
   EXPECT_EQ(registry.cache_size(), 1u);
   EXPECT_EQ(registry.reserve(slow, false).state, SlotState::kReplay);
@@ -290,8 +289,7 @@ TEST(DeviceRegistry, CompletionAfterRevocationInstallsNoSession) {
                                         3, {}, test_key(0x01));
   ASSERT_EQ(registry.reserve(hello, false).state, SlotState::kReserved);
   EXPECT_TRUE(registry.revoke(3));
-  registry.complete(hello, hello, false, 0.0,
-                    util::SecretBytes(test_key(0xcc)));
+  registry.complete(hello, hello, false, util::SecretBytes(test_key(0xcc)));
   EXPECT_EQ(registry.active_sessions(), 0u);
   EXPECT_EQ(registry.stats().handshakes_completed, 1u);
 
@@ -310,7 +308,7 @@ TEST(DeviceRegistry, CachedCommandsLeaveWithTheWindow) {
   for (std::uint32_t counter = 1; counter <= 65; ++counter) {
     const auto request = command(1, 100, counter);
     ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
-    registry.complete(request, request, true, 0.0);
+    registry.complete(request, request, true);
   }
   // The handshake's slot and counters 2..65; 1 slid out with the burn
   // of 65 and is refused by the window, as after an eviction.
@@ -325,7 +323,7 @@ TEST(DeviceRegistry, CachedCommandsLeaveWithTheWindow) {
   EXPECT_EQ(registry.cache_size(), 2u);  // two handshakes
   const auto request = command(1, 200, 1);
   ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
-  registry.complete(request, request, true, 0.0);
+  registry.complete(request, request, true);
   EXPECT_EQ(registry.cache_size(), 3u);
   EXPECT_TRUE(registry.revoke(1));
   EXPECT_EQ(registry.cache_size(), 2u);
@@ -337,11 +335,11 @@ TEST(DeviceRegistry, DropSessionsRetiresEverySessionSlot) {
     establish(registry, device, 100 + device, test_key(0xaa));
     const auto request = command(device, 100 + device, 1);
     ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
-    registry.complete(request, request, true, 0.0);
+    registry.complete(request, request, true);
   }
   const auto legacy = command(4, 1, 0);
   ASSERT_EQ(registry.reserve(legacy, false).state, SlotState::kReserved);
-  registry.complete(legacy, legacy, false, 0.0);
+  registry.complete(legacy, legacy, false);
   EXPECT_EQ(registry.cache_size(), 7u);
   registry.drop_sessions();
   EXPECT_EQ(registry.cache_size(), 4u);  // handshakes and the legacy one
@@ -359,7 +357,7 @@ void expect_late_completion_caches_nothing(
   ASSERT_EQ(registry.reserve(slow, true).state, SlotState::kReserved);
   race(registry);
   const std::size_t with_reservation = registry.cache_size();
-  registry.complete(slow, command(1, 100, 1, 0xee), true, 0.0);
+  registry.complete(slow, command(1, 100, 1, 0xee), true);
   EXPECT_EQ(registry.cache_size(), with_reservation - 1);
   EXPECT_EQ(registry.reserve(slow, true).state, SlotState::kStale);
 }
@@ -380,7 +378,7 @@ TEST(DeviceRegistry, CompletionRacingTheWindowCachesNothing) {
     for (std::uint32_t counter = 2; counter <= 65; ++counter) {
       const auto request = command(1, 100, counter);
       ASSERT_EQ(registry.reserve(request, true).state, SlotState::kReserved);
-      registry.complete(request, request, true, 0.0);
+      registry.complete(request, request, true);
     }
   });
 }
@@ -391,7 +389,7 @@ TEST(AdmissionGate, UnboundedAdmitsEverything) {
   auto b = gate.try_enter();
   EXPECT_TRUE(a.admitted());
   EXPECT_TRUE(b.admitted());
-  EXPECT_EQ(gate.shed_total(), 0u);
+  EXPECT_EQ(gate.in_flight(), 2u);
 }
 
 TEST(AdmissionGate, ShedsPastTheLimitAndRecovers) {
@@ -404,7 +402,7 @@ TEST(AdmissionGate, ShedsPastTheLimitAndRecovers) {
 
   auto c = gate.try_enter();
   EXPECT_FALSE(c.admitted());
-  EXPECT_EQ(gate.shed_total(), 1u);
+  EXPECT_EQ(gate.in_flight(), 2u);  // the shed request backed out
 
   a.release();
   EXPECT_EQ(gate.in_flight(), 1u);

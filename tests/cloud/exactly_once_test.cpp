@@ -107,7 +107,7 @@ TEST(ExactlyOnce, ConcurrentConflictingCommandsAreProcessedOnce) {
       kDevice, crypto::diversify_device_key(master_key(), kDevice, 1), 1, 42);
   ASSERT_TRUE(crypto.complete(server.handle(crypto.make_challenge(100))));
   const auto key = crypto.session_mac_key();
-  const std::uint64_t processed_before = server.requests_processed();
+  const std::uint64_t processed_before = server.stats().requests_processed;
 
   const std::vector<util::MultiChannelSeries> payloads = {dip_series(1),
                                                           dip_series(2)};
@@ -142,7 +142,7 @@ TEST(ExactlyOnce, ConcurrentConflictingCommandsAreProcessedOnce) {
 
   EXPECT_EQ(double_processed, 0);
   EXPECT_EQ(other_outcomes, 0);
-  EXPECT_EQ(server.requests_processed() - processed_before,
+  EXPECT_EQ(server.stats().requests_processed - processed_before,
             static_cast<std::uint64_t>(kRounds));
 }
 

@@ -232,7 +232,7 @@ class Churn {
   /// Complete a reserved request with a fresh response.
   void finish(const net::Envelope& request) {
     const auto response = response_for(request);
-    registry_.complete(request, response, false, 0.0);
+    registry_.complete(request, response, false);
     model_.complete(request, response);
     completed_ever_.insert({request.device_id, request.session_id});
     history_.push_back(request);

@@ -114,12 +114,9 @@ TEST(Quality, PerChannelReasonBytesMatchWorstPerChannel) {
 
   const auto report = assess_quality(series);
   EXPECT_FALSE(report.acceptable);
-  const auto bytes = report.channel_reason_bytes();
-  ASSERT_EQ(bytes.size(), 2u);
-  EXPECT_EQ(bytes[0],
-            static_cast<std::uint8_t>(QualityReason::kNone));
-  EXPECT_EQ(bytes[1],
-            static_cast<std::uint8_t>(QualityReason::kNoiseFloor));
+  ASSERT_EQ(report.channels.size(), 2u);
+  EXPECT_EQ(report.channels[0].worst, QualityReason::kNone);
+  EXPECT_EQ(report.channels[1].worst, QualityReason::kNoiseFloor);
 }
 
 TEST(Quality, MultipleFailingChannelsNotedInSummary) {

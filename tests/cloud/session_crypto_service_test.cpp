@@ -186,7 +186,7 @@ TEST(SessionService, ReplayRejectedAfterCacheEvictionPinned) {
   // While cached, the byte-identical retransmit is served idempotently.
   EXPECT_EQ(rig.server.handle(command).type,
             net::MessageType::kAnalysisResult);
-  EXPECT_EQ(rig.server.replays_served(), 1u);
+  EXPECT_EQ(rig.server.stats().replays_served, 1u);
 
   // Flood the 4-slot cache from another device until the exchange is
   // evicted...

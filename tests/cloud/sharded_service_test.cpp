@@ -141,7 +141,7 @@ TEST(ShardedService, SessionIdsAreScopedPerDevice) {
   // session alone this would be a conflict or a stale replay.
   const auto second = server.handle(upload_of(dip_series(3), 7, 2, key_b));
   EXPECT_EQ(second.type, net::MessageType::kAnalysisResult);
-  EXPECT_EQ(server.replays_served(), 0u);
+  EXPECT_EQ(server.stats().replays_served, 0u);
 }
 
 // --- Session-cache LRU bounding ------------------------------------------
@@ -156,7 +156,7 @@ net::Envelope envelope_for(std::uint64_t session, std::uint8_t byte) {
 void serve(DeviceRegistry& registry, const net::Envelope& request,
            const net::Envelope& response) {
   ASSERT_EQ(registry.reserve(request, false).state, SlotState::kReserved);
-  registry.complete(request, response, false, 0.0);
+  registry.complete(request, response, false);
 }
 
 TEST(SessionCacheLru, CapacityBoundsOccupancyAndCountsEvictions) {
@@ -223,7 +223,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   // Byte-identical replay while cached: served from cache, bit-equal.
   const auto replayed = server.handle(small);
   EXPECT_EQ(replayed.payload, first.payload);
-  EXPECT_EQ(server.replays_served(), 1u);
+  EXPECT_EQ(server.stats().replays_served, 1u);
 
   // Evict session 100 with two newer sessions.
   (void)server.handle(upload_of(dip_series(1), 101, 1, kMacKey));
@@ -238,7 +238,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   ASSERT_EQ(reused.type, net::MessageType::kAnalysisResult);
   const auto report = core::PeakReport::deserialize(reused.payload);
   EXPECT_EQ(report.reference_peak_count(), 3u);
-  EXPECT_EQ(server.replays_served(), 1u);
+  EXPECT_EQ(server.stats().replays_served, 1u);
 }
 
 // --- Many-thread hammer (the TSan target) --------------------------------
@@ -287,7 +287,7 @@ TEST(ShardedService, ManyThreadHammer) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto stats = server.stats();
-      EXPECT_GE(stats.processing_time_s, 0.0);
+      EXPECT_LE(stats.requests_processed + stats.replays_served, 80u);
       (void)server.records().record_count();
       (void)server.devices().cache_size();
       std::this_thread::yield();

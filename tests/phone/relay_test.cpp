@@ -169,7 +169,7 @@ TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
   ASSERT_NO_THROW(response =
                       relay.relay_analysis(series, 32, server, kMacKey));
   EXPECT_TRUE(relay.timing().local_fallback);
-  EXPECT_EQ(server.requests_processed(), 0u);  // cloud never reached
+  EXPECT_EQ(server.stats().requests_processed, 0u);  // cloud never reached
   // The fallback result is a genuine analysis of the same series.
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   const auto report = core::PeakReport::deserialize(response.payload);
