@@ -12,10 +12,11 @@
 // one compress() call, as relays sent it before byte planes and as the
 // cloud still accepts it. Every case reports encode and decode
 // throughput against the uncompressed size (median of several runs) and
-// the ratio, and the run writes BENCH_compression.json for
+// the ratio, and CRC-32 over the serialized window (median of 201 runs)
+// reports its own throughput. The run writes BENCH_compression.json for
 // tools/bench/check_dsp_floor.py (--floor
 // tools/bench/compression_floor.json). `--smoke`, the CI preset, runs the
-// three window cases and the 60 s CSV dump only.
+// three window cases, the CRC and the 60 s CSV dump only.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +30,7 @@
 
 #include "bench_common.h"
 #include "compress/codec.h"
+#include "compress/crc32.h"
 #include "net/messages.h"
 #include "util/csv.h"
 #include "util/stats.h"
@@ -172,6 +174,21 @@ int main(int argc, char** argv) {
     json.set(c.name + ".compress_mb_s", mb / result->compress_s);
     json.set(c.name + ".decompress_mb_s", mb / result->decompress_s);
   }
+  // CRC-32 over the window's serialized bytes: every codec container,
+  // network frame and journal record carries one.
+  const auto window_serialized = net::serialize_series(window.signals);
+  std::vector<double> crc_s;
+  std::uint32_t crc = 0;
+  for (int r = 0; r < 201; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    crc ^= compress::crc32(window_serialized);
+    crc_s.push_back(seconds_since(start));
+  }
+  const double crc_mb_s = static_cast<double>(window_serialized.size()) /
+                          1.0e6 / util::median(crc_s);
+  std::printf("crc32 over %zu bytes: %.0f MB/s (checksum %08x)\n",
+              window_serialized.size(), crc_mb_s, crc);
+  json.set("crc32.mb_s", crc_mb_s);
   std::printf("paper: 600 MB -> 240 MB is a 2.50x ratio\n");
   json.write();
   return 0;

@@ -15,6 +15,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string>
+
+#include <unistd.h>
 
 #include "cloud/durability.h"
 #include "cloud/server.h"
@@ -49,9 +52,11 @@ int main() {
         auth::VerifierConfig{}, nullptr, service);
   };
   // The cloud's state lives in a sealed write-ahead journal: every
-  // mutation below is on disk before it is acknowledged.
+  // mutation below is on disk before it is acknowledged. The directory is
+  // named after this process, so concurrent runs keep apart.
   const auto state_dir =
-      (std::filesystem::temp_directory_path() / "medsen_full_assay")
+      (std::filesystem::temp_directory_path() /
+       ("medsen_full_assay_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(state_dir);
   cloud::DurabilityConfig durability;

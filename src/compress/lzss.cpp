@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 namespace medsen::compress {
@@ -51,12 +52,15 @@ std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
 /// before that, so a walk gets two links from one lookup. A slot p % W is
 /// rewritten only when p + W is inserted, and a search at q stops at any
 /// p with q - p > W, so every link a walk follows is the one stored when
-/// its position was inserted.
+/// its position was inserted. Links are read only at positions taken
+/// from head or from a stored link, all inserted already, so prev and
+/// prev2 start unfilled: filling them would write 256 KiB per call.
 struct HashChains {
   std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize, -1);
-  std::vector<std::int32_t> prev = std::vector<std::int32_t>(kWindowSize, -1);
-  std::vector<std::int32_t> prev2 =
-      std::vector<std::int32_t>(kWindowSize, -1);
+  std::unique_ptr<std::int32_t[]> prev =
+      std::make_unique_for_overwrite<std::int32_t[]>(kWindowSize);
+  std::unique_ptr<std::int32_t[]> prev2 =
+      std::make_unique_for_overwrite<std::int32_t[]>(kWindowSize);
 
   void insert(const std::uint8_t* p, std::size_t pos) {
     const std::uint32_t h = hash3(p);

@@ -2,10 +2,10 @@
 
 #include <cstring>
 
-#include "crypto/cpu_features.h"
+#include "crypto/kernels.h"
 #include "util/secure_zero.h"
 
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
 #include <immintrin.h>
 #endif
 
@@ -99,7 +99,7 @@ void aes128_encrypt_portable(const AesRoundKeys& round_keys,
   }
 }
 
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
 
 #define MEDSEN_AES_NI __attribute__((target("aes")))
 
@@ -146,13 +146,13 @@ MEDSEN_AES_NI void aes128_encrypt_ni(const AesRoundKeys& round_keys,
   _mm_storeu_si128(io, _mm_aesenclast_si128(s, _mm_loadu_si128(rk + 10)));
 }
 
-#endif  // MEDSEN_CRYPTO_X86
+#endif  // MEDSEN_X86
 
 }  // namespace detail
 
 Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
-#if MEDSEN_CRYPTO_X86
-  if (detail::cpu_features().aes_ni) {
+#if MEDSEN_X86
+  if (util::cpu_features().aes_ni) {
     detail::aes128_expand_key_ni(key.data(), round_keys_);
     return;
   }
@@ -163,8 +163,8 @@ Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
 Aes128::~Aes128() { util::secure_wipe(round_keys_); }
 
 void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
-#if MEDSEN_CRYPTO_X86
-  if (detail::cpu_features().aes_ni) {
+#if MEDSEN_X86
+  if (util::cpu_features().aes_ni) {
     detail::aes128_encrypt_ni(round_keys_, block.data());
     return;
   }

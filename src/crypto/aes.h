@@ -4,7 +4,7 @@
 // proofs in crypto/cmac.h) and seals the journal and snapshots at rest
 // (CTR, cloud/durability.cpp). Both modes only ever run the forward
 // cipher, so there is no decryption. The block function runs on AES-NI
-// when the CPU reports it (crypto/cpu_features.h), with the portable
+// when the CPU reports it (util/cpu_features.h), with the portable
 // S-box code as the byte-identical reference.
 
 #include <array>

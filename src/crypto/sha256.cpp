@@ -2,9 +2,9 @@
 
 #include <cstring>
 
-#include "crypto/cpu_features.h"
+#include "crypto/kernels.h"
 
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
 #include <immintrin.h>
 #endif
 
@@ -74,7 +74,7 @@ void sha256_blocks_portable(Sha256State& state, const std::uint8_t* blocks,
   }
 }
 
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
 
 #define MEDSEN_SHA_NI __attribute__((target("sha,sse4.1,ssse3")))
 
@@ -147,13 +147,13 @@ MEDSEN_SHA_NI void sha256_blocks_shani(Sha256State& state,
   _mm_storeu_si128(words + 1, _mm_alignr_epi8(dchg, feba, 8));  // HGFE
 }
 
-#endif  // MEDSEN_CRYPTO_X86
+#endif  // MEDSEN_X86
 
 }  // namespace detail
 
 void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
-#if MEDSEN_CRYPTO_X86
-  if (detail::cpu_features().sha_ni) {
+#if MEDSEN_X86
+  if (util::cpu_features().sha_ni) {
     detail::sha256_blocks_shani(state_, blocks, count);
     return;
   }

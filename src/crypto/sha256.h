@@ -25,7 +25,7 @@ class Sha256 {
  private:
   /// Runs the block function over `count` 64-byte blocks: the SHA-NI
   /// kernel when the CPU has it, the portable one otherwise
-  /// (crypto/cpu_features.h).
+  /// (util/cpu_features.h).
   void compress(const std::uint8_t* blocks, std::size_t count);
 
   std::array<std::uint32_t, 8> state_;

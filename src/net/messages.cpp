@@ -53,30 +53,68 @@ inline void swap_bytes(U64x2& a, U64x2& b, unsigned shift,
   a ^= t << shift;
 }
 
+/// Transposes the two 8x8 byte blocks `row` holds, one per lane: byte c
+/// of row r's lane moves to byte r of row c's. Three rounds of swaps
+/// (4x4, 2x2, then 1x1 sub-blocks); the transpose is its own inverse.
+inline void transpose_blocks(std::array<U64x2, kPlanes>& row) {
+  for (std::size_t j = 0; j < 4; ++j)
+    swap_bytes(row[j], row[j + 4], 32, 0x00000000FFFFFFFFull);
+  for (const std::size_t j : {0, 1, 4, 5})
+    swap_bytes(row[j], row[j + 2], 16, 0x0000FFFF0000FFFFull);
+  for (std::size_t j = 0; j < kPlanes; j += 2)
+    swap_bytes(row[j], row[j + 1], 8, 0x00FF00FF00FF00FFull);
+}
+
+/// Samples move sixteen at a time, as two 8x8 byte blocks (one per lane).
+constexpr std::size_t kBlock = 2 * kPlanes;
+/// Row j's lane holds sample j of its block on a little-endian host and
+/// sample 7 - j on a big-endian one, whose loads reverse the columns.
+constexpr bool kLittle = std::endian::native == std::endian::little;
+
+/// Splits `samples` into eight byte planes of n = samples.size() bytes
+/// each, back to back in `planes`: byte k of sample i's bit pattern goes
+/// to planes[k * n + i]. Sixteen samples at a time, row j's lanes load
+/// samples j and 8 + j of the block, and the transpose leaves plane k's
+/// next 16 bytes in row k.
+void split_planes(std::span<const double> samples,
+                  std::span<std::uint8_t> planes) {
+  const std::size_t n = samples.size();
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::array<U64x2, kPlanes> row{};
+    for (std::size_t j = 0; j < kPlanes; ++j) {
+      std::uint64_t first = 0;
+      std::uint64_t second = 0;
+      std::memcpy(&first, &samples[i + j], sizeof(first));
+      std::memcpy(&second, &samples[i + kPlanes + j], sizeof(second));
+      row[kLittle ? j : 7 - j] = U64x2{first, second};
+    }
+    transpose_blocks(row);
+    for (std::size_t k = 0; k < kPlanes; ++k)
+      std::memcpy(&planes[k * n + i], &row[k], sizeof(U64x2));
+  }
+  for (; i < n; ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &samples[i], sizeof(bits));
+    for (std::size_t k = 0; k < kPlanes; ++k)
+      planes[k * n + i] = static_cast<std::uint8_t>(bits >> (8 * k));
+  }
+}
+
 /// Rebuilds out.size() samples from their eight byte planes: byte k of
 /// sample i's bit pattern is plane[k][i]. Sixteen samples at a time,
-/// plane k's next 16 bytes load as row k of two 8x8 byte blocks (one per
-/// lane), and three rounds of swaps (4x4, 2x2, then 1x1 sub-blocks)
-/// transpose both, so row j then holds whole samples.
+/// plane k's next 16 bytes load as row k, and the transpose leaves
+/// samples j and 8 + j of the block in row j's lanes.
 void merge_planes(
     const std::array<std::span<const std::uint8_t>, kPlanes>& plane,
     std::span<double> out) {
-  constexpr std::size_t kBlock = 2 * kPlanes;
-  // Row j's lane holds sample j of its block on a little-endian host and
-  // sample 7 - j on a big-endian one, whose loads reverse the columns.
-  constexpr bool kLittle = std::endian::native == std::endian::little;
   const std::size_t n = out.size();
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
     std::array<U64x2, kPlanes> row{};
     for (std::size_t k = 0; k < kPlanes; ++k)
       std::memcpy(&row[k], plane[k].data() + i, sizeof(U64x2));
-    for (std::size_t j = 0; j < 4; ++j)
-      swap_bytes(row[j], row[j + 4], 32, 0x00000000FFFFFFFFull);
-    for (const std::size_t j : {0, 1, 4, 5})
-      swap_bytes(row[j], row[j + 2], 16, 0x0000FFFF0000FFFFull);
-    for (std::size_t j = 0; j < kPlanes; j += 2)
-      swap_bytes(row[j], row[j + 1], 8, 0x00FF00FF00FF00FFull);
+    transpose_blocks(row);
     for (std::size_t lane = 0; lane < 2; ++lane)
       for (std::size_t j = 0; j < kPlanes; ++j) {
         const std::uint64_t bits = row[j][lane];
@@ -117,12 +155,56 @@ ChannelTiming read_timing(util::ByteReader& in) {
   return t;
 }
 
-/// Order-0 entropy, in bits per byte, of `n` bytes with histogram `hist`.
-double entropy_bits(const std::array<std::uint32_t, 256>& hist,
-                    std::size_t n) {
+/// One histogram bin's share of the entropy sum.
+double c_log2_c(std::uint32_t c) {
+  return c * std::log2(static_cast<double>(c));
+}
+
+/// c_log2_c(c) for the counts below kTabledCounts, where nearly every bin
+/// of an upload plane falls (a 9,000-byte noise plane averages 35 per
+/// bin), built with the same expression so a lookup returns the same
+/// double. Entry 0 is 0.0: an empty bin adds nothing.
+constexpr std::uint32_t kTabledCounts = 1024;
+const std::array<double, kTabledCounts>& c_log2_c_table() {
+  static const auto table = [] {
+    std::array<double, kTabledCounts> t{};
+    for (std::uint32_t c = 1; c < kTabledCounts; ++c) t[c] = c_log2_c(c);
+    return t;
+  }();
+  return table;
+}
+
+/// Order-0 entropy, in bits per byte, of `bytes` (at least one). In a
+/// plane of nearly one value, one histogram would chain every increment
+/// through the same counter, so bytes are counted in four sub-histograms
+/// in turn, and a word of eight equal bytes with a single add.
+double entropy_bits(std::span<const std::uint8_t> bytes) {
+  std::array<std::array<std::uint32_t, 256>, 4> sub{};
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &bytes[i], sizeof(word));
+    if (word == (word & 0xFF) * 0x0101010101010101ull) {
+      sub[(i / 8) % 4][word & 0xFF] += 8;
+      continue;
+    }
+    ++sub[0][word & 0xFF];
+    ++sub[1][(word >> 8) & 0xFF];
+    ++sub[2][(word >> 16) & 0xFF];
+    ++sub[3][(word >> 24) & 0xFF];
+    ++sub[0][(word >> 32) & 0xFF];
+    ++sub[1][(word >> 40) & 0xFF];
+    ++sub[2][(word >> 48) & 0xFF];
+    ++sub[3][word >> 56];
+  }
+  for (; i < n; ++i) ++sub[i % 4][bytes[i]];
+  const auto& table = c_log2_c_table();
   double sum = 0.0;
-  for (const std::uint32_t c : hist)
-    if (c != 0) sum += c * std::log2(static_cast<double>(c));
+  for (std::size_t v = 0; v < 256; ++v) {
+    const std::uint32_t c = sub[0][v] + sub[1][v] + sub[2][v] + sub[3][v];
+    sum += c < kTabledCounts ? table[c] : c_log2_c(c);
+  }
   const double total = static_cast<double>(n);
   return std::log2(total) - sum / total;
 }
@@ -304,21 +386,12 @@ std::vector<std::uint8_t> pack_series(const util::MultiChannelSeries& series) {
     const std::size_t n = samples.size();
     auto& plane = planes[c];
     plane.resize(kPlanes * n);
-    std::array<std::array<std::uint32_t, 256>, kPlanes> hist{};
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &samples[i], sizeof(bits));
-      for (std::size_t k = 0; k < kPlanes; ++k) {
-        const auto byte = static_cast<std::uint8_t>(bits >> (8 * k));
-        plane[k * n + i] = byte;
-        ++hist[k][byte];
-      }
-    }
+    split_planes(samples, plane);
     for (std::size_t k = 0; k < kPlanes && n > 0; ++k) {
-      if (entropy_bits(hist[k], n) >= kCodedPlaneMaxBits) continue;
+      const auto bytes = std::span<const std::uint8_t>(plane).subspan(k * n, n);
+      if (entropy_bits(bytes) >= kCodedPlaneMaxBits) continue;
       masks[c] = static_cast<std::uint8_t>(masks[c] | (1u << k));
-      coded.insert(coded.end(), plane.begin() + static_cast<long>(k * n),
-                   plane.begin() + static_cast<long>((k + 1) * n));
+      coded.insert(coded.end(), bytes.begin(), bytes.end());
     }
   }
   // One codec call for every coded plane: each container carries its

@@ -109,9 +109,8 @@ bool PhoneRelay::establish_session(core::Controller& controller,
 }
 
 core::PeakReport PhoneRelay::run_local_analysis(
-    const util::MultiChannelSeries& series,
-    const cloud::AnalysisConfig& config) {
-  cloud::AnalysisService service(config);
+    const util::MultiChannelSeries& series) {
+  cloud::AnalysisService service;
   core::PeakReport report_out;
   const double t = measure([&] { report_out = service.analyze(series); });
   timing_.analysis_s = config_.profile.scale(t);
@@ -167,7 +166,7 @@ net::Envelope PhoneRelay::relay_analysis(
     // discussion) instead of failing the test session.
     report("cloud unreachable; analyzing locally on phone");
     timing_.local_fallback = true;
-    const auto local = run_local_analysis(series, {});
+    const auto local = run_local_analysis(series);
     report("local analysis complete");
     return net::make_envelope(net::MessageType::kAnalysisResult, session_id,
                               config_.device_id, local.serialize(), mac_key);
@@ -291,7 +290,7 @@ SessionOutcome PhoneRelay::run_diagnostic_session(
   outcome.degraded = true;
   report("retries exhausted; degrading to on-phone analysis");
   timing_.local_fallback = true;
-  const auto local = run_local_analysis(last_series, {});
+  const auto local = run_local_analysis(last_series);
   outcome.last_response = net::make_envelope(
       net::MessageType::kAnalysisResult, session_base_id + outcome.attempts,
       config_.device_id, local.serialize(), mac_key);
@@ -300,11 +299,10 @@ SessionOutcome PhoneRelay::run_diagnostic_session(
 }
 
 core::PeakReport PhoneRelay::analyze_locally(
-    const util::MultiChannelSeries& series,
-    const cloud::AnalysisConfig& config) {
+    const util::MultiChannelSeries& series) {
   timing_ = RelayTiming{};
   report("analyzing locally on phone");
-  const auto report_out = run_local_analysis(series, config);
+  const auto report_out = run_local_analysis(series);
   report("local analysis complete");
   return report_out;
 }

@@ -127,10 +127,10 @@ class PhoneRelay {
                            double duration_s = 0.0,
                            core::SessionCrypto* crypto = nullptr);
 
-  /// Run the peak analysis locally on the phone (small-sample mode).
-  /// Returns the report and records the profile-scaled analysis time.
-  core::PeakReport analyze_locally(const util::MultiChannelSeries& series,
-                                   const cloud::AnalysisConfig& config);
+  /// Run the peak analysis locally on the phone (small-sample mode), with
+  /// the cloud's default AnalysisConfig{}, as the relay's own fallbacks
+  /// do. Returns the report and records the profile-scaled analysis time.
+  core::PeakReport analyze_locally(const util::MultiChannelSeries& series);
 
   /// Drive one complete self-healing diagnostic session end to end:
   /// acquire under the controller's control trace, upload, and on a
@@ -186,9 +186,9 @@ class PhoneRelay {
   std::optional<net::Envelope> reliable_exchange(
       const net::Envelope& upload,
       const std::function<net::Envelope(const net::Envelope&)>& handler);
-  /// Measure a profile-scaled local analysis without resetting timing_.
-  core::PeakReport run_local_analysis(const util::MultiChannelSeries& series,
-                                      const cloud::AnalysisConfig& config);
+  /// Measure a profile-scaled local analysis (AnalysisConfig{}) without
+  /// resetting timing_.
+  core::PeakReport run_local_analysis(const util::MultiChannelSeries& series);
   void report(const std::string& message);
 
   RelayConfig config_;

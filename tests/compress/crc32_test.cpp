@@ -33,22 +33,30 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_final(state), crc32(as_bytes(msg)));
 }
 
-// Bit-at-a-time CRC-32, independent of the library's lookup tables.
-std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xFFFFFFFFu;
+// Bit-at-a-time CRC-32 state update, independent of the library's
+// lookup tables and carry-less multiplies.
+std::uint32_t bitwise_update(std::uint32_t c,
+                             std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
     c ^= b;
     for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
 }
 
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
+  return bitwise_update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+// Lengths up to 1,100 bytes cover the hardware kernel's every path: the
+// table kernel alone below 64 bytes, then up to seventeen 64-byte blocks,
+// every count of 16-byte folds and every tail length.
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   crypto::ChaChaRng rng(32);
-  std::vector<std::uint8_t> buf(64 + 8);
+  std::vector<std::uint8_t> buf(1100 + 8);
   rng.fill(buf);
   for (std::size_t align = 0; align < 8; ++align) {
-    for (std::size_t len = 0; len <= 64; ++len) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
       const std::span<const std::uint8_t> s(buf.data() + align, len);
       EXPECT_EQ(crc32(s), bitwise_crc32(s)) << "align " << align << " len "
                                             << len;
@@ -57,16 +65,23 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
 }
 
 TEST(Crc32, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  // The incoming state stands for 300 bytes already absorbed, so it is
+  // neither crc32_init() nor zero.
+  constexpr std::uint32_t kIncoming = 0x9E3779B9u;
   crypto::ChaChaRng rng(33);
-  std::vector<std::uint8_t> data(100);
+  std::vector<std::uint8_t> data(300);
   rng.fill(data);
   const std::span<const std::uint8_t> all(data);
   const std::uint32_t whole = crc32(all);
   EXPECT_EQ(whole, bitwise_crc32(all));
+  const std::uint32_t continued = bitwise_update(kIncoming, all);
   for (std::size_t split = 0; split <= data.size(); ++split) {
     std::uint32_t state = crc32_update(crc32_init(), all.first(split));
     state = crc32_update(state, all.subspan(split));
     EXPECT_EQ(crc32_final(state), whole) << "split " << split;
+    state = crc32_update(kIncoming, all.first(split));
+    EXPECT_EQ(crc32_update(state, all.subspan(split)), continued)
+        << "split " << split;
   }
 }
 
@@ -81,6 +96,43 @@ TEST(Crc32, OrderSensitive) {
   const std::vector<std::uint8_t> ab = {'a', 'b'};
   const std::vector<std::uint8_t> ba = {'b', 'a'};
   EXPECT_NE(crc32(ab), crc32(ba));
+}
+
+// The kernels behind crc32_update(), called directly. The table kernel is
+// the reference on any CPU; the carry-less multiply kernel must agree
+// with it on every length, alignment and incoming state, and its test
+// skips only when CPUID lacks PCLMULQDQ.
+TEST(Crc32Backends, PortableKernelMatchesBitwiseReference) {
+  crypto::ChaChaRng rng(34);
+  std::vector<std::uint8_t> buf(300 + 8);
+  rng.fill(buf);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const std::uint32_t state = rng.next_u32();
+    const std::span<const std::uint8_t> s(buf.data() + len % 8, len);
+    EXPECT_EQ(detail::crc32_update_portable(state, s), bitwise_update(state, s))
+        << "len " << len;
+  }
+}
+
+TEST(Crc32Backends, ClmulMatchesPortableOnSeededInputs) {
+  if (!util::cpu_features().pclmul)
+    GTEST_SKIP() << "CPUID reports no carry-less multiply (pclmulqdq)";
+#if MEDSEN_X86
+  crypto::ChaChaRng rng(35);
+  std::vector<std::uint8_t> buf(60000 + 16);
+  rng.fill(buf);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Mostly short, where the fold count and tail change fastest, and
+    // now and then as long as the relay's coded block.
+    const std::size_t len =
+        trial % 10 == 0 ? rng.uniform(60001) : rng.uniform(1200);
+    const std::span<const std::uint8_t> s(buf.data() + rng.uniform(16), len);
+    const std::uint32_t state = rng.next_u32();
+    EXPECT_EQ(detail::crc32_update_clmul(state, s),
+              detail::crc32_update_portable(state, s))
+        << "trial " << trial << " len " << len;
+  }
+#endif
 }
 
 }  // namespace

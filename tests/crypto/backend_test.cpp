@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "crypto/aes.h"
-#include "crypto/cpu_features.h"
+#include "crypto/kernels.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
@@ -66,9 +66,9 @@ TEST(Sha256Backends, PortableKernelMatchesFips180Abc) {
 }
 
 TEST(Sha256Backends, ShaNiMatchesPortableOnSeededInputs) {
-  if (!detail::cpu_features().sha_ni)
+  if (!util::cpu_features().sha_ni)
     GTEST_SKIP() << "CPUID reports no SHA extensions (sha_ni)";
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
   std::mt19937_64 rng(0x5a1);
   for (int trial = 0; trial < 10000; ++trial) {
     Sha256State start;
@@ -139,9 +139,9 @@ TEST(Aes128Backends, PortableKernelMatchesFips197C1) {
 }
 
 TEST(Aes128Backends, AesNiMatchesPortableOnFips197C1) {
-  if (!detail::cpu_features().aes_ni)
+  if (!util::cpu_features().aes_ni)
     GTEST_SKIP() << "CPUID reports no AES-NI (aes)";
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
   const auto key = fips197_key();
   AesRoundKeys portable_keys{}, hardware_keys{};
   detail::aes128_expand_key_portable(key.data(), portable_keys);
@@ -156,9 +156,9 @@ TEST(Aes128Backends, AesNiMatchesPortableOnFips197C1) {
 }
 
 TEST(Aes128Backends, AesNiMatchesPortableOnSeededKeys) {
-  if (!detail::cpu_features().aes_ni)
+  if (!util::cpu_features().aes_ni)
     GTEST_SKIP() << "CPUID reports no AES-NI (aes)";
-#if MEDSEN_CRYPTO_X86
+#if MEDSEN_X86
   std::mt19937_64 rng(0xae5);
   for (int trial = 0; trial < 1000; ++trial) {
     const auto key = random_bytes(rng, 16);

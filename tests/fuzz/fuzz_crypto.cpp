@@ -1,7 +1,7 @@
-// Fuzz target: differential check of the crypto backends. The portable
+// Fuzz target: differential check of the kernel backends. The portable
 // kernels are the reference; every input must produce the same bytes
-// through the backend the CPU dispatches to (SHA-NI, AES-NI) and through
-// the streaming interfaces, however the input is split.
+// through the backend the CPU dispatches to (SHA-NI, AES-NI, PCLMULQDQ)
+// and through the streaming interfaces, however the input is split.
 //
 // Input layout (every byte string is valid):
 //   [0]      HMAC key length (0..255; clamped to what follows)
@@ -13,6 +13,8 @@
 //   * HmacSha256 fed in two pieces vs one-shot hmac_sha256()
 //   * AES-128 keyed by the first 16 input bytes: portable vs AES-NI
 //     round keys, and every 16-byte block of the input encrypted by both
+//   * CRC-32 of the whole input: the table kernel vs crc32() and vs
+//     crc32_update() fed in two pieces split at the scaled offset
 
 #include "fuzz_target.h"
 
@@ -22,8 +24,9 @@
 #include <cstring>
 #include <span>
 
-#include "crypto/cpu_features.h"
+#include "compress/crc32.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace {
@@ -73,8 +76,8 @@ void check_hmac(std::span<const std::uint8_t> key,
 }
 
 void check_aes(std::span<const std::uint8_t> input) {
-#if MEDSEN_CRYPTO_X86
-  if (!detail::cpu_features().aes_ni || input.size() < 16) return;
+#if MEDSEN_X86
+  if (!medsen::util::cpu_features().aes_ni || input.size() < 16) return;
   detail::AesRoundKeys portable_keys{}, hardware_keys{};
   detail::aes128_expand_key_portable(input.data(), portable_keys);
   detail::aes128_expand_key_ni(input.data(), hardware_keys);
@@ -92,6 +95,17 @@ void check_aes(std::span<const std::uint8_t> input) {
 #endif
 }
 
+void check_crc32(std::span<const std::uint8_t> input, std::size_t split) {
+  namespace compress = medsen::compress;
+  const std::uint32_t reference =
+      compress::detail::crc32_update_portable(compress::crc32_init(), input);
+  if (compress::crc32(input) != compress::crc32_final(reference)) std::abort();
+  std::uint32_t state = compress::crc32_update(compress::crc32_init(),
+                                               input.first(split));
+  state = compress::crc32_update(state, input.subspan(split));
+  if (state != reference) std::abort();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -107,5 +121,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check_hmac(key, message, split_byte * message.size() / 255);
 
   check_aes(input);
+  check_crc32(input, split_byte * size / 255);
   return 0;
 }

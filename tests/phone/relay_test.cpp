@@ -107,8 +107,7 @@ TEST(PhoneRelay, LocalAnalysisScaledByProfile) {
   RelayConfig config;
   config.profile = nexus5_profile();
   PhoneRelay relay(config);
-  const auto report =
-      relay.analyze_locally(dip_series(2), cloud::AnalysisConfig{});
+  const auto report = relay.analyze_locally(dip_series(2));
   EXPECT_EQ(report.reference_peak_count(), 2u);
   EXPECT_GT(relay.timing().analysis_s, 0.0);
 }
