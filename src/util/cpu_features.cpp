@@ -16,7 +16,7 @@ CpuFeatures probe() {
   const bool ssse3 = (ecx & bit_SSSE3) != 0;
   const bool sse41 = (ecx & bit_SSE4_1) != 0;
   features.aes_ni = (ecx & bit_AES) != 0;
-  features.pclmul = (ecx & bit_PCLMUL) != 0 && sse41;
+  features.pclmul = (ecx & bit_PCLMUL) != 0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0)
     features.sha_ni = (ebx & bit_SHA) != 0 && ssse3 && sse41;
 #endif

@@ -17,7 +17,7 @@ namespace medsen::util {
 struct CpuFeatures {
   bool sha_ni = false;  ///< SHA extensions + SSSE3 + SSE4.1
   bool aes_ni = false;  ///< AES-NI
-  bool pclmul = false;  ///< PCLMULQDQ + SSE4.1
+  bool pclmul = false;  ///< PCLMULQDQ (carry-less multiply)
 };
 
 /// What the CPU reports, probed once. All false off x86-64.
