@@ -102,8 +102,8 @@ MEDSEN_CLMUL std::uint32_t crc32_update_clmul(
   if (data.size() < kStep) return crc32_update_portable(state, data);
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
-  // Four lanes, 16 bytes each, 64 bytes apart; the state enters as the
-  // first four message bytes' complement, as in the table kernel.
+  // Four lanes, 16 bytes each, 64 bytes apart. The state is XORed into
+  // the first four message bytes, as the table kernel does.
   __m128i lane0 = _mm_xor_si128(load128(p),
                                 _mm_cvtsi32_si128(static_cast<int>(state)));
   __m128i lane1 = load128(p + 16);
